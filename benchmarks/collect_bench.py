@@ -12,8 +12,8 @@ History layout — one series per bench, keyed by git SHA::
 
     {
       "benches": {
-        "comms":   [{"sha": "abc123", "payload": {...BENCH_comms.json...}}, ...],
-        "kernels": [{"sha": "abc123", "payload": {...}}, ...]
+        "cells": [{"sha": "abc123", "payload": {...BENCH_cells.json...}}, ...],
+        "sweep": [{"sha": "abc123", "payload": {...}}, ...]
       }
     }
 
@@ -35,7 +35,7 @@ HISTORY_NAME = "BENCH_history.json"
 
 
 def _bench_name(path: Path) -> str:
-    """``BENCH_comms.json`` -> ``comms``."""
+    """``BENCH_cells.json`` -> ``cells``."""
     return path.stem[len("BENCH_"):]
 
 

@@ -459,7 +459,7 @@ class SDPFTracker:
             rows.append(r)
             pair_lists.append(pairs)
         if rows:
-            from ..kernels import batch_likelihood  # dispatching wrapper
+            from ..kernels.likelihood import batch_likelihood
 
             # one (holders, measurements) log-kernel matrix with the
             # discretization-aware sigma inflation (see core.cdpf); columns

@@ -339,17 +339,9 @@ class ScenarioConfig:
     to :func:`~repro.network.faults.fault_event_from_dict` so event schemas
     live in exactly one place.  Sleep schedules (``scheduled_sleep``) and
     mobility (``mobility``) ride this axis.
-
-    ``kernel_backend`` selects the hot-path kernel backend for the compiled
-    run (see :mod:`repro.kernels.backends`): ``"auto"`` keeps the process
-    default, ``"numpy"`` pins the reference, ``"numba"`` requests the JIT
-    backend.  Backends are bit-identical by contract, so this knob never
-    changes a fingerprint — it is an execution strategy, not a scenario
-    axis, which is why the default is the neutral ``"auto"``.
     """
 
     seed: int = 0
-    kernel_backend: str = "auto"
     deployment: DeploymentConfig = field(default_factory=DeploymentConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     sensing: SensingConfig = field(default_factory=SensingConfig)
@@ -364,10 +356,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             _fail("seed", f"must be non-negative, got {self.seed}")
-        from ..kernels.backends import kernel_backend_names
-
-        _check_choice("kernel_backend", self.kernel_backend,
-                      ("auto",) + tuple(kernel_backend_names()))
         # the Scenario invariant (R_s <= R_c / 2), checked here so the error
         # names the config fields instead of surfacing from Scenario later
         if self.sensing.sensing_radius > self.radio.comm_radius / 2.0:
@@ -400,7 +388,7 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Nested plain-data payload; ``from_dict`` inverts it exactly."""
-        out: dict = {"seed": self.seed, "kernel_backend": self.kernel_backend}
+        out: dict = {"seed": self.seed}
         for name in self._SECTIONS:
             out[name] = _section_to_dict(getattr(self, name))
         out["faults"] = [dict(ev) for ev in self.faults]
@@ -415,7 +403,7 @@ class ScenarioConfig:
         """
         if not isinstance(data, dict):
             _fail("config", f"expected a table, got {type(data).__name__}")
-        known = set(cls._SECTIONS) | {"seed", "kernel_backend", "faults"}
+        known = set(cls._SECTIONS) | {"seed", "faults"}
         unknown = set(data) - known
         if unknown:
             _fail("config", f"unknown section(s)/key(s) {sorted(unknown)}; "
@@ -423,10 +411,6 @@ class ScenarioConfig:
         kwargs: dict = {}
         if "seed" in data:
             kwargs["seed"] = _coerce(data["seed"], int, "seed")
-        if "kernel_backend" in data:
-            kwargs["kernel_backend"] = _coerce(
-                data["kernel_backend"], str, "kernel_backend"
-            )
         for name, section_cls in cls._SECTIONS.items():
             if name in data:
                 kwargs[name] = _section_from_dict(section_cls, data[name], name)

@@ -74,11 +74,7 @@ def _refuse_nested(value, path: str):
 def dumps_config(config: ScenarioConfig) -> str:
     """Serialize ``config`` to TOML text (sections in schema order)."""
     data = config.to_dict()
-    lines = [
-        f"seed = {_scalar(data.pop('seed'))}",
-        f"kernel_backend = {_scalar(data.pop('kernel_backend'))}",
-        "",
-    ]
+    lines = [f"seed = {_scalar(data.pop('seed'))}", ""]
     faults = data.pop("faults")
     for name, section in data.items():
         lines.append(f"[{name}]")

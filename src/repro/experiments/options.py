@@ -1,23 +1,20 @@
 """RunOptions: the consolidated knob surface of :func:`run_tracking`.
 
-``run_tracking`` started with one keyword (``rng``) and grew three more as
-subsystems landed — ``fault_plan`` (fault injection), ``on_iteration`` (the
-legacy per-step callback) and ``bus`` (the event bus).  Every new knob
-widened the signature of every wrapper that forwards to the runner.  This
-module freezes that growth: all run-shaping knobs live in one immutable
-:class:`RunOptions` value that callers build once and pass as ``options=``.
+``run_tracking`` started with one keyword (``rng``) and grew more as
+subsystems landed — fault injection, a per-step callback, the event bus,
+checkpointing.  Every new knob widened the signature of every wrapper that
+forwards to the runner.  This module freezes that growth: all run-shaping
+knobs live in one immutable :class:`RunOptions` value that callers build
+once and pass as ``options=``.
 
 The old bare keyword arguments (``fault_plan`` / ``on_iteration`` / ``bus``
-passed directly to ``run_tracking``) went through a warn-once deprecation
-shim for one release and are now rejected with a :class:`TypeError` naming
-the offending keywords and the ``options=RunOptions(...)`` migration.  The
-checkpoint kwargs (``checkpoint_every`` / ``checkpoint_sink`` /
-``resume_from``) are in the warn-once stage of the same migration: they
-still work for one release, folding into a :class:`CheckpointPolicy`, and
-new code passes ``options=RunOptions(checkpoint=CheckpointPolicy(...))``.
+and ``checkpoint_every`` / ``checkpoint_sink`` / ``resume_from`` passed
+directly to ``run_tracking``) each went through one release of warn-once
+deprecation and are now rejected with a :class:`TypeError` naming the
+offending keywords and the ``options=RunOptions(...)`` migration;
+checkpointing lives in ``RunOptions(checkpoint=CheckpointPolicy(...))``.
 
-For per-iteration observation, prefer subscribing to the event bus over the
-legacy callback::
+Per-iteration observation goes through the event bus::
 
     bus = EventBus()
     bus.subscribe(iteration_subscriber(lambda k, ctx, est: ...))
@@ -39,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CheckpointPolicy", "RunOptions", "iteration_subscriber"]
 
-#: signature of the legacy per-iteration callback
+#: signature of a per-iteration callback (see :func:`iteration_subscriber`)
 IterationCallback = Callable[[int, "StepContext", Any], None]
 
 
@@ -92,39 +89,14 @@ class RunOptions:
         An :class:`~repro.runtime.events.EventBus` attached for the run:
         the pipeline emits per-phase events on it and the runner emits one
         :class:`~repro.runtime.events.IterationEvent` per step.
-    on_iteration:
-        The legacy plain-callable hook ``(iteration, context, estimate)``.
-        Still honored, but new code should subscribe to ``bus`` via
-        :func:`iteration_subscriber` instead — the bus also carries phase
-        events and composes with other subscribers.
     checkpoint:
         A :class:`CheckpointPolicy` shaping periodic snapshots and resume;
         ``None`` runs without checkpointing.
-    kernel_backend:
-        Kernel backend requested for the run's hot paths (see
-        :mod:`repro.kernels.backends`): ``"numpy"`` (the reference) or
-        ``"numba"`` (JIT-compiled, bit-identical by contract).  ``None``
-        keeps the process default.  The request is scoped to each
-        :meth:`~repro.experiments.runner.TrackingRun.step`, so interleaved
-        runs (the service) can mix backends; a process pinned via
-        ``REPRO_KERNEL_BACKEND`` overrides it with a warn-once.
     """
 
     fault_plan: "FaultPlan | None" = None
     bus: EventBus | None = None
-    on_iteration: IterationCallback | None = None
     checkpoint: CheckpointPolicy | None = None
-    kernel_backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kernel_backend is not None:
-            from ..kernels.backends import kernel_backend_names
-
-            if self.kernel_backend not in kernel_backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"registered: {list(kernel_backend_names())}"
-                )
 
 
 def iteration_subscriber(callback: IterationCallback) -> Callable[[Any], None]:
@@ -132,8 +104,8 @@ def iteration_subscriber(callback: IterationCallback) -> Callable[[Any], None]:
 
     The returned handler ignores every event except
     :class:`~repro.runtime.events.IterationEvent`, on which it invokes
-    ``callback`` with the legacy ``on_iteration`` argument shape — the
-    recommended migration path off the deprecated ``on_iteration`` kwarg.
+    ``callback(iteration, context, estimate)`` — the shape of the retired
+    ``on_iteration`` hook.
     """
 
     def handler(event: Any) -> None:

@@ -13,9 +13,7 @@ estimate under the iteration it refers to, so RMSE compares like with like.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from ..runtime import EventBus, IterationEvent, PhaseProfile
 from ..runtime.checkpoint import RunCheckpoint, restore_rng, snapshot_rng
 from ..scenario import Scenario, StepContext, Tracker
 from .metrics import ErrorSummary, cost_series, summarize_errors
-from .options import CheckpointPolicy, RunOptions
+from .options import RunOptions
 
 __all__ = [
     "StepOutcome",
@@ -38,34 +36,10 @@ __all__ = [
 ]
 
 #: the bare run-shaping keywords retired in favor of ``options=RunOptions(...)``
-_RETIRED_KWARGS = frozenset({"fault_plan", "on_iteration", "bus"})
-
-#: checkpoint kwargs in the warn-once stage of the same migration
-#: (``options=RunOptions(checkpoint=CheckpointPolicy(...))`` is the new home)
-_DEPRECATED_CHECKPOINT_KWARGS = ("checkpoint_every", "checkpoint_sink", "resume_from")
-_checkpoint_kwargs_warned: set[str] = set()
-
-
-def _warn_checkpoint_kwargs(names: list[str]) -> None:
-    """Warn once per kwarg name per process, mirroring the retired
-    ``fault_plan``/``bus`` migration's one-release deprecation stage."""
-    fresh = [n for n in names if n not in _checkpoint_kwargs_warned]
-    if not fresh:
-        return
-    _checkpoint_kwargs_warned.update(fresh)
-    warnings.warn(
-        f"passing {', '.join(fresh)} directly to run_tracking() is "
-        "deprecated; pass options=RunOptions(checkpoint=CheckpointPolicy("
-        "every=..., sink=..., resume_from=...)) instead.  The bare kwargs "
-        "will be removed next release, like fault_plan/bus before them.",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def reset_checkpoint_kwargs_warning() -> None:
-    """Re-arm the warn-once guard (test isolation helper)."""
-    _checkpoint_kwargs_warned.clear()
+_RETIRED_KWARGS = frozenset({
+    "fault_plan", "on_iteration", "bus",
+    "checkpoint_every", "checkpoint_sink", "resume_from",
+})
 
 
 @dataclass
@@ -321,14 +295,6 @@ class TrackingRun:
             )
         k = self.next_iteration
         options = self.options
-        if options.kernel_backend is not None:
-            from ..kernels.backends import use_kernel_backend
-
-            with use_kernel_backend(options.kernel_backend):
-                return self._step_body(k, options)
-        return self._step_body(k, options)
-
-    def _step_body(self, k: int, options: RunOptions) -> StepOutcome:
         tracker = self.tracker
         fault_plan = options.fault_plan
         if fault_plan is not None:
@@ -354,8 +320,6 @@ class TrackingRun:
                 )
             if 0 <= ref <= self.n_iterations:
                 self.estimates[ref] = np.asarray(est, dtype=np.float64).copy()
-        if options.on_iteration is not None:
-            options.on_iteration(k, ctx, est)
         if options.bus is not None:
             options.bus.emit(
                 IterationEvent(
@@ -427,9 +391,6 @@ def run_tracking(
     *,
     rng: np.random.Generator,
     options: RunOptions | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_sink: Callable[[RunCheckpoint], None] | None = None,
-    resume_from: RunCheckpoint | None = None,
     **retired: object,
 ) -> TrackingResult:
     """Drive ``tracker`` along the whole trajectory and summarize the run.
@@ -444,9 +405,9 @@ def run_tracking(
     of each iteration — crashed and sleeping nodes stop sensing as well as
     transmitting; ``options.bus`` attaches an :class:`~repro.runtime.events.
     EventBus` on which the pipeline emits per-phase events and the runner one
-    :class:`~repro.runtime.events.IterationEvent` per step;
-    ``options.on_iteration`` is the legacy plain-callable hook (prefer a bus
-    subscriber via :func:`~repro.experiments.options.iteration_subscriber`).
+    :class:`~repro.runtime.events.IterationEvent` per step (subscribe a
+    plain per-iteration callable with :func:`~repro.experiments.options.
+    iteration_subscriber`).
 
     Checkpointing travels in ``options.checkpoint`` (a :class:`~repro.
     experiments.options.CheckpointPolicy`): with ``every=n``, after every
@@ -455,55 +416,19 @@ def run_tracking(
     :class:`~repro.runtime.checkpoint.RunCheckpoint` and handed to the
     policy's ``sink``; ``resume_from`` transplants such a checkpoint into a
     freshly built, configuration-identical run and continues from the next
-    iteration — bit-identical to the uninterrupted run.  The bare
-    ``checkpoint_every``/``checkpoint_sink``/``resume_from`` kwargs are a
-    deprecated spelling of the same policy (warn-once, removed next
-    release).
+    iteration — bit-identical to the uninterrupted run.
     """
     if retired:
         names = sorted(set(retired) & _RETIRED_KWARGS)
         if names:
             raise TypeError(
                 f"run_tracking() no longer accepts the bare {', '.join(names)} "
-                "keyword(s); pass options=RunOptions(...) instead"
+                "keyword(s); pass options=RunOptions(...) instead (checkpointing "
+                "goes in RunOptions(checkpoint=CheckpointPolicy(...)))"
             )
         raise TypeError(
             "run_tracking() got unexpected keyword argument(s): "
             + ", ".join(sorted(retired))
-        )
-    if options is None:
-        options = RunOptions()
-    legacy = {
-        name: value
-        for name, value in zip(
-            _DEPRECATED_CHECKPOINT_KWARGS,
-            (checkpoint_every, checkpoint_sink, resume_from),
-        )
-        if value is not None
-    }
-    if legacy:
-        if options.checkpoint is not None:
-            # rejected outright — don't also burn the one-shot deprecation
-            # warning on a call that never runs
-            raise TypeError(
-                "pass checkpointing either as options.checkpoint or as the "
-                f"deprecated bare {', '.join(sorted(legacy))} keyword(s), "
-                "not both"
-            )
-        _warn_checkpoint_kwargs(sorted(legacy))
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if checkpoint_every is not None and checkpoint_sink is None:
-            raise ValueError("checkpoint_every requires a checkpoint_sink callable")
-        options = replace(
-            options,
-            checkpoint=CheckpointPolicy(
-                every=checkpoint_every,
-                sink=checkpoint_sink,
-                resume_from=resume_from,
-            ),
         )
     return TrackingRun(
         tracker, scenario, trajectory, rng=rng, options=options

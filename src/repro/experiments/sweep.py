@@ -112,7 +112,6 @@ def density_sweep(
     store: JsonlStore | str | Path | None = None,
     backend: str | None = None,
     checkpoint_every: int | None = None,
-    kernel_backend: str | None = None,
 ) -> SweepResult:
     """The Figure 5/6 protocol: densities x algorithms x seeds.
 
@@ -154,7 +153,6 @@ def density_sweep(
         store=store,
         backend=backend,
         checkpoint_every=checkpoint_every,
-        kernel_backend=kernel_backend,
     )
     points: dict[tuple[float, str], SweepPoint] = {
         (float(d), name): SweepPoint(float(d), name)

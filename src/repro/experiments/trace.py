@@ -1,14 +1,12 @@
 """Run tracing and ASCII field maps.
 
 :class:`TraceRecorder` subscribes to the run's
-:class:`~repro.runtime.events.EventBus` (or hooks into
-:func:`~repro.experiments.runner.run_tracking` via the legacy
-``on_iteration`` callable) and snapshots what the tracker saw and did each
-iteration — detector sets, holder populations, estimates, and per-phase
-timing/traffic events.  The snapshots drive :func:`render_field_map`, a
-terminal rendering of one instant of the run (nodes, detectors, holders,
-truth, estimate), which is how the examples and postmortems show *where* a
-tracker's particles actually live.
+:class:`~repro.runtime.events.EventBus` and snapshots what the tracker saw
+and did each iteration — detector sets, holder populations, estimates, and
+per-phase timing/traffic events.  The snapshots drive
+:func:`render_field_map`, a terminal rendering of one instant of the run
+(nodes, detectors, holders, truth, estimate), which is how the examples and
+postmortems show *where* a tracker's particles actually live.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from ..models.trajectory import Trajectory
 from ..runtime import EventBus, IterationEvent, PhaseEvent
-from ..scenario import Scenario, StepContext
+from ..scenario import Scenario
 
 __all__ = ["IterationSnapshot", "TraceRecorder", "render_field_map"]
 
@@ -40,7 +38,7 @@ class IterationSnapshot:
 class TraceRecorder:
     """Collects :class:`IterationSnapshot`s (and phase events) during a run.
 
-    Event-bus usage (preferred)::
+    Usage::
 
         recorder = TraceRecorder(tracker, trajectory)
         bus = EventBus()
@@ -49,10 +47,6 @@ class TraceRecorder:
                      options=RunOptions(bus=bus))
         print(render_field_map(scenario, recorder.snapshots[3]))
         recorder.phase_events        # every completed phase, in order
-
-    The recorder also remains a plain callable for the legacy
-    ``RunOptions(on_iteration=recorder)`` hook (no phase events on that
-    path).
     """
 
     tracker: object
@@ -67,10 +61,29 @@ class TraceRecorder:
 
     def handle(self, event) -> None:
         """Bus handler: snapshots on IterationEvent, collects ended phases."""
-        if isinstance(event, IterationEvent):
-            self(event.iteration, event.context, event.estimate)
-        elif isinstance(event, PhaseEvent) and event.kind == "end":
+        if isinstance(event, PhaseEvent) and event.kind == "end":
             self.phase_events.append(event)
+        if not isinstance(event, IterationEvent):
+            return
+        holders = getattr(self.tracker, "holders", None)
+        holder_ids = (
+            np.array(sorted(holders), dtype=np.intp)
+            if isinstance(holders, dict)
+            else np.zeros(0, dtype=np.intp)
+        )
+        estimate = event.estimate
+        self.snapshots.append(
+            IterationSnapshot(
+                iteration=event.iteration,
+                detectors=np.array(
+                    sorted(int(d) for d in np.asarray(event.context.detectors).ravel())
+                ),
+                holders=holder_ids,
+                estimate=None if estimate is None else np.asarray(estimate, dtype=np.float64).copy(),
+                estimate_iteration=event.estimate_iteration,
+                truth=self.trajectory.position_at_iteration(event.iteration).copy(),
+            )
+        )
 
     def phase_seconds(self) -> dict[str, float]:
         """Total recorded wall-clock per phase name."""
@@ -78,25 +91,6 @@ class TraceRecorder:
         for ev in self.phase_events:
             out[ev.phase] = out.get(ev.phase, 0.0) + ev.seconds
         return out
-
-    def __call__(self, k: int, ctx: StepContext, estimate) -> None:
-        holders = getattr(self.tracker, "holders", None)
-        holder_ids = (
-            np.array(sorted(holders), dtype=np.intp)
-            if isinstance(holders, dict)
-            else np.zeros(0, dtype=np.intp)
-        )
-        est_iter = self.tracker.estimate_iteration() if estimate is not None else None
-        self.snapshots.append(
-            IterationSnapshot(
-                iteration=k,
-                detectors=np.array(sorted(int(d) for d in np.asarray(ctx.detectors).ravel())),
-                holders=holder_ids,
-                estimate=None if estimate is None else np.asarray(estimate, dtype=np.float64).copy(),
-                estimate_iteration=est_iter,
-                truth=self.trajectory.position_at_iteration(k).copy(),
-            )
-        )
 
     def holder_history(self) -> list[int]:
         return [s.holders.size for s in self.snapshots]

@@ -7,8 +7,9 @@ originally executed as Python-level loops over scalars.  This package holds
 their batched equivalents, each one designed to be **bit-identical** to the
 scalar code it replaces: same float operations, same order, same reduction
 trees.  The golden differential suite (``tests/runtime/``) pins that
-equivalence on fixed seeds, and ``benchmarks/test_bench_kernels.py`` guards
-the speedups.
+equivalence on fixed seeds; ``tests/kernels/`` pins each kernel to its
+scalar reference, and the end-to-end benchmark (``benchmarks/e2e/``) times
+every kernel call in place.
 
 Modules
 -------
@@ -35,47 +36,26 @@ The kernels also stack *across simulation cells* (the lock-step sweep
 backend, :mod:`repro.experiments.lockstep`): :func:`batch_likelihood`
 accepts a leading batch axis (``(B, n, 2)`` holders → ``(B, n, m)``
 matrices, each slice bit-identical to its own 2-D call),
-:func:`batch_contributions` + :func:`concat_csr` evaluate many cells'
-estimation areas as one CSR call, :func:`batch_propagate_ragged` carries a
-per-broadcast candidate set so broadcasts from many cells share one
-distance/probability pass, and :func:`link_uniform_many` takes per-copy
-``seed`` / ``sender`` / ``iteration`` arrays so one call can mix link draws
-from many media.  The contract is unchanged: elementwise ops and per-group
-pairwise reductions are bitwise independent of how calls are batched.
+:func:`batch_contributions` evaluates many cells' estimation areas as one
+CSR call (flat distances plus ``offsets``), and :func:`link_uniform_many`
+takes per-copy ``seed`` / ``sender`` / ``iteration`` arrays so one call can
+mix link draws from many broadcasts or media.  The contract is unchanged:
+elementwise ops and per-group pairwise reductions are bitwise independent
+of how calls are batched.
 
-Backend dispatch
-----------------
-The four contract kernels exported here — :func:`batch_contributions`,
-:func:`batch_likelihood`, :func:`batch_propagate_ragged` and
-:func:`link_uniform_many` — are thin dispatch wrappers over
-:mod:`repro.kernels.backends`: each call resolves the implementation the
-active backend registered (numpy reference by default, ``@njit``-compiled
-under the optional numba backend).  The wrappers are stable objects, so
-``from repro.kernels import batch_likelihood`` at import time still sees
-every later :func:`~repro.kernels.backends.set_kernel_backend` /
-``REPRO_KERNEL_BACKEND`` switch — no call site binds an implementation
-eagerly anymore.  Every backend is held to the same bit-exactness
-contract; kernels a backend cannot serve bit-exactly fall back to numpy
-per kernel (see DESIGN §4k for the ``batch_likelihood`` holdout).
-
-The kernels depend on numpy only (no imports from the rest of the package),
-so every layer of the simulator may call into them without cycles.
+The names exported here are the kernel functions themselves — there is one
+implementation of each, and callers bind it directly.  The kernels depend
+on numpy only (no imports from the rest of the package), so every layer of
+the simulator may call into them without cycles.
 """
 
-from . import backends, contributions, delivery, likelihood, propagation
-from .backends import (
-    kernel_backend_info,
-    set_kernel_backend,
-    use_kernel_backend,
-    warm_up_kernels,
-)
-from .backends import _ACTIVE as _DISPATCH
-from .contributions import concat_csr
-from .delivery import batch_deliver
+from . import contributions, delivery, likelihood, propagation
+from .contributions import batch_contributions
+from .delivery import batch_deliver, link_uniform_many
+from .likelihood import batch_likelihood
 from .propagation import batch_propagate
 
 __all__ = [
-    "backends",
     "contributions",
     "delivery",
     "likelihood",
@@ -84,56 +64,5 @@ __all__ = [
     "batch_deliver",
     "batch_likelihood",
     "batch_propagate",
-    "batch_propagate_ragged",
-    "concat_csr",
-    "kernel_backend_info",
     "link_uniform_many",
-    "set_kernel_backend",
-    "use_kernel_backend",
-    "warm_up_kernels",
 ]
-
-
-def batch_contributions(distances, offsets=None, *, d_min=1e-3):
-    """Dispatching :func:`repro.kernels.contributions.batch_contributions`."""
-    return _DISPATCH["batch_contributions"](distances, offsets, d_min=d_min)
-
-
-def batch_likelihood(holder_positions, lam, sensor_positions, zs, noise_std):
-    """Dispatching :func:`repro.kernels.likelihood.batch_likelihood`."""
-    return _DISPATCH["batch_likelihood"](
-        holder_positions, lam, sensor_positions, zs, noise_std
-    )
-
-
-def batch_propagate_ragged(
-    predicted,
-    weights,
-    candidate_ids,
-    candidate_positions,
-    candidate_offsets,
-    *,
-    area_radius,
-    record_threshold,
-    max_recorders=None,
-    keep_mask=None,
-):
-    """Dispatching :func:`repro.kernels.propagation.batch_propagate_ragged`."""
-    return _DISPATCH["batch_propagate_ragged"](
-        predicted,
-        weights,
-        candidate_ids,
-        candidate_positions,
-        candidate_offsets,
-        area_radius=area_radius,
-        record_threshold=record_threshold,
-        max_recorders=max_recorders,
-        keep_mask=keep_mask,
-    )
-
-
-def link_uniform_many(seed, tag, sender, receivers, iteration, nonces):
-    """Dispatching :func:`repro.kernels.delivery.link_uniform_many`."""
-    return _DISPATCH["link_uniform_many"](
-        seed, tag, sender, receivers, iteration, nonces
-    )

@@ -18,24 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batch_contributions", "concat_csr", "group_sums"]
-
-
-def concat_csr(groups) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-group arrays into a CSR (flat, offsets) pair.
-
-    The cross-cell batching idiom: collect each cell's groups, concatenate
-    once, evaluate one kernel call over the flat array, slice results back
-    out with the offsets.  Empty ``groups`` returns an empty flat array and
-    the single offset ``[0]``.
-    """
-    groups = [np.asarray(g, dtype=np.float64) for g in groups]
-    counts = np.array([g.size for g in groups], dtype=np.intp)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-    flat = (
-        np.concatenate(groups) if groups else np.empty(0, dtype=np.float64)
-    )
-    return flat, offsets
+__all__ = ["batch_contributions", "group_sums"]
 
 
 def group_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batch_propagate", "batch_propagate_ragged", "batch_implied_velocities"]
+__all__ = ["batch_propagate", "batch_implied_velocities"]
 
 
 def batch_propagate(
@@ -109,82 +109,6 @@ def batch_propagate(
             sel, probs = sel[order], probs[order]
         shares = weights[b] * (probs / probs.sum())
         out.append((id_order[sel], probs, shares))
-    return out
-
-
-def batch_propagate_ragged(
-    predicted: np.ndarray,
-    weights: np.ndarray,
-    candidate_ids: np.ndarray,
-    candidate_positions: np.ndarray,
-    candidate_offsets: np.ndarray,
-    *,
-    area_radius: float,
-    record_threshold: float,
-    max_recorders: int | None = None,
-    keep_mask: np.ndarray | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`batch_propagate` with a *per-broadcast* candidate set (CSR).
-
-    The cross-cell batch axis: broadcasts from many cells — each with its
-    own spatial-query result — concatenate into one flat candidate array
-    delimited by ``candidate_offsets`` (``B + 1`` entries; broadcast ``b``
-    owns ``candidate_ids[offsets[b]:offsets[b + 1]]``), and the whole round
-    evaluates in one distance/probability pass.  ``keep_mask`` is the flat
-    optional eligibility aligned with ``candidate_ids``.
-
-    Per broadcast the returned ``(sel, probs, shares)`` tuple is
-    bit-identical to the single-broadcast ``batch_propagate`` call over
-    that broadcast's own slice, with ``sel`` indexing the slice: the
-    distance/probability chain is elementwise, the per-broadcast id sort
-    reproduces the shared-candidate pre-sort, and each share normalizer is
-    a pairwise ``.sum()`` over the same id-ascending gather.
-    """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    ids = np.asarray(candidate_ids, dtype=np.intp)
-    pos = np.asarray(candidate_positions, dtype=np.float64)
-    offsets = np.asarray(candidate_offsets, dtype=np.intp)
-    n_b = predicted.shape[0]
-    empty = (
-        np.zeros(0, dtype=np.intp),
-        np.zeros(0, dtype=np.float64),
-        np.zeros(0, dtype=np.float64),
-    )
-    if ids.size == 0:
-        return [empty] * n_b
-
-    counts = np.diff(offsets)
-    group = np.repeat(np.arange(n_b, dtype=np.intp), counts)
-    # stable (group, id) sort == an independent id pre-sort inside every
-    # broadcast's own slice; group labels are unmoved by it
-    order = np.lexsort((ids, group))
-    ids_s = ids[order]
-    pos_s = pos[order]
-    pred_rep = predicted[group]
-    dx = pos_s[:, 0] - pred_rep[:, 0]
-    dy = pos_s[:, 1] - pred_rep[:, 1]
-    d = np.sqrt(dx * dx + dy * dy)
-    p = np.maximum(0.0, 1.0 - d / area_radius)
-    keep = p > max(record_threshold, 0.0)
-    if keep_mask is not None:
-        keep &= np.asarray(keep_mask)[order]
-
-    sel_flat = np.nonzero(keep)[0]
-    bounds = np.searchsorted(sel_flat, offsets)
-    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for b in range(n_b):
-        sel = sel_flat[bounds[b] : bounds[b + 1]]
-        if sel.size == 0:
-            out.append(empty)
-            continue
-        probs = p[sel]
-        if max_recorders is not None and sel.size > max_recorders:
-            top = np.lexsort((ids_s[sel], -probs))[:max_recorders]
-            top.sort()  # back to ascending ids (sel is id-sorted already)
-            sel, probs = sel[top], probs[top]
-        shares = weights[b] * (probs / probs.sum())
-        out.append((order[sel] - offsets[b], probs, shares))
     return out
 
 

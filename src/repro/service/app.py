@@ -30,7 +30,7 @@ import asyncio
 import json
 from typing import Any
 
-from ..config import ScenarioConfig, dumps_config
+from ..config import ConfigError, ScenarioConfig, dumps_config
 from .errors import BadRequest, ServiceError, SessionNotFound
 from .http import (
     HttpError,
@@ -46,6 +46,16 @@ from .manager import ServiceConfig, SessionManager
 from .streams import QueueClosed
 
 __all__ = ["TrackingService", "serve"]
+
+
+def _int_field(body: dict, name: str, default: int | None = None) -> int | None:
+    """An optional integer field of a request body; anything else is a 400."""
+    value = body.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequest(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class TrackingService:
@@ -135,9 +145,8 @@ class TrackingService:
                     return await manager.destroy_session(session_id)
                 raise HttpError(405, f"{method} not allowed on a session")
             if action == "step" and method == "POST":
-                body = request.json()
                 outcomes = await manager.step_session(
-                    session_id, n=int(body.get("n", 1))
+                    session_id, n=_int_field(request.json(), "n", 1)
                 )
                 return {
                     "stepped": len(outcomes),
@@ -150,11 +159,9 @@ class TrackingService:
             if action == "pause" and method == "POST":
                 return await manager.pause_session(session_id)
             if action == "resume" and method == "POST":
-                body = request.json()
-                budget = body.get("step_budget")
                 return await manager.resume_session(
                     session_id,
-                    step_budget=None if budget is None else int(budget),
+                    step_budget=_int_field(request.json(), "step_budget"),
                 )
             if action == "checkpoint" and method == "POST":
                 return await manager.checkpoint_session(session_id)
@@ -171,17 +178,19 @@ class TrackingService:
         elif "config" in body:
             if not isinstance(body["config"], dict):
                 raise BadRequest("config must be a table of config sections")
-            config_toml = dumps_config(ScenarioConfig.from_dict(body["config"]))
+            try:
+                config_toml = dumps_config(ScenarioConfig.from_dict(body["config"]))
+            except ConfigError as exc:
+                raise BadRequest(f"invalid session config: {exc}") from None
         else:
             raise BadRequest(
                 "session creation needs config_toml (TOML text) or config (dict)"
             )
-        budget = body.get("step_budget")
         return await self.manager.create_session(
             config_toml,
             session_id=body.get("session_id"),
             autorun=bool(body.get("autorun", False)),
-            step_budget=None if budget is None else int(budget),
+            step_budget=_int_field(body, "step_budget"),
         )
 
     # -- the WebSocket stream ---------------------------------------------

@@ -36,11 +36,13 @@ import asyncio
 import json
 import time
 import uuid
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..config import ConfigError, loads_config
 from ..experiments.engine import RECORD_SCHEMA, JsonlStore
 from .errors import (
     BadRequest,
@@ -78,22 +80,10 @@ class ServiceConfig:
     idle_timeout_s: float | None = None
     #: JSONL file for durable checkpoints (None = in-memory only)
     store_path: str | Path | None = None
-    #: kernel backend requested for every worker (see
-    #: :mod:`repro.kernels.backends`); None keeps the process default.
-    #: Workers pre-compile ("warm up") their kernels at spawn either way.
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.kernel_backend is not None:
-            from ..kernels.backends import kernel_backend_names
-
-            if self.kernel_backend not in kernel_backend_names():
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; "
-                    f"registered: {list(kernel_backend_names())}"
-                )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -186,10 +176,7 @@ class SessionManager:
 
     async def start(self) -> None:
         self.started_at = time.monotonic()
-        self.workers = [
-            WorkerHandle(i, kernel_backend=self.config.kernel_backend)
-            for i in range(self.config.n_workers)
-        ]
+        self.workers = [WorkerHandle(i) for i in range(self.config.n_workers)]
         self._failover_locks = {w.index: asyncio.Lock() for w in self.workers}
         await asyncio.gather(*(w.call("ping") for w in self.workers))
         if self.config.idle_timeout_s is not None:
@@ -483,9 +470,7 @@ class SessionManager:
             if current is not None and current is not worker and current.alive:
                 return  # another caller already completed this failover
             self.failovers_total += 1
-            replacement = WorkerHandle(
-                worker.index, kernel_backend=self.config.kernel_backend
-            )
+            replacement = WorkerHandle(worker.index)
             await replacement.call("ping")
             self.workers = [
                 replacement if w.index == worker.index else w for w in self.workers
@@ -538,6 +523,9 @@ class SessionManager:
 
         Returns pairs via :attr:`pending_restores`; callers then
         ``create_session(config_toml, session_id=..., resume_from=...)``.
+        A session whose stored config no longer loads (a store written by
+        an older release with a since-removed key) is left out with a
+        warning naming it, so one stale record cannot abort a restart.
         """
         if self.store is None or not Path(self.store.path).exists():
             return []
@@ -555,11 +543,22 @@ class SessionManager:
                 configs[rec["session"]] = rec["config_toml"]
             elif rec.get("kind") == "checkpoint" and "session" in rec:
                 latest[rec["session"]] = rec["checkpoint"]
-        self.pending_restores = [
-            (sid, configs[sid], json.dumps(latest[sid]))
-            for sid in configs
-            if sid in latest
-        ]
+        self.pending_restores = []
+        for sid, config_toml in configs.items():
+            if sid not in latest:
+                continue
+            try:
+                loads_config(config_toml)
+            except ConfigError as exc:
+                warnings.warn(
+                    f"{self.store.path}: not restoring session {sid!r}: its "
+                    f"stored config no longer loads ({exc})",
+                    stacklevel=2,
+                )
+                continue
+            self.pending_restores.append(
+                (sid, config_toml, json.dumps(latest[sid]))
+            )
         return [sid for sid, _, _ in self.pending_restores]
 
     # -- streaming ---------------------------------------------------------
@@ -616,15 +615,12 @@ class SessionManager:
         }
 
     def metrics(self) -> dict:
-        from ..kernels.backends import kernel_backend_info
-
         now = time.monotonic()
         recent = sum(1 for t in self._recent_steps if now - t <= 5.0)
         by_state: dict[str, int] = {}
         for record in self.sessions.values():
             by_state[record.state] = by_state.get(record.state, 0) + 1
         return {
-            "kernel_backend": kernel_backend_info(),
             "uptime_s": (now - self.started_at) if self.started_at else 0.0,
             "sessions_live": len(self.sessions),
             "sessions_by_state": by_state,

@@ -27,7 +27,13 @@ import os
 import signal
 from typing import Any
 
-from .errors import ServiceError, SessionNotFound, SessionStateError, WorkerDied
+from .errors import (
+    BadRequest,
+    ServiceError,
+    SessionNotFound,
+    SessionStateError,
+    WorkerDied,
+)
 
 __all__ = ["WorkerHandle", "worker_main"]
 
@@ -36,24 +42,22 @@ _SPAWN = mp.get_context("spawn")
 
 def _dispatch(sessions: dict, request: dict) -> Any:
     """Execute one worker op; raises ServiceError subclasses for bad calls."""
+    from ..config import ConfigError
     from .session import SessionCore  # after spawn: import in the worker
 
     op = request["op"]
     if op == "ping":
-        from ..kernels.backends import kernel_backend_info
-
-        return {
-            "pid": os.getpid(),
-            "sessions": len(sessions),
-            "kernel_backends": kernel_backend_info()["kernels"],
-        }
+        return {"pid": os.getpid(), "sessions": len(sessions)}
     if op == "create":
         session_id = request["session_id"]
         if session_id in sessions:
             raise SessionStateError(f"session {session_id!r} already on this worker")
-        core = SessionCore(
-            request["config_toml"], resume_from=request.get("resume_from")
-        )
+        try:
+            core = SessionCore(
+                request["config_toml"], resume_from=request.get("resume_from")
+            )
+        except ConfigError as exc:
+            raise BadRequest(f"invalid session config: {exc}") from None
         sessions[session_id] = core
         return core.describe()
     session_id = request["session_id"]
@@ -85,24 +89,13 @@ def _dispatch(sessions: dict, request: dict) -> Any:
     raise ServiceError(f"unknown worker op {op!r}")
 
 
-def worker_main(conn, kernel_backend: str | None = None) -> None:
+def worker_main(conn) -> None:
     """Body of one worker process: serve requests until EOF or shutdown.
 
     SIGTERM is left at its default (terminate): the manager treats a vanished
     worker as failover, and the CI smoke drill kills workers exactly this way.
-
-    ``kernel_backend`` applies a run-scoped kernel-backend selection for the
-    worker's whole lifetime and pre-compiles the JIT variants before the
-    first request, so no session pays compilation latency mid-step.  An
-    environment pin (``REPRO_KERNEL_BACKEND``) still wins, with a warn-once.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns ^C
-    from ..kernels import backends as _kernel_backends
-
-    if kernel_backend is not None:
-        # worker-lifetime scope: entered once, never exited
-        _kernel_backends.use_kernel_backend(kernel_backend).__enter__()
-    _kernel_backends.warm_up_kernels()
     sessions: dict[str, Any] = {}
     while True:
         try:
@@ -141,7 +134,7 @@ def _rebuild_error(error: dict) -> ServiceError:
     """Worker-side ServiceError back into the matching typed exception."""
     by_code = {
         cls.code: cls
-        for cls in (SessionNotFound, SessionStateError, ServiceError)
+        for cls in (BadRequest, SessionNotFound, SessionStateError, ServiceError)
     }
     cls = by_code.get(error.get("code"), ServiceError)
     if cls is SessionNotFound:
@@ -157,12 +150,11 @@ class WorkerHandle:
 
     _ids = itertools.count(1)
 
-    def __init__(self, index: int, kernel_backend: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        self.kernel_backend = kernel_backend
         self._parent_conn, child_conn = _SPAWN.Pipe()
         self.process = _SPAWN.Process(
-            target=worker_main, args=(child_conn, kernel_backend), daemon=True,
+            target=worker_main, args=(child_conn,), daemon=True,
             name=f"repro-service-worker-{index}",
         )
         self.process.start()

@@ -71,8 +71,14 @@ class TestErrors:
             loads_config("seed = = 3")
 
     def test_unknown_section_from_text(self):
-        with pytest.raises(ConfigError, match="warp_drive"):
-            loads_config("[warp_drive]\nspeed = 9.0\n")
+        # the second is a top-level key earlier releases accepted: a config
+        # saved then fails loudly, naming it, instead of loading without it
+        for text, name in (
+            ("[warp_drive]\nspeed = 9.0\n", "warp_drive"),
+            ('seed = 0\nkernel_backend = "auto"\n', "kernel_backend"),
+        ):
+            with pytest.raises(ConfigError, match=name):
+                loads_config(text)
 
     def test_validation_applies_on_load(self):
         with pytest.raises(ConfigError, match="radio.comm_radius"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cdpf import CDPFTracker
-from repro.experiments.options import RunOptions
 from repro.experiments.report import format_number, render_series, render_table
 from repro.experiments.runner import generate_step_context, run_tracking
 from repro.experiments.summary import extract_headline_claims
@@ -64,18 +63,6 @@ class TestRunTracking:
         assert res.total_bytes == res.bytes_per_iteration.sum()
         assert res.total_messages == res.messages_per_iteration.sum()
         assert len(res.detectors_per_iteration) == small_trajectory.n_iterations + 1
-
-    def test_on_iteration_callback(self, small_scenario, small_trajectory):
-        seen = []
-        tr = CDPFTracker(small_scenario, rng=np.random.default_rng(1))
-        run_tracking(
-            tr,
-            small_scenario,
-            small_trajectory,
-            rng=np.random.default_rng(7),
-            options=RunOptions(on_iteration=lambda k, ctx, est: seen.append(k)),
-        )
-        assert seen == list(range(small_trajectory.n_iterations + 1))
 
     def test_estimates_filed_under_reference_iteration(self, small_scenario, small_trajectory):
         """CDPF's latency: the estimate returned at k refers to k-1."""

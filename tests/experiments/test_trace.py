@@ -7,20 +7,26 @@ from repro.core.cdpf import CDPFTracker
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import run_tracking
 from repro.experiments.trace import IterationSnapshot, TraceRecorder, render_field_map
+from repro.runtime import EventBus
+
+
+def _record(tracker, scenario, trajectory):
+    bus = EventBus()
+    recorder = TraceRecorder(tracker, trajectory).attach(bus)
+    result = run_tracking(
+        tracker,
+        scenario,
+        trajectory,
+        rng=np.random.default_rng(7),
+        options=RunOptions(bus=bus),
+    )
+    return recorder, result
 
 
 @pytest.fixture
 def traced_run(small_scenario, small_trajectory):
     tracker = CDPFTracker(small_scenario, rng=np.random.default_rng(1))
-    recorder = TraceRecorder(tracker, small_trajectory)
-    result = run_tracking(
-        tracker,
-        small_scenario,
-        small_trajectory,
-        rng=np.random.default_rng(7),
-        options=RunOptions(on_iteration=recorder),
-    )
-    return recorder, result
+    return _record(tracker, small_scenario, small_trajectory)
 
 
 class TestTraceRecorder:
@@ -55,14 +61,7 @@ class TestTraceRecorder:
         from repro.baselines.cpf import CPFTracker
 
         tracker = CPFTracker(small_scenario, rng=np.random.default_rng(1))
-        recorder = TraceRecorder(tracker, small_trajectory)
-        run_tracking(
-            tracker,
-            small_scenario,
-            small_trajectory,
-            rng=np.random.default_rng(7),
-            options=RunOptions(on_iteration=recorder),
-        )
+        recorder, _ = _record(tracker, small_scenario, small_trajectory)
         assert all(s.holders.size == 0 for s in recorder.snapshots)
 
 

@@ -7,10 +7,8 @@ single slice's bits.
 
 import numpy as np
 
-from repro.kernels.contributions import batch_contributions, concat_csr
 from repro.kernels.delivery import link_uniform_many
 from repro.kernels.likelihood import batch_likelihood
-from repro.kernels.propagation import batch_propagate, batch_propagate_ragged
 
 
 class TestBatchLikelihood3D:
@@ -44,93 +42,6 @@ class TestBatchLikelihood3D:
         padded = batch_likelihood(hp_pad, lam_pad, sp_pad, zs_pad, 0.3)
         plain = batch_likelihood(hp, lam, sp, zs, 0.3)
         assert np.array_equal(padded[:n, :m], plain)
-
-
-class TestBatchPropagateRagged:
-    def _world(self, seed, B=5):
-        rng = np.random.default_rng(seed)
-        predicted = rng.uniform(0, 100, size=(B, 2))
-        weights = rng.uniform(0.1, 2.0, size=B)
-        chunks, positions = [], []
-        for b in range(B):
-            n_b = int(rng.integers(0, 30))
-            ids = rng.choice(1000, size=n_b, replace=False).astype(np.intp)
-            chunks.append(ids)
-            positions.append(predicted[b] + rng.normal(0, 6.0, size=(n_b, 2)))
-        offsets = np.concatenate([[0], np.cumsum([c.size for c in chunks])]).astype(
-            np.intp
-        )
-        flat_ids = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
-        )
-        flat_pos = (
-            np.concatenate(positions)
-            if positions
-            else np.zeros((0, 2), dtype=np.float64)
-        )
-        return predicted, weights, flat_ids, flat_pos, offsets
-
-    def test_each_broadcast_matches_single_batch_propagate(self):
-        predicted, weights, ids, pos, offsets = self._world(21)
-        ragged = batch_propagate_ragged(
-            predicted, weights, ids, pos, offsets,
-            area_radius=10.0, record_threshold=0.5,
-        )
-        assert len(ragged) == predicted.shape[0]
-        for b, (sel, probs, shares) in enumerate(ragged):
-            sl = slice(offsets[b], offsets[b + 1])
-            single = batch_propagate(
-                predicted[b][None, :], weights[b : b + 1], ids[sl], pos[sl],
-                area_radius=10.0, record_threshold=0.5,
-            )[0]
-            assert np.array_equal(sel, single[0]), b
-            assert np.array_equal(probs, single[1]), b
-            assert np.array_equal(shares, single[2]), b
-
-    def test_keep_mask_and_max_recorders(self):
-        predicted, weights, ids, pos, offsets = self._world(22)
-        rng = np.random.default_rng(23)
-        keep = rng.random(ids.size) < 0.7
-        ragged = batch_propagate_ragged(
-            predicted, weights, ids, pos, offsets,
-            area_radius=12.0, record_threshold=0.0, max_recorders=3,
-            keep_mask=keep,
-        )
-        for b, (sel, probs, shares) in enumerate(ragged):
-            sl = slice(offsets[b], offsets[b + 1])
-            single = batch_propagate(
-                predicted[b][None, :], weights[b : b + 1], ids[sl], pos[sl],
-                area_radius=12.0, record_threshold=0.0, max_recorders=3,
-                keep_masks=keep[sl][None, :],
-            )[0]
-            assert np.array_equal(sel, single[0]), b
-            assert np.array_equal(probs, single[1]), b
-            assert np.array_equal(shares, single[2]), b
-
-    def test_empty_batch(self):
-        out = batch_propagate_ragged(
-            np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=np.intp),
-            np.zeros((0, 2)), np.zeros(1, dtype=np.intp),
-            area_radius=10.0, record_threshold=0.5,
-        )
-        assert out == []
-
-
-class TestConcatCsr:
-    def test_roundtrip_and_grouped_contributions(self):
-        rng = np.random.default_rng(31)
-        groups = [rng.uniform(0.1, 9.0, size=int(rng.integers(1, 8))) for _ in range(6)]
-        flat, offsets = concat_csr(groups)
-        assert offsets[0] == 0 and offsets[-1] == flat.size
-        stacked = batch_contributions(flat, offsets)
-        for g, group in enumerate(groups):
-            single = batch_contributions(group)
-            assert np.array_equal(stacked[offsets[g] : offsets[g + 1]], single)
-
-    def test_empty(self):
-        flat, offsets = concat_csr([])
-        assert flat.size == 0
-        assert np.array_equal(offsets, [0])
 
 
 class TestLinkUniformManyPerCopyKeys:

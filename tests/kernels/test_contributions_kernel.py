@@ -46,12 +46,15 @@ class TestBatchContributions:
         )
 
     def test_grouped_equals_per_group_standalone(self):
-        """The CSR form against one standalone call per area, bit for bit."""
+        """The CSR form against one standalone call per area, bit for bit —
+        both the kernel's own single-area call and the validated core
+        function CDPF-NE called once per holder before the kernel existed."""
         rng = np.random.default_rng(4)
         groups, flat, offsets = _random_groups(rng, 30)
         got = batch_contributions(flat, offsets)
-        expected = np.concatenate([batch_contributions(g) for g in groups])
-        assert np.array_equal(got, expected)
+        for per_area in (batch_contributions, estimated_contributions):
+            expected = np.concatenate([per_area(g) for g in groups])
+            assert np.array_equal(got, expected), per_area.__name__
 
     def test_each_group_normalizes(self):
         rng = np.random.default_rng(5)

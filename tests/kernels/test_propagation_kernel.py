@@ -66,22 +66,30 @@ class TestBatchPropagate:
             assert np.array_equal(shares, e_shares), b
 
     def test_matches_select_recorders(self):
-        """The public scalar wrapper and the kernel agree id-for-id."""
+        """The public scalar wrappers and the kernel agree id-for-id: one
+        ``select_recorders`` + ``division_shares`` per broadcast, the
+        per-particle loop of the propagation phase before the kernel."""
         rng = np.random.default_rng(9)
         ids, pos = _world(rng, 40)
-        config = PropagationConfig(
-            predicted_area_radius=18.0, record_threshold=0.3, max_recorders=6
-        )
-        pred = np.array([50.0, 50.0])
-        rec_ids, probs = select_recorders(ids, pos, pred, config)
-        ((sel, k_probs, _),) = batch_propagate(
-            pred[None, :], np.ones(1), ids, pos,
-            area_radius=config.predicted_area_radius,
-            record_threshold=config.record_threshold,
-            max_recorders=config.max_recorders,
-        )
-        assert np.array_equal(ids[sel], rec_ids)
-        assert np.array_equal(k_probs, probs)
+        predicted = np.vstack([[50.0, 50.0], rng.uniform(30.0, 70.0, size=(15, 2))])
+        weights = rng.uniform(0.1, 2.0, size=predicted.shape[0])
+        for radius, threshold, cap in ((18.0, 0.3, 6), (15.0, 0.3, 12)):
+            config = PropagationConfig(
+                predicted_area_radius=radius, record_threshold=threshold,
+                max_recorders=cap,
+            )
+            out = batch_propagate(
+                predicted, weights, ids, pos,
+                area_radius=radius, record_threshold=threshold, max_recorders=cap,
+            )
+            for b, (sel, k_probs, k_shares) in enumerate(out):
+                rec_ids, probs = select_recorders(ids, pos, predicted[b], config)
+                assert np.array_equal(ids[sel], rec_ids), (radius, b)
+                assert np.array_equal(k_probs, probs), (radius, b)
+                if rec_ids.size:
+                    assert np.array_equal(
+                        k_shares, division_shares(probs, weights[b])
+                    ), (radius, b)
 
     def test_candidate_order_invariance(self):
         """Shuffling the candidate array changes indices, not the id->share map."""

@@ -18,6 +18,7 @@ from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage, ParticleMessage
 from repro.network.neighborhood import NeighborhoodCache
 from repro.network.radio import RadioModel
+from repro.network.spatial import GridIndex
 from repro.scenario import make_paper_scenario
 
 RADIO = RadioModel(comm_radius=30.0)
@@ -98,6 +99,31 @@ class TestBatchEquivalence:
                 )
             results[batched] = (trace, _ledgers(medium))
         assert results[False] == results[True]
+
+    def test_reliable_round_matches_disk_queries(self):
+        """A flushed reliable round reaches exactly each sender's comm-radius
+        disk query minus the sender, and charges one message per broadcast —
+        what the per-message medium did with one ``query_disk`` per send."""
+        pos = _positions(n=300, seed=11)
+        medium = Medium(pos, RADIO)
+        index = GridIndex(pos, RADIO.comm_radius)
+        senders = [3, 17, 42, 99, 150, 271]
+        msgs = [
+            ParticleMessage(sender=s, iteration=0, states=np.zeros((1, 4)),
+                            weights=np.ones(1))
+            for s in senders
+        ]
+        batch = medium.transmission_batch(0)
+        for s, m in zip(senders, msgs):
+            batch.broadcast(s, m)
+        deliveries = batch.flush()
+        for s, d in zip(senders, deliveries):
+            in_range = index.query_disk(pos[s], RADIO.comm_radius)
+            assert np.array_equal(d.receivers, np.sort(in_range[in_range != s])), s
+        n_bytes = msgs[0].size_bytes(medium.sizes)
+        assert dict(medium.accounting.by_key) == {
+            (0, msgs[0].category): [len(senders) * n_bytes, len(senders)]
+        }
 
     def test_mixed_round_preserves_enqueue_order_nonces(self):
         """Broadcasts and unicasts interleaved in one batch consume the same

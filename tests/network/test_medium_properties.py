@@ -167,8 +167,10 @@ class TestPhaseMarginalInvariants:
     struct-of-arrays ledgers to the pre-SoA defaultdict semantics."""
 
     @staticmethod
-    def _replay(acc, ops):
-        """Run the ops through ``acc`` and through a plain-dict oracle."""
+    def _replay(acc, ops, rows=False):
+        """Run the ops through ``acc`` and through a plain-dict oracle;
+        ``rows`` records through the batched ``record_rows`` /
+        ``record_dropped_rows`` appends instead of one entry at a time."""
         oracle_by_key = {}
         oracle_by_phase = {}
         oracle_dropped = {}
@@ -178,11 +180,17 @@ class TestPhaseMarginalInvariants:
                 acc.push_phase(p)
             innermost = phases[-1] if phases else ""
             if charged:
-                acc.record(it, cat, b, m)
+                if rows:
+                    acc.record_rows([it], [cat], [b], m)
+                else:
+                    acc.record(it, cat, b, m)
                 key, pkey = (it, cat), (it, cat, innermost)
                 tgt, ptgt = oracle_by_key, oracle_by_phase
             else:
-                acc.record_dropped(it, cat, b, m)
+                if rows:
+                    acc.record_dropped_rows([it], [cat], [b], m)
+                else:
+                    acc.record_dropped(it, cat, b, m)
                 key, pkey = (it, cat), (it, cat, innermost)
                 tgt, ptgt = oracle_dropped, oracle_dropped_phase
             tgt.setdefault(key, [0, 0])
@@ -215,12 +223,15 @@ class TestPhaseMarginalInvariants:
     @settings(max_examples=60, deadline=None)
     @given(phase_ops)
     def test_soa_ledgers_match_plain_dict_oracle(self, ops):
-        acc = CommAccounting()
-        by_key, by_phase, dropped, dropped_phase = self._replay(acc, ops)
-        assert dict(acc.by_key) == by_key
-        assert dict(acc.by_phase_key) == by_phase
-        assert dict(acc.dropped_by_key) == dropped
-        assert dict(acc.dropped_by_phase_key) == dropped_phase
+        for rows in (False, True):
+            acc = CommAccounting()
+            by_key, by_phase, dropped, dropped_phase = self._replay(acc, ops, rows)
+            assert dict(acc.by_key) == by_key
+            assert dict(acc.by_phase_key) == by_phase
+            assert dict(acc.dropped_by_key) == dropped
+            assert dict(acc.dropped_by_phase_key) == dropped_phase
+            assert acc.total_bytes == sum(b for b, _m in by_key.values())
+            assert acc.total_messages == sum(m for _b, m in by_key.values())
 
     @settings(max_examples=30, deadline=None)
     @given(phase_ops, phase_ops)

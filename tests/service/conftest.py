@@ -30,3 +30,12 @@ def small_config(seed: int = 5, n_iterations: int = 4) -> ScenarioConfig:
 @pytest.fixture
 def config_toml() -> str:
     return dumps_config(small_config())
+
+
+@pytest.fixture
+def stale_config_toml(config_toml) -> str:
+    """``config_toml`` as an earlier release stored it, with the since-removed
+    top-level ``kernel_backend`` key."""
+    stale = config_toml.replace("seed = 5\n", 'seed = 5\nkernel_backend = "auto"\n', 1)
+    assert stale != config_toml
+    return stale

@@ -152,7 +152,16 @@ class TestRoutes:
         a, b = run(with_service(ServiceConfig(n_workers=1), body))
         assert a["fingerprint"] == b["fingerprint"]
 
-    def test_error_statuses(self, config_toml):
+    def test_error_statuses(self, config_toml, stale_config_toml):
+        malformed_creates = [
+            {"config_toml": config_toml.replace("seed = 5", "seed = -1")},
+            {"config_toml": "warp_factor = 9\n" + config_toml},
+            {"config_toml": stale_config_toml},
+            {"config": {"seed": -1}},
+            {"config": {"radio": {"comm_radius": "far"}}},
+            {"config_toml": config_toml, "step_budget": "lots"},
+        ]
+
         async def body(service):
             h, p = service.host, service.port
             checks = []
@@ -168,13 +177,26 @@ class TestRoutes:
                 await request(h, p, "POST", "/sessions/s/step", {"n": 0})
             )
             checks.append(await request(h, p, "GET", "/sessions/s/result"))
+            for create in malformed_creates:
+                checks.append(await request(h, p, "POST", "/sessions", create))
+            checks.append(
+                await request(h, p, "POST", "/sessions/s/step", {"n": "abc"})
+            )
+            checks.append(
+                await request(h, p, "POST", "/sessions/s/resume", {"step_budget": 2.5})
+            )
+            # the session survived every bad call
+            checks.append(await request(h, p, "POST", "/sessions/s/step", {"n": 1}))
             return checks
 
-        statuses = [
-            status
-            for status, _ in run(with_service(ServiceConfig(n_workers=1), body))
-        ]
-        assert statuses == [404, 400, 404, 405, 400, 409]
+        checks = run(with_service(ServiceConfig(n_workers=1), body))
+        n_malformed = len(malformed_creates) + 2
+        assert [status for status, _ in checks] == (
+            [404, 400, 404, 405, 400, 409] + [400] * n_malformed + [200]
+        )
+        # malformed input is the client's fault, never a 500 from a worker
+        assert all(reply["code"] == "bad_request" for _, reply in checks[6:-1])
+        assert "kernel_backend" in checks[8][1]["error"]  # names the stale key
 
     def test_capacity_error_is_503(self, config_toml):
         async def body(service):

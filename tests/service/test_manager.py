@@ -298,7 +298,7 @@ class TestFailover:
 
 class TestDurableStore:
     def test_checkpoints_persist_and_cold_restart_resumes(
-        self, config_toml, tmp_path
+        self, config_toml, stale_config_toml, tmp_path
     ):
         store = tmp_path / "service.jsonl"
 
@@ -317,9 +317,23 @@ class TestDurableStore:
         ]
         kinds = [r["kind"] for r in records]
         assert "service-session" in kinds and "checkpoint" in kinds
+        # a session stored by an older release whose config carries a key
+        # since removed from the schema: a cold restart skips it with a
+        # warning instead of aborting
+        session, checkpoint = (
+            next(r for r in records if r["kind"] == kind)
+            for kind in ("service-session", "checkpoint")
+        )
+        with store.open("a") as f:
+            for record in (
+                {**session, "session": "old", "config_toml": stale_config_toml},
+                {**checkpoint, "session": "old"},
+            ):
+                f.write(json.dumps(record) + "\n")
 
         async def second_life(manager):
-            restored = manager.resume_store_sessions()
+            with pytest.warns(UserWarning, match="'old'"):
+                restored = manager.resume_store_sessions()
             assert restored == ["s"]
             sid, toml, checkpoint = manager.pending_restores[0]
             await manager.create_session(
