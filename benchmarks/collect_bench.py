@@ -12,7 +12,7 @@ History layout — one series per bench, keyed by git SHA::
 
     {
       "benches": {
-        "cells": [{"sha": "abc123", "payload": {...BENCH_cells.json...}}, ...],
+        "phases": [{"sha": "abc123", "payload": {...BENCH_phases.json...}}, ...],
         "sweep": [{"sha": "abc123", "payload": {...}}, ...]
       }
     }
@@ -35,7 +35,7 @@ HISTORY_NAME = "BENCH_history.json"
 
 
 def _bench_name(path: Path) -> str:
-    """``BENCH_cells.json`` -> ``cells``."""
+    """``BENCH_phases.json`` -> ``phases``."""
     return path.stem[len("BENCH_"):]
 
 

@@ -219,12 +219,6 @@ def build_run_options(config: ScenarioConfig, *, bus: "EventBus | None" = None):
     return RunOptions(fault_plan=build_fault_plan(config), bus=bus)
 
 
-#: execution strategies :meth:`CompiledRun.run` accepts — mirrors
-#: ``run_sweep``'s surface, minus the process pool (a single run has
-#: nothing to fan out; the sweep engines own cross-run parallelism)
-_RUN_BACKENDS = (None, "serial", "batched")
-
-
 @dataclass
 class CompiledRun:
     """A config compiled to live objects, ready to run.
@@ -241,22 +235,8 @@ class CompiledRun:
     options: object
     rng: np.random.Generator
 
-    def run(
-        self,
-        *,
-        backend: str | None = None,
-        checkpoint: "object | None" = None,
-    ) -> "TrackingResult":
-        """Drive the whole run, with the sweep engines' knob surface.
-
-        ``backend`` mirrors :func:`~repro.experiments.engine.run_sweep`:
-        ``None``/``"serial"`` execute in-process; ``"batched"`` is accepted
-        for symmetry and routes down the per-run serial path — a compiled
-        config builds its tracker through ``make_tracker`` with arbitrary
-        config kwargs, which is exactly the envelope the lock-step backend's
-        ``partition_batchable`` sends to the per-cell fallback.  The result
-        is bit-identical either way, which is the backend contract.
-        ``"process"`` is rejected: a single run has nothing to fan out.
+    def run(self, *, checkpoint: "object | None" = None) -> "TrackingResult":
+        """Drive the whole run in-process.
 
         ``checkpoint`` is a :class:`~repro.experiments.options.
         CheckpointPolicy` merged into the compiled
@@ -268,16 +248,6 @@ class CompiledRun:
 
         from ..experiments.runner import run_tracking
 
-        if backend not in _RUN_BACKENDS:
-            if backend == "process":
-                raise ValueError(
-                    "backend='process' applies to sweeps (run_sweep/"
-                    "density_sweep), not a single compiled run; use the "
-                    "sweep engines to fan out many configs"
-                )
-            raise ValueError(
-                f"unknown backend {backend!r}; choose 'serial' or 'batched'"
-            )
         options = self.options
         if checkpoint is not None:
             options = dataclasses.replace(options, checkpoint=checkpoint)
@@ -312,18 +282,15 @@ def run_config(
     config: ScenarioConfig,
     *,
     bus: "EventBus | None" = None,
-    backend: str | None = None,
     checkpoint: "object | None" = None,
 ) -> "TrackingResult":
     """Compile ``config`` and drive the whole run; fully seed-deterministic.
 
-    ``backend`` and ``checkpoint`` forward to :meth:`CompiledRun.run`, so
-    the config-compiler path carries the same execution-strategy and
-    checkpoint/resume surface as ``run_sweep``/``density_sweep``.
+    ``checkpoint`` forwards to :meth:`CompiledRun.run`, so the
+    config-compiler path carries the same checkpoint/resume surface as
+    ``run_sweep``/``density_sweep``.
     """
-    return compile_config(config, bus=bus).run(
-        backend=backend, checkpoint=checkpoint
-    )
+    return compile_config(config, bus=bus).run(checkpoint=checkpoint)
 
 
 def run_fingerprint(result: "TrackingResult") -> str:

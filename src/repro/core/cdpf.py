@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels.contributions import batch_contributions
 from ..kernels.geometry import norm2d_many
 from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
@@ -42,8 +43,7 @@ from ..models.measurement import wrap_angle
 from ..network.messages import MeasurementMessage, ParticleMessage
 from ..runtime import IterationState, Phase, PhasePipeline, TrackerStats
 from ..scenario import Scenario, StepContext
-from .contributions import estimated_contributions
-from .propagation import HeldParticle, PropagationConfig, combine_shares
+from .propagation import HeldParticle, PropagationConfig, combine_shares_grouped
 
 __all__ = ["CDPFTracker", "CDPFStats", "bearing_log_kernel"]
 
@@ -310,31 +310,70 @@ class CDPFTracker:
             return np.ones(ids.shape[0], dtype=bool)
         return np.asarray(self.anticipate_available(ids), dtype=bool)
 
+    def _direct_handoff(self) -> bool:
+        """Whether a round may hand its data over without message transport.
+
+        True when the medium delivers every copy (no link model, override,
+        partition or parked delayed copy; every node awake and alive) and no
+        consistency check reads the inboxes.  Each receiver then hears
+        exactly its in-range senders, so the inbox round trip is a
+        formality: the phase builds what the inboxes would hold directly
+        and charges the ledger one aggregated row per round, which every
+        ``(iteration, category, phase)`` view reads the same as one row per
+        message.
+        """
+        return self.medium.delivers_all and not self.check_consistency
+
     def _phase_propagation(self, state: IterationState) -> None:
         """Step 1 (first half): every available holder broadcasts its particle.
 
         Also hosts the birth iteration (§III-B initialization): with no
         holders yet there is nothing to propagate, the detectors seed the
         first particles, and the iteration ends early.
+
+        Leaves ``state.broadcast = (states, weights)`` — the ``(B, 4)``
+        sender states (position ++ velocity, sorted sender order) and their
+        weights, or None when nothing was sent — and ``state.lost_sets``,
+        per broadcast the recipients that lost the copy (None under direct
+        handoff, where nothing is lost).
         """
         ctx = state.ctx
-        state.detectors = set(int(d) for d in np.asarray(ctx.detectors).ravel())
+        state.detectors = set(np.asarray(ctx.detectors, dtype=np.intp).ravel().tolist())
         if not self.holders:
             self._initialize(ctx, state.detectors)
             state.finish(None)
             return
         k = state.iteration
         positions = self.scenario.deployment.positions
+        medium = self.medium
+
+        if self._direct_handoff():
+            ids = sorted(self.holders)
+            particles = [self.holders[nid] for nid in ids]
+            states = np.concatenate(
+                [positions[ids], np.array([p.velocity for p in particles])], axis=1
+            )
+            weights = np.array([p.weight for p in particles], dtype=np.float64)
+            # one one-particle ParticleMessage (no carried prediction) per
+            # holder, charged whether or not anyone is in range
+            sizes = medium.sizes
+            n_bytes = sizes.header + sizes.particle + sizes.weight
+            medium.accounting.record(
+                k, ParticleMessage.category, n_bytes * len(ids), len(ids)
+            )
+            state.broadcast = (states, weights)
+            state.lost_sets = None
+            return
 
         # A holder that slept or failed before its broadcast loses its
         # particle — the weight leaks, exactly the §V-D uncertain-factor case.
         # Under an unreliable channel each broadcast's per-recipient drop
         # record is kept: a node that lost a copy can neither record a share
         # from it nor count its weight in the overheard total.
-        broadcast: list[ParticleMessage] = []
-        batch = self.medium.transmission_batch(k)
+        sent: list[ParticleMessage] = []
+        batch = medium.transmission_batch(k)
         for nid in sorted(self.holders):
-            if not self.medium.is_available(nid):
+            if not medium.is_available(nid):
                 continue
             particle = self.holders[nid]
             msg = ParticleMessage(
@@ -344,24 +383,30 @@ class CDPFTracker:
                 weights=np.array([particle.weight]),
             )
             batch.broadcast(nid, msg)
-            broadcast.append(msg)
-        state.broadcast = broadcast
-        # per-broadcast recipients that lost the copy, aligned with broadcast
+            sent.append(msg)
         state.lost_sets = [
             set(delivery.dropped.tolist()) | set(delivery.delayed.tolist())
             for delivery in batch.flush()
         ]
-        if not broadcast:
+        if not sent:
             # the whole population became unavailable: the track is lost and
             # detection-driven creation must rebuild it
             self.holders = {}
+            state.broadcast = None
+            return
+        state.broadcast = (
+            np.vstack([m.states for m in sent]),
+            np.concatenate([m.weights for m in sent]),
+        )
 
     def _phase_correction(self, state: IterationState) -> None:
         """Steps 1b + 2: overheard total, record/divide/combine, normalize, drop."""
-        broadcast: list[ParticleMessage] = state.broadcast
-        if not broadcast:
+        if state.broadcast is None:
             return  # nothing was propagated; the estimate stays unavailable
-        lost_sets: list[set[int]] = state.lost_sets
+        states, weights = state.broadcast
+        #: None under direct handoff: every copy arrived, every node is up
+        lost_sets: list[set[int]] | None = state.lost_sets
+        n_sent = weights.shape[0]
         k = state.iteration
         positions = self.scenario.deployment.positions
         index = self.scenario.deployment.index
@@ -369,10 +414,8 @@ class CDPFTracker:
         cfg = self.config
 
         # --- overheard aggregate (identical at every in-area node) --------
-        states = np.vstack([m.states for m in broadcast])
-        weights = np.concatenate([m.weights for m in broadcast])
         total = float(weights.sum())
-        w_eff = weights if total > 0 else np.full(weights.shape[0], 1.0 / weights.shape[0])
+        w_eff = weights if total > 0 else np.full(n_sent, 1.0 / n_sent)
         total_eff = float(w_eff.sum())
         estimate = (w_eff @ states[:, :2]) / total_eff
         # Track velocity: blend the carried-velocity mean with the
@@ -402,8 +445,6 @@ class CDPFTracker:
         comm_radius = self.scenario.radio.comm_radius
         self._last_sender_positions = states[:, :2]
         self._last_predictions = states[:, :2] + states[:, 2:] * dt
-        shares_at: dict[int, list[tuple[float, np.ndarray]]] = {}
-        all_recorder_ids: set[int] = set()
         # In track mode every holder carries the same consensus velocity, and
         # the natural propagation target is the *consensus* predicted
         # position (Definition 1's estimation area is the disk around "the
@@ -420,9 +461,9 @@ class CDPFTracker:
         # degeneracy-aware area adaptation (future-work item 2): all
         # participants see the same overheard weights, hence the same ESS
         # and the same widened geometry
-        if cfg.adaptive_area and weights.shape[0] > 1:
+        if cfg.adaptive_area and n_sent > 1:
             w_norm = w_eff / total_eff
-            ess_ratio = float(1.0 / np.sum(w_norm * w_norm)) / weights.shape[0]
+            ess_ratio = float(1.0 / np.sum(w_norm * w_norm)) / n_sent
             if ess_ratio < cfg.ess_target:
                 from dataclasses import replace as _replace
 
@@ -443,7 +484,7 @@ class CDPFTracker:
         sender_pos_all = states[:, :2]
         sender_vel_all = states[:, 2:]
         if consensus_pred is not None:
-            preds = np.broadcast_to(consensus_pred, (len(broadcast), 2))
+            preds = np.broadcast_to(consensus_pred, (n_sent, 2))
             cand = index.query_disk(consensus_pred, cfg.predicted_area_radius)
             in_area_masks = None
         else:
@@ -463,7 +504,7 @@ class CDPFTracker:
             if in_area_masks is not None:
                 keep_masks &= in_area_masks
             keep_masks &= self._available_mask(cand)[None, :]
-            for bi, lost in enumerate(lost_sets):
+            for bi, lost in enumerate(lost_sets or ()):
                 if lost:
                     # a candidate that lost this copy never heard the
                     # particle: it cannot record a share of it
@@ -481,28 +522,38 @@ class CDPFTracker:
                 keep_masks=keep_masks,
             )
         else:
-            selected = [(np.zeros(0, dtype=np.intp),) * 3] * len(broadcast)
-        for bi in range(len(broadcast)):
-            sel, _, rec_shares = selected[bi]
-            if sel.size == 0:
-                continue
-            rec_ids = cand[sel]
-            all_recorder_ids.update(rec_ids.tolist())
+            selected = []
+
+        # Every recorded share of the round, in broadcast order, combined per
+        # recorder by one grouped pass (§III-A: weights sum, velocities
+        # average by share).
+        picked = [(bi, sel, sh) for bi, (sel, _, sh) in enumerate(selected) if sel.size]
+        combined: dict[int, HeldParticle] = {}
+        if picked:
+            rids = cand[np.concatenate([sel for _, sel, _ in picked])]
+            rec_shares = np.concatenate([sh for _, _, sh in picked])
+            sender_of = np.repeat(
+                [bi for bi, _, _ in picked], [sel.size for _, sel, _ in picked]
+            )
             vels = batch_implied_velocities(
-                sender_pos_all[bi],
-                positions[rec_ids],
-                sender_vel_all[bi],
+                sender_pos_all[sender_of],
+                positions[rids],
+                sender_vel_all[sender_of],
                 dt,
                 cfg.velocity_mode,
                 cfg.velocity_alpha,
                 track_velocity=self._velocity_estimate,
             )
-            for i, (rid, share) in enumerate(zip(rec_ids.tolist(), rec_shares.tolist())):
+            if lost_sets is not None:
                 # anticipated recorders that are actually unavailable lose
                 # their share (weight leak — the §V-D uncertain-factor case)
-                if not self.medium.is_available(rid):
-                    continue
-                shares_at.setdefault(rid, []).append((share, vels[i]))
+                up = np.fromiter(
+                    (self.medium.is_available(r) for r in rids.tolist()),
+                    dtype=bool,
+                    count=rids.size,
+                )
+                rids, rec_shares, vels = rids[up], rec_shares[up], vels[up]
+            combined = combine_shares_grouped(rids, rec_shares, vels)
 
         # Drop rule (the correction step's "resampling"): discard recorded
         # particles whose share is below drop_threshold times the largest
@@ -513,8 +564,7 @@ class CDPFTracker:
         # Relative-to-max pruning is scale-free in the weights, so it cannot
         # go extinct and the surviving holder count is set by geometry —
         # growing with deployment density exactly as §III-A describes.
-        combined = {rid: combine_shares(shares_at[rid]) for rid in sorted(shares_at)}
-        any_lost = any(lost_sets)
+        any_lost = lost_sets is not None and any(lost_sets)
         if not combined and any_lost:
             # Graceful degradation: the correction round lost quorum — every
             # share was lost to the channel.  Fall back to prior-weight
@@ -633,48 +683,64 @@ class CDPFTracker:
         likelihood/NE multiplier — initialization assigns a constant weight),
         which is the channel that re-anchors a drifting track to physical
         detections.  Returns the created node ids.
+
+        Each candidate's hearing and slack tests are one row of a
+        (candidates, senders) matrix op; the rate limit's draws are one
+        ``uniform(size=n)`` batch consumed in sorted-candidate order, the
+        same stream as one scalar draw per gated candidate.
         """
         positions = self.scenario.deployment.positions
-        if self.holders:
-            base_weight = float(np.mean([p.weight for p in self.holders.values()]))
+        holders = self.holders
+        if holders:
+            base_weight = float(np.mean([p.weight for p in holders.values()]))
         else:
             base_weight = self.initial_weight
+        created: set[int] = set()
+        cand = [
+            nid
+            for nid in sorted(detectors)
+            if nid not in holders and self.medium.is_available(nid)
+        ]
+        if not cand:
+            return created
         sender_pos = self._last_sender_positions
         predictions = self._last_predictions
-        comm_r2 = self.scenario.radio.comm_radius**2
-        slack_r = self.config.creation_slack * self.config.predicted_area_radius
+        if sender_pos is not None and sender_pos.size:
+            cpos = positions[cand]
+            d2 = np.sum((sender_pos[None, :, :] - cpos[:, None, :]) ** 2, axis=2)
+            heard = d2 <= self.scenario.radio.comm_radius**2
+            heard_any = heard.any(axis=1)
+            # a candidate that overheard propagation creates only if it sits
+            # outside every predicted area (with slack).  Under consensus
+            # prediction there is a single area; otherwise one per overheard
+            # sender.
+            slack_r = self.config.creation_slack * self.config.predicted_area_radius
+            d_pred = np.sqrt(
+                np.sum((predictions[None, :, :] - cpos[:, None, :]) ** 2, axis=2)
+            )
+            within = d_pred <= slack_r
+            if predictions.shape[0] == sender_pos.shape[0]:
+                within &= heard
+            inside = within.any(axis=1) & heard_any
+        else:
+            heard_any = inside = np.zeros(len(cand), dtype=bool)
+        # Local creation rate limit for the outside-area case: keep the
+        # expected creator count at ~creation_limit network-wide.  Detectors
+        # out of earshot entirely skip the limit — they are the re-anchoring
+        # channel and behave like initialization.
+        gated = heard_any & ~inside if holders else np.zeros(len(cand), dtype=bool)
+        gated_ids = [nid for nid, g in zip(cand, gated.tolist()) if g]
+        if gated_ids:
+            self.neighbors.warm_degrees(gated_ids)
+            draws = iter(self.rng.uniform(size=len(gated_ids)).tolist())
         area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
-        track_alive = bool(self.holders)
         v0 = np.asarray(self.scenario.prior_velocity, dtype=np.float64)
-        created: set[int] = set()
-        for nid in sorted(detectors):
-            if nid in self.holders or not self.medium.is_available(nid):
+        for nid, skip, gate in zip(cand, inside.tolist(), gated.tolist()):
+            if skip:
                 continue
-            heard_any = False
-            if sender_pos is not None and sender_pos.size:
-                heard = np.sum((sender_pos - positions[nid]) ** 2, axis=1) <= comm_r2
-                heard_any = bool(heard.any())
-                if heard_any:
-                    # it overheard propagation: create only if it sits outside
-                    # every predicted area (with slack).  Under consensus
-                    # prediction there is a single area; otherwise one per
-                    # overheard sender.
-                    if predictions.shape[0] == sender_pos.shape[0]:
-                        preds_heard = predictions[heard]
-                    else:
-                        preds_heard = predictions
-                    d_pred = np.sqrt(
-                        np.sum((preds_heard - positions[nid]) ** 2, axis=1)
-                    )
-                    if (d_pred <= slack_r).any():
-                        continue
-            if track_alive and heard_any:
-                # local creation rate limit for the outside-area case: keep
-                # the expected creator count at ~creation_limit network-wide.
-                # Detectors out of earshot entirely skip the limit — they are
-                # the re-anchoring channel and behave like initialization.
+            if gate:
                 n_codetectors = max(1.0, (self.neighbors.degree(nid) + 1) * area_ratio)
-                if self.rng.uniform() >= min(1.0, self.config.creation_limit / n_codetectors):
+                if next(draws) >= min(1.0, self.config.creation_limit / n_codetectors):
                     continue
             if self._estimate is not None:
                 # The creator detects the target *now*, so the displacement
@@ -684,7 +750,7 @@ class CDPFTracker:
                 velocity = (positions[nid] - self._estimate) / self.scenario.dynamics.dt
             else:
                 velocity = v0.copy()
-            self.holders[nid] = HeldParticle(velocity=velocity, weight=base_weight)
+            holders[nid] = HeldParticle(velocity=velocity, weight=base_weight)
             created.add(nid)
         return created
 
@@ -711,17 +777,28 @@ class CDPFTracker:
         detectors: set[int] = state.detectors
         positions = self.scenario.deployment.positions
         measurement = self.scenario.measurement
+        medium = self.medium
         k = state.iteration
         sharers = sorted(
             nid
             for nid in self.holders
-            if nid in detectors and self.medium.is_available(nid)
+            if nid in detectors and medium.is_available(nid)
         )
-        batch = self.medium.transmission_batch(k)
-        for s in sharers:
-            msg = MeasurementMessage(sender=s, iteration=k, value=float(ctx.measurements[s]))
-            batch.broadcast(s, msg)
-        batch.flush()
+        # holders created this iteration keep their initialization weight
+        receivers = [r for r in sorted(self.holders) if r not in state.created]
+        if self._direct_handoff():
+            heard = self._share_measurements_directly(sharers, receivers, ctx, k)
+        else:
+            batch = medium.transmission_batch(k)
+            for s in sharers:
+                value = float(ctx.measurements[s])
+                batch.broadcast(s, MeasurementMessage(sender=s, iteration=k, value=value))
+            batch.flush()
+            heard = [
+                [(m.sender, m.value) for m in medium.collect(r)
+                 if isinstance(m, MeasurementMessage)]
+                for r in receivers
+            ]
         # Gather every holder's (sender, measurement) pairs, then evaluate the
         # whole round as one (holders, measurements) log-kernel matrix.  The
         # matrix columns are the distinct pairs actually sitting in inboxes —
@@ -729,14 +806,10 @@ class CDPFTracker:
         # this iteration's reading, so columns key on the pair, not the sender.
         rows: list[int] = []
         pair_lists: list[list[tuple[int, float]]] = []
-        for r in sorted(self.holders):
-            if r in state.created:
-                self.medium.collect(r)  # drain; initialization weight stands
-                continue
-            inbox = [m for m in self.medium.collect(r) if isinstance(m, MeasurementMessage)]
-            # a node's own measurement needs no radio message
-            own = [(r, ctx.measurements[r])] if r in detectors else []
-            pairs = [(m.sender, m.value) for m in inbox] + own
+        for r, pairs in zip(receivers, heard):
+            if r in detectors:
+                # a node's own measurement needs no radio message
+                pairs = pairs + [(r, ctx.measurements[r])]
             if not pairs:
                 continue  # no information this iteration; weight unchanged
             rows.append(r)
@@ -748,12 +821,15 @@ class CDPFTracker:
                 for pair in pairs:
                     if pair not in col_of:
                         col_of[pair] = len(col_of)
-            refs = np.vstack(
-                [measurement.reference_point(positions[s]) for s, _ in col_of]
-            )
+            senders = [s for s, _ in col_of]
+            if measurement.reference == "node":
+                refs = positions[senders]
+            else:
+                refs = np.zeros((len(senders), 2))
             zs = np.array([z for _, z in col_of], dtype=np.float64)
             # discretization-aware sigma: local density from each node's degree
             lam_denom = np.pi * self.scenario.radio.comm_radius**2
+            self.neighbors.warm_degrees(rows)
             lam = np.array(
                 [(self.neighbors.degree(r) + 1) / lam_denom for r in rows]
             )
@@ -768,7 +844,43 @@ class CDPFTracker:
                 cols = [col_of[pair] for pair in pairs]
                 log_liks[r] = float(matrix[i, cols].mean())
         state.log_liks = log_liks
-        self.medium.clear_inboxes()
+        medium.clear_inboxes()
+
+    def _share_measurements_directly(
+        self, sharers: list[int], receivers: list[int], ctx: StepContext, k: int
+    ) -> list[list[tuple[int, float]]]:
+        """Direct-handoff measurement sharing: per receiver, the ``(sender,
+        value)`` pairs its inbox would hold, in the sharers' broadcast order.
+
+        A receiver hears a sharer iff it is not the sharer and lies within
+        comm radius under the medium's own ``d2 <= r*r`` test on its
+        (physical) positions.
+        """
+        medium = self.medium
+        if sharers:
+            sizes = medium.sizes
+            medium.accounting.record(
+                k,
+                MeasurementMessage.category,
+                (sizes.header + sizes.measurement) * len(sharers),
+                len(sharers),
+            )
+        if not (sharers and receivers):
+            return [[] for _ in receivers]
+        spos = medium.positions[sharers]
+        rpos = medium.positions[receivers]
+        dx = rpos[:, None, 0] - spos[None, :, 0]
+        dy = rpos[:, None, 1] - spos[None, :, 1]
+        radius = medium.radio.comm_radius
+        in_range = dx * dx + dy * dy <= radius * radius
+        in_range &= np.asarray(receivers)[:, None] != np.asarray(sharers)[None, :]
+        values = [(s, float(ctx.measurements[s])) for s in sharers]
+        row, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
+        bounds = np.searchsorted(row, np.arange(len(receivers) + 1)).tolist()
+        col = col.tolist()
+        return [
+            [values[j] for j in col[a:b]] for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
     # ------------------------------------------------------------------
     # step 4: assign weight (likelihood multiply, or NE contribution)
@@ -788,43 +900,71 @@ class CDPFTracker:
     # ------------------------------------------------------------------
 
     def _assign_weights_ne(self, k: int, skip: set[int] = frozenset()) -> None:
+        """Multiply every holder's weight by its estimated contribution c_0.
+
+        Holder ``r``'s estimation area is its available one-hop neighbors
+        plus itself, restricted to the disk of radius R_s around the
+        consensus prediction.  One disk query finds that disk's members; a
+        (holders, members) comm-radius mask — the neighbor tables'
+        ``d2 <= r*r`` test — picks each holder's group, and one CSR
+        :func:`batch_contributions` call evaluates every group.  This holds
+        for any geometry, not only under R_s <= R_c/2.
+        """
         if self._estimate is None or self._velocity_estimate is None:
             return  # no consensus prediction yet; weights stay as recorded
         positions = self.scenario.deployment.positions
         dt = self.scenario.dynamics.dt
         r_s = self.scenario.sensing_radius
         predicted_now = self._estimate + self._velocity_estimate * dt
-        holders = [r for r in sorted(self.holders) if r not in skip]
-        if not holders:
+        holders = np.array([r for r in sorted(self.holders) if r not in skip], dtype=np.intp)
+        if not holders.size:
             return
-        # Own distances batched in the scalar path's np.linalg.norm (FMA) form;
-        # neighborhood distances batched below in its plain sqrt-of-squares
-        # form — the two differ in the last bit and both are replicated.
+        # Own distances in the np.linalg.norm (FMA) form, area distances in
+        # the plain sqrt-of-squares form — the two differ in the last bit and
+        # both are replicated.
         own_diff = positions[holders] - predicted_now
         d_own = norm2d_many(own_diff[:, 0], own_diff[:, 1])
-        groups: list[tuple[int, np.ndarray]] = []
-        for i, r in enumerate(holders):
-            particle = self.holders[r]
-            if d_own[i] > r_s:
-                # outside the estimation area: zero contribution -> drop later
-                particle.weight = 0.0
-                continue
-            neigh = self.neighbors.neighbors(r)
-            avail = self._available_mask(neigh)
-            groups.append((r, np.append(neigh[avail], r)))  # self is always available
-        if not groups:
+        # the area's members, ascending; the query radius is padded so the
+        # exact plain-form test decides membership
+        cand = self.scenario.deployment.index.query_disk(predicted_now, r_s * (1.0 + 1e-9))
+        cand.sort()
+        cand_pos = positions[cand]
+        diff = cand_pos - predicted_now
+        d_cand = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+        inside = d_cand <= r_s
+        members, d_members, m_pos = cand[inside], d_cand[inside], cand_pos[inside]
+        # A holder outside the area contributes nothing: weight 0, dropped
+        # later.  That includes a holder the plain form puts outside its own
+        # area while the FMA form puts it inside.
+        in_area = d_own <= r_s
+        if members.size:
+            at = np.minimum(np.searchsorted(members, holders), members.size - 1)
+            in_area &= members[at] == holders
+        else:
+            in_area[:] = False
+        for r in holders[~in_area].tolist():
+            self.holders[r].weight = 0.0
+        if not in_area.any():
             return
-        flat_ids = np.concatenate([ids for _, ids in groups])
-        diff = positions[flat_ids] - predicted_now
-        d_flat = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
-        offset = 0
-        for r, ids in groups:
-            d_all = d_flat[offset : offset + ids.size]
-            offset += ids.size
-            in_area = d_all <= r_s
-            area_ids = ids[in_area]
-            d_area = d_all[in_area]
-            contributions = estimated_contributions(d_area)
-            own_idx = int(np.nonzero(area_ids == r)[0][0])
+        rows, at = holders[in_area], at[in_area]
+        n_rows, n_members = rows.size, members.size
+        # (holders, members) one-hop mask: the neighbor tables' d2 <= r*r
+        radius = self.scenario.radio.comm_radius
+        mask = np.sum((m_pos[None, :, :] - m_pos[at][:, None, :]) ** 2, axis=2) <= (
+            radius * radius
+        )
+        mask[np.arange(n_rows), at] = False  # the holder itself goes last
+        mask &= self._available_mask(members)[None, :]  # self is always available
+        # CSR groups: each holder's in-area neighbors in ascending id order,
+        # then the holder itself
+        keep = np.ones((n_rows, n_members + 1), dtype=bool)
+        keep[:, :n_members] = mask
+        values = np.empty((n_rows, n_members + 1))
+        values[:, :n_members] = d_members
+        values[:, n_members] = d_members[at]
+        offsets = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(keep.sum(axis=1), out=offsets[1:])
+        contributions = batch_contributions(values[keep], offsets)
+        for r, c in zip(rows.tolist(), contributions[offsets[1:] - 1].tolist()):
             particle = self.holders[r]
-            particle.weight = particle.weight * float(contributions[own_idx])
+            particle.weight = particle.weight * c

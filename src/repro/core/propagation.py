@@ -36,6 +36,7 @@ __all__ = [
     "select_recorders",
     "division_shares",
     "combine_shares",
+    "combine_shares_grouped",
     "implied_velocity",
 ]
 
@@ -289,3 +290,43 @@ def combine_shares(
     else:
         velocity = velocities.mean(axis=0)
     return HeldParticle(velocity=velocity, weight=total)
+
+
+def combine_shares_grouped(
+    recorders: np.ndarray,
+    weights: np.ndarray,
+    velocities: np.ndarray,
+) -> dict[int, HeldParticle]:
+    """:func:`combine_shares` for a whole round of recorded shares at once.
+
+    Share ``i`` — weight ``weights[i]``, velocity ``velocities[i]`` — was
+    recorded by node ``recorders[i]``.  Returns ``{recorder: combined
+    particle}`` in ascending recorder order, bit-identical to calling
+    :func:`combine_shares` on each recorder's shares in input order: one
+    stable sort groups the shares without reordering any recorder's own,
+    and each group is combined with the same sum / weighted-mean
+    expressions over contiguous slices of the permuted arrays.
+    """
+    rids = np.asarray(recorders, dtype=np.intp)
+    if rids.size == 0:
+        return {}
+    w = np.asarray(weights, dtype=np.float64)
+    if (w < 0).any():
+        raise ValueError("share weights must be non-negative")
+    order = np.argsort(rids, kind="stable")
+    rids = rids[order]
+    w = w[order]
+    v = np.asarray(velocities, dtype=np.float64).reshape(-1, 2)[order]
+    bounds = np.flatnonzero(
+        np.concatenate([[True], rids[1:] != rids[:-1], [True]])
+    ).tolist()
+    combined: dict[int, HeldParticle] = {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        w_g = w[a:b]
+        total = float(w_g.sum())
+        if total > 0.0:
+            velocity = (w_g / total) @ v[a:b]
+        else:
+            velocity = v[a:b].mean(axis=0)
+        combined[int(rids[a])] = HeldParticle(velocity=velocity, weight=total)
+    return combined

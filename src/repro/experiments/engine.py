@@ -496,8 +496,7 @@ def _execute_task(
 
     Module-level so it pickles into worker processes; a pure function of
     the spec, which is what makes serial and parallel execution identical.
-    The checkpoint parameters default to off so every existing positional
-    call site (including the lock-step backend's fallback) is unchanged;
+    The checkpoint parameters default to off;
     ``resume_from`` transplants a :class:`~repro.runtime.checkpoint.
     RunCheckpoint` into the freshly built world — the world construction
     itself always runs, because restore-in-place needs the configuration-
@@ -577,11 +576,11 @@ def run_sweep(
       process pool otherwise (the historical behavior);
     * ``"serial"`` — force in-process execution regardless of workers;
     * ``"process"`` — force the process pool (needs ``max_workers > 1``);
-    * ``"batched"`` — group batchable same-``(density, algorithm)`` tasks
-      and advance them in lock-step through the phase pipeline with
-      cross-cell stacked kernels (see :mod:`repro.experiments.lockstep`);
-      tasks whose tracker cannot batch fall back to the serial/process
-      path.  Bit-identical to the serial engine by construction.
+    * ``"batched"`` — in-process, building each ``(density, seed)``
+      world (deployment, trajectory, sensing contexts) once and running
+      every algorithm's cell on it (see :mod:`repro.experiments.lockstep`);
+      any tracker family and any factory.  Bit-identical to the serial
+      engine by construction.
 
     Every backend produces the same cells in the same task order.
 
@@ -590,8 +589,8 @@ def run_sweep(
     completed iteration; an interrupted sweep then resumes each partial cell
     from its latest checkpoint instead of from iteration 0, bit-identical to
     the uninterrupted run.  Checkpointing executes cells in-process — the
-    batched backend routes its cells through the per-cell serial path, and
-    the process pool is rejected outright.
+    batched backend then runs its cells through the per-cell serial path,
+    and the process pool is rejected outright.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -647,14 +646,14 @@ def run_sweep(
 
     t0 = time.perf_counter()
     remaining = pending
-    if backend == "batched" and pending and checkpoint_every is None:
-        from .lockstep import partition_batchable, run_lockstep
+    if backend == "batched" and checkpoint_every is None:
+        from .lockstep import run_lockstep
 
-        batchable, remaining = partition_batchable(pending)
-        for i, cell in run_lockstep(batchable):
+        for i, cell in run_lockstep(pending):
             results[i] = cell
             if store is not None:
                 store.append(cell.to_record(fingerprint))
+        remaining = []
     use_pool = (
         backend != "serial"
         and checkpoint_every is None

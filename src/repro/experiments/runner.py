@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..models.measurement import BearingMeasurement
 from ..models.trajectory import Trajectory
 from ..runtime import EventBus, IterationEvent, PhaseProfile
 from ..runtime.checkpoint import RunCheckpoint, restore_rng, snapshot_rng
@@ -30,6 +31,7 @@ __all__ = [
     "TrackingRun",
     "run_tracking",
     "generate_step_context",
+    "file_estimate",
     "summarize_tracking_run",
     "snapshot_tracking_run",
     "restore_tracking_run",
@@ -112,12 +114,20 @@ def generate_step_context(
         [trajectory.position_at_iteration(k), trajectory.velocity_at_iteration(k)]
     )
     positions = physical.positions
+    measurement = scenario.measurement
     # per-iteration common-mode bearing error, shared by every sensor
     bias = rng.normal(0.0, scenario.measurement_bias_std) if scenario.measurement_bias_std else 0.0
-    measurements = {
-        int(nid): scenario.measurement.measure(target_state, rng, positions[int(nid)]) + bias
-        for nid in detectors
-    }
+    if isinstance(measurement, BearingMeasurement):
+        # every detector's bearing in one vectorized draw, draw for draw the
+        # per-detector measure() stream; values stay Python floats
+        ids = np.asarray(detectors, dtype=np.intp)
+        zs = measurement.measure_many(target_state, rng, positions[ids]) + bias
+        measurements = dict(zip(ids.tolist(), zs.tolist()))
+    else:
+        measurements = {
+            int(nid): measurement.measure(target_state, rng, positions[int(nid)]) + bias
+            for nid in detectors
+        }
     return StepContext(iteration=k, detectors=detectors, measurements=measurements)
 
 
@@ -169,6 +179,31 @@ def generate_multi_step_context(
         measurements[nid] = scenario.measurement.measure(state, rng, positions[nid]) + bias
     detectors = np.array(sorted(owner), dtype=np.intp)
     return StepContext(iteration=k, detectors=detectors, measurements=measurements)
+
+
+def file_estimate(
+    tracker: Tracker,
+    estimate: np.ndarray | None,
+    estimates: dict[int, np.ndarray],
+    n_iterations: int,
+) -> int | None:
+    """File one step's estimate under the iteration it refers to.
+
+    Returns that iteration (``None`` when the step made no estimate).
+    Estimates referring outside ``0..n_iterations`` are dropped.  Shared by
+    :meth:`TrackingRun.step` and the sweep engine's shared-world backend
+    (:mod:`repro.experiments.lockstep`), so both file estimates by one rule.
+    """
+    if estimate is None:
+        return None
+    ref = tracker.estimate_iteration()
+    if ref is None:
+        raise RuntimeError(
+            f"{tracker.name} returned an estimate without an iteration reference"
+        )
+    if 0 <= ref <= n_iterations:
+        estimates[ref] = np.asarray(estimate, dtype=np.float64).copy()
+    return ref
 
 
 def snapshot_tracking_run(
@@ -311,15 +346,7 @@ class TrackingRun:
             )
         self.detectors_per_iteration.append(int(np.asarray(ctx.detectors).size))
         est = tracker.step(ctx)
-        ref = None
-        if est is not None:
-            ref = tracker.estimate_iteration()
-            if ref is None:
-                raise RuntimeError(
-                    f"{tracker.name} returned an estimate without an iteration reference"
-                )
-            if 0 <= ref <= self.n_iterations:
-                self.estimates[ref] = np.asarray(est, dtype=np.float64).copy()
+        ref = file_estimate(tracker, est, self.estimates, self.n_iterations)
         if options.bus is not None:
             options.bus.emit(
                 IterationEvent(
@@ -443,9 +470,9 @@ def summarize_tracking_run(
 ) -> TrackingResult:
     """Assemble the :class:`TrackingResult` of a finished run.
 
-    Shared by :func:`run_tracking` and the lock-step batched backend
-    (:mod:`repro.experiments.lockstep`), so both execution strategies
-    summarize a run through the exact same code path.
+    Shared by :func:`run_tracking` and the sweep engine's shared-world
+    backend (:mod:`repro.experiments.lockstep`), so both execution
+    strategies summarize a run through the exact same code path.
     """
     n_iter = trajectory.n_iterations
     truth = trajectory.iteration_positions()

@@ -125,8 +125,8 @@ def density_sweep(
 
     ``max_workers > 1`` fans the cells out over a process pool and is
     bit-identical to the serial run (``max_workers=1``, the default).
-    ``backend="batched"`` advances batchable cells in lock-step with
-    cross-cell stacked kernels (also bit-identical; see
+    ``backend="batched"`` builds each (density, seed) world once and runs
+    every algorithm's cell on it in-process (also bit-identical; see
     :func:`repro.experiments.engine.run_sweep`).
     ``store`` names a JSONL file persisting completed cells: an interrupted
     sweep rerun with the same store resumes, skipping finished cells.

@@ -30,16 +30,13 @@ Modules
     ``SeedSequence -> PCG64 -> random()`` — so the medium fans one send out
     to all in-range receivers without per-copy Python RNG construction.
 
-Cross-cell batch axis
----------------------
-The kernels also stack *across simulation cells* (the lock-step sweep
-backend, :mod:`repro.experiments.lockstep`): :func:`batch_likelihood`
-accepts a leading batch axis (``(B, n, 2)`` holders → ``(B, n, m)``
-matrices, each slice bit-identical to its own 2-D call),
-:func:`batch_contributions` evaluates many cells' estimation areas as one
-CSR call (flat distances plus ``offsets``), and :func:`link_uniform_many`
-takes per-copy ``seed`` / ``sender`` / ``iteration`` arrays so one call can
-mix link draws from many broadcasts or media.  The contract is unchanged:
+Grouped calls
+-------------
+:func:`batch_contributions` evaluates many estimation areas as one CSR
+call (flat distances plus ``offsets``) — CDPF-NE weighs every holder of a
+round that way — and :func:`link_uniform_many` takes per-copy ``seed`` /
+``sender`` / ``iteration`` arrays, so the medium resolves the copies of
+many broadcasts in one call.  Grouping never changes a result:
 elementwise ops and per-group pairwise reductions are bitwise independent
 of how calls are batched.
 

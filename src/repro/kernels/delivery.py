@@ -175,9 +175,9 @@ def link_uniform_many(
     in zip(receivers, nonces)]`` — the draw depends only on the key, never
     on batch shape or call order.  ``nonces`` may be a scalar applied to
     every receiver; ``sender``, ``iteration`` and ``seed`` may each be a
-    scalar or a per-copy array (the cross-cell batch axis: one call can
-    carry many broadcasts from many *cells*, each cell contributing its own
-    medium seed, without changing any single copy's draw).
+    scalar or a per-copy array (one call can carry many broadcasts, even
+    from media with different seeds, without changing any single copy's
+    draw).
     """
     receivers = np.asarray(receivers, dtype=np.uint64)
     n = receivers.shape[0]

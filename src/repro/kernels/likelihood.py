@@ -73,31 +73,23 @@ def batch_likelihood(
     ``quantization_sigma`` -> ``log_kernel`` evaluated for holder ``i`` and
     sensor ``j`` (flat 0.0 where holder and sensor coincide, the kernel's
     undefined-bearing guard).
-
-    A leading batch axis stacks many independent cells into one call:
-    ``(B, n, 2)`` holders + ``(B, n)`` lam + ``(B, m, 2)`` sensors +
-    ``(B, m)`` bearings return ``(B, n, m)``, each slice bit-identical to
-    its own 2-D call (every op below is elementwise, hence independent of
-    batch shape).  Ragged cells pad with ``lam=1`` and coincident
-    positions — padded entries land in the ``r2 < 1e-12`` guard and are
-    finite, so callers may simply never read them.
     """
     hp = np.asarray(holder_positions, dtype=np.float64)
     sp = np.asarray(sensor_positions, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    dx = hp[..., 0][..., :, None] - sp[..., 0][..., None, :]
-    dy = hp[..., 1][..., :, None] - sp[..., 1][..., None, :]
+    dx = hp[:, 0, None] - sp[None, :, 0]
+    dy = hp[:, 1, None] - sp[None, :, 1]
     # two squared distances on purpose: the scalar chain measures d_sr with
     # np.linalg.norm (FMA-contracted dot) but guards the flat factor with the
     # kernel's own plain mul-add r2 — replicate both bit patterns
     r2 = dx * dx + dy * dy
     d = norm2d_many(dx, dy)
-    h = (0.5 / np.sqrt(lam))[..., :, None]
+    h = (0.5 / np.sqrt(lam))[:, None]
     sigma_quant = np.where(d > 0, np.arctan(h / np.maximum(d, h)), 0.0)
     sigma_eff = np.hypot(noise_std, sigma_quant)
     predicted = np.arctan2(dy, dx)
-    residual = wrap_angle_many(zs[..., None, :] - predicted)
+    residual = wrap_angle_many(zs[None, :] - predicted)
     out = -0.5 * (residual / sigma_eff) ** 2
     return np.where(r2 < 1e-12, 0.0, out)
 

@@ -121,11 +121,13 @@ def batch_implied_velocities(
     alpha: float = 0.5,
     track_velocity: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Recorded-particle velocities for all of one broadcast's recorders.
+    """Recorded-particle velocities for a batch of recorders.
 
     Row ``i`` equals ``core.propagation.implied_velocity(sender_position,
-    recorder_positions[i], ...)`` — every mode is an elementwise expression,
-    so batching over recorders is bitwise free.
+    recorder_positions[i], ...)``.  The sender arguments are one sender's
+    ``(2,)`` values or ``(n, 2)`` per-recorder rows (a whole round's
+    recorders of many broadcasts in one call) — every mode is an
+    elementwise expression, so batching over recorders is bitwise free.
     """
     rec = np.atleast_2d(np.asarray(recorder_positions, dtype=np.float64))
     n = rec.shape[0]
@@ -134,9 +136,9 @@ def batch_implied_velocities(
         v = sender_velocity if track_velocity is None else np.asarray(
             track_velocity, dtype=np.float64
         )
-        return np.tile(v, (n, 1))
+        return np.broadcast_to(v, (n, 2)).copy()
     if mode == "inherit":
-        return np.tile(sender_velocity, (n, 1))
+        return np.broadcast_to(sender_velocity, (n, 2)).copy()
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     disp = (rec - np.asarray(sender_position, dtype=np.float64)) / dt

@@ -101,6 +101,25 @@ class BearingMeasurement:
         z = self.true_value(state, sensor_position) + rng.normal(0.0, self.noise_std)
         return float(wrap_angle(z))
 
+    def measure_many(
+        self,
+        state: np.ndarray,
+        rng: np.random.Generator,
+        sensor_positions: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`measure` for ``n`` sensors in one vectorized pass.
+
+        Entry ``i`` equals ``measure(state, rng, sensor_positions[i])`` with
+        the calls made in row order: every operation is elementwise, and
+        ``Generator.normal(size=n)`` produces the stream of ``n`` scalar
+        draws.  With ``reference="origin"`` only the row count is read.
+        """
+        sensors = np.asarray(sensor_positions, dtype=np.float64).reshape(-1, 2)
+        refs = np.zeros_like(sensors) if self.reference == "origin" else sensors
+        d = _positions_of(state)[0] - refs
+        noise = rng.normal(0.0, self.noise_std, size=sensors.shape[0])
+        return wrap_angle(np.arctan2(d[:, 1], d[:, 0]) + noise)
+
     def log_likelihood(
         self,
         states: np.ndarray,

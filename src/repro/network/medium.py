@@ -785,6 +785,14 @@ class Medium:
             or self._partition is not None
         )
 
+    @property
+    def delivers_all(self) -> bool:
+        """True when a broadcast reaches exactly its in-range receivers: no
+        lossy machinery, no parked delayed copy, and every node awake and
+        alive.  Trackers may then hand a round's data over directly instead
+        of routing it through inboxes (see ``CDPFTracker``)."""
+        return not self.is_unreliable and self._all_available and not self._delayed
+
     # -- per-copy link evaluation -------------------------------------------
 
     def _copy_outcome(self, sender: int, receiver: int, iteration: int) -> LinkOutcome:

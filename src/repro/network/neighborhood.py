@@ -10,7 +10,9 @@ artifacts exactly once:
 
 * the comm-radius grid index, built lazily on first query;
 * per-node sorted one-hop neighbor lists (excluding the node itself),
-  computed on first access and cached read-only.
+  computed on first access and cached read-only;
+* per-node degrees, counted in batches on a fine grid without building
+  the lists (:meth:`NeighborhoodCache.warm_degrees`).
 
 The cache is *geometric only*: availability (sleep/crash), partitions and
 link-loss state live in the medium and are applied on top of the cached
@@ -53,10 +55,8 @@ class NeighborhoodCache:
         self.epoch = 0
         self._index: GridIndex | None = None
         self._neighbors: dict[int, np.ndarray] = {}
-        self._have = np.zeros(self.positions.shape[0], dtype=bool)
         self._degree = np.full(self.positions.shape[0], -1, dtype=np.intp)
-        self._kdtree = None
-        self._kdtree_unavailable = False
+        self._count_index: GridIndex | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -85,7 +85,6 @@ class NeighborhoodCache:
         result = np.sort(hits[hits != node_id])
         result.setflags(write=False)
         self._neighbors[node_id] = result
-        self._have[node_id] = True
         self._degree[node_id] = result.size
         return result
 
@@ -101,92 +100,17 @@ class NeighborhoodCache:
             return int(d)
         return int(self.neighbors(node_id).shape[0])
 
-    def _tree(self):
-        """The scipy KD-tree over all positions, or None when scipy is absent."""
-        if self._kdtree is None and not self._kdtree_unavailable:
-            try:
-                from scipy.spatial import cKDTree
-            except ImportError:  # pragma: no cover - scipy present in CI
-                self._kdtree_unavailable = True
-            else:
-                self._kdtree = cKDTree(self.positions)
-        return self._kdtree
-
-    def _batch_candidates(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point, center) candidate pairs covering every in-disk pair.
-
-        Prefers a KD-tree sweep (scipy, if importable — a soft dependency
-        with a pure-numpy :meth:`GridIndex.query_disk_batch` fallback)
-        because the tree's candidate set is ~3x tighter than the grid's
-        3x3-cell box.  The query radius is inflated by one part in 1e9 so
-        the candidate set is a strict superset of the exact membership; the
-        caller re-filters with the bitwise ``d2 <= r*r`` test either way.
-        """
-        if self._tree() is None:
-            flat, offsets = self.index.query_disk_batch(centers, self.radius)
-            ctr = np.repeat(
-                np.arange(offsets.size - 1, dtype=np.intp), np.diff(offsets)
-            )
-            return flat, ctr
-        from scipy.spatial import cKDTree
-
-        coo = self._kdtree.sparse_distance_matrix(
-            cKDTree(centers), self.radius * (1.0 + 1e-9), output_type="coo_matrix"
-        )
-        return coo.row.astype(np.intp), coo.col.astype(np.intp)
-
-    def warm(self, node_ids) -> None:
-        """Fill the cache for many nodes with one batched pass.
-
-        The lock-step sweep backend (and any caller that knows the set of
-        nodes an iteration will touch) uses this to replace N lazy
-        ``query_disk`` misses with a single candidate sweep.  Each warmed
-        list is bit-identical to what the lazy path would have cached: the
-        membership test is ``query_disk``'s own ``d2 <= r * r`` expression
-        applied on top of a superset candidate walk, and the stored order
-        is the same ascending-id sort.
-        """
-        ids = np.asarray(node_ids, dtype=np.intp)
-        if ids.size == 0:
-            return
-        if ids.min() < 0 or ids.max() >= self.n_nodes:
-            raise ValueError(f"node ids out of range [0, {self.n_nodes})")
-        missing = np.unique(ids[~self._have[ids]])
-        if missing.size == 0:
-            return
-        centers = self.positions[missing]
-        flat, ctr = self._batch_candidates(centers)
-        if flat.size:
-            d2 = np.sum((self.positions[flat] - centers[ctr]) ** 2, axis=1)
-            keep = d2 <= self.radius * self.radius
-            flat, ctr = flat[keep], ctr[keep]
-        order = np.lexsort((flat, ctr))
-        flat, ctr = flat[order], ctr[order]
-        bounds = np.searchsorted(ctr, np.arange(missing.size + 1))
-        for g, nid in enumerate(missing):
-            hits = flat[bounds[g] : bounds[g + 1]]
-            result = hits[hits != nid]  # ascending already (lexsort)
-            result.setflags(write=False)
-            self._neighbors[int(nid)] = result
-            self._degree[nid] = result.size
-        self._have[missing] = True
-
     def warm_degrees(self, node_ids) -> None:
         """Fill the degree cache without materializing neighbor lists.
 
         Degrees drive the paper's node-density terms (likelihood ``lambda``,
         the creation limit) far more often than the lists themselves are
-        read, and a count costs much less than a list.  The count is exact
-        by construction: the KD-tree is queried twice, at radius
-        ``r * (1 - 1e-9)`` and ``r * (1 + 1e-9)``.  Any point passing the
-        exact ``d2 <= r*r`` test lies inside the inflated ball, and any
-        point inside the deflated ball passes the exact test (the margins
-        dwarf the few-ULP disagreement between the tree's metric and the
-        cache's squared-distance expression), so when both counts agree the
-        exact count is pinned without looking at a single candidate row.
-        Nodes whose two counts disagree — a neighbor sits in the 1e-9
-        boundary band — fall back to the explicit candidate-row confirm, as
-        does the whole batch when scipy is unavailable.
+        read, and a count costs much less than a list.  The counts come from
+        :meth:`GridIndex.count_in_disks` over a fine counting grid (cell
+        size ``radius / 12``), which counts the cells wholly inside a disk
+        without visiting their points; its membership is
+        :meth:`GridIndex.query_disk`'s own ``d2 <= r*r``, so each degree
+        equals the length of the list :meth:`neighbors` would build.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size == 0:
@@ -196,27 +120,10 @@ class NeighborhoodCache:
         missing = np.unique(ids[self._degree[ids] < 0])
         if missing.size == 0:
             return
-        tree = self._tree()
-        if tree is not None:
-            centers = self.positions[missing]
-            hi = tree.query_ball_point(
-                centers, self.radius * (1.0 + 1e-9), return_length=True
-            )
-            lo = tree.query_ball_point(
-                centers, self.radius * (1.0 - 1e-9), return_length=True
-            )
-            sure = hi == lo
-            # the disk always contains the node itself; degree excludes it
-            self._degree[missing[sure]] = hi[sure] - 1
-            missing = missing[~sure]
-            if missing.size == 0:
-                return
-        centers = self.positions[missing]
-        flat, ctr = self._batch_candidates(centers)
-        if flat.size:
-            d2 = np.sum((self.positions[flat] - centers[ctr]) ** 2, axis=1)
-            ctr = ctr[d2 <= self.radius * self.radius]
-        counts = np.bincount(ctr, minlength=missing.size)
+        if self._count_index is None:
+            self._count_index = GridIndex(self.positions, self.radius / 12.0)
+        counts = self._count_index.count_in_disks(self.positions[missing], self.radius)
+        # the disk always contains the node itself; degree excludes it
         self._degree[missing] = counts - 1
 
     def rebind(self, positions: np.ndarray) -> None:
@@ -231,8 +138,7 @@ class NeighborhoodCache:
 
     def invalidate(self) -> None:
         self._index = None
-        self._kdtree = None
+        self._count_index = None
         self._neighbors.clear()
-        self._have[:] = False
         self._degree[:] = -1
         self.epoch += 1

@@ -1,12 +1,14 @@
 """Uniform-grid spatial index for fast range queries over static node positions.
 
-The WSN simulator needs two query primitives, both in tight loops:
+The WSN simulator needs three query primitives, all in tight loops:
 
 * ``query_disk(center, radius)`` — all nodes within ``radius`` of a point
   (used for sensing, one-hop broadcast delivery, and neighborhood discovery).
 * ``query_segment(p0, p1, radius)`` — all nodes within ``radius`` of a line
   segment (used by the *instant detection* model, where a node detects the
   target whenever the trajectory intersects its sensing disk).
+* ``count_in_disks(centers, radius)`` — how many nodes each of many disks
+  holds, without listing them (one-hop degrees).
 
 Deployments are static (paper §II-C1: node positions are known a priori), so
 the index is built once per deployment and queried many times.  A uniform
@@ -54,6 +56,7 @@ class GridIndex:
 
         self.positions = positions
         self.cell_size = float(cell_size)
+        self._prefix: np.ndarray | None = None  # built by _column_prefix
         n = positions.shape[0]
 
         if n == 0:
@@ -192,6 +195,84 @@ class GridIndex:
         counts = np.bincount(ctr, minlength=n)
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         return flat, offsets
+
+    def count_in_disks(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Per center, the number of points :meth:`query_disk` would return.
+
+        Exact — the same ``d2 <= r*r`` membership — without testing every
+        candidate: in each grid column crossing a disk, the cells lying
+        wholly inside it are counted from per-column prefix sums, the cells
+        it only clips are tested point by point, and the rest are skipped.
+        The whole-cell tests run against the disk shrunk (inside) or grown
+        (outside) by ``1e-9 * radius`` and the cells grown by the same
+        margin, which dwarfs every rounding error in the cell assignment
+        and the distance expression, so only points the margins cannot
+        settle reach the exact test.  Cost per center is the disk's
+        boundary cells, so a cell size of a small fraction of ``radius``
+        makes this fast.
+        """
+        if radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        n = centers.shape[0]
+        if n == 0 or self.positions.shape[0] == 0:
+            return np.zeros(n, dtype=np.intp)
+        h = self.cell_size
+        nx, ny = self._shape
+        ox, oy = self._origin
+        eps = 1e-9 * radius
+        r_in2, r_out2 = (radius - eps) ** 2, (radius + eps) ** 2
+        # every (center, grid column) pair the disk crosses
+        span = (centers[:, :1] - np.array([ox + radius + eps, ox - radius - eps])) // h
+        span = np.minimum(np.maximum(span, 0), nx - 1).astype(np.intp)
+        n_cols = span[:, 1] - span[:, 0] + 1
+        first = np.cumsum(n_cols) - n_cols
+        owner = np.repeat(np.arange(n), n_cols)
+        col = np.arange(owner.size) + (span[:, 0] - first)[owner]
+        c = centers[owner]
+        # signed offsets of the column's left and right edges (cells grown)
+        xa = col * h + (ox - eps) - c[:, 0]
+        xb = xa + (h + 2.0 * eps)
+        da, db = np.abs(xa), np.abs(xb)
+        far2 = np.maximum(da, db) ** 2
+        near = np.where((xa <= 0.0) & (xb >= 0.0), 0.0, np.minimum(da, db))
+        # rows wholly inside the disk (ja..jb) and rows it reaches (ka..kb);
+        # a column the disk only clips gets an empty ja..jb
+        half_in = np.sqrt(np.maximum(r_in2 - far2, 0.0))
+        half_out = np.sqrt(np.maximum(r_out2 - near * near, 0.0))
+        y = c[:, 1] - oy
+        ja = np.minimum(np.maximum(np.ceil((y - half_in + eps) / h), 0), ny).astype(np.intp)
+        jb = np.maximum((y + half_in - eps) // h - 1, ja - 1).astype(np.intp)
+        jb = np.minimum(jb, ny - 1)
+        ka = np.minimum(np.maximum((y - half_out - eps) // h, 0), ny - 1).astype(np.intp)
+        kb = np.minimum(np.maximum((y + half_out + eps) // h, 0), ny - 1).astype(np.intp)
+        # interior counts from per-column prefix sums over the rows
+        prefix = self._column_prefix()
+        base = col * (ny + 1)
+        counts = np.add.reduceat(prefix[base + jb + 1] - prefix[base + ja], first)
+        # the clipped cells: rows ka..ja-1 and jb+1..kb, each a contiguous
+        # run of cells, hence of the cell-sorted point order
+        cell = col * ny
+        lo = np.concatenate([ka, np.maximum(jb + 1, ka)]) + np.tile(cell, 2)
+        hi = np.concatenate([np.minimum(ja - 1, kb), kb]) + np.tile(cell, 2)
+        starts = self._start[lo]
+        lens = self._start[np.maximum(hi + 1, lo)] - starts
+        pair = np.repeat(np.arange(lens.size), lens)
+        pts = self._order[np.arange(pair.size) + (starts - np.cumsum(lens) + lens)[pair]]
+        ctr = np.tile(owner, 2)[pair]
+        diff = self.positions[pts] - centers[ctr]
+        inside = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= radius * radius
+        return counts + np.bincount(ctr[inside], minlength=n)
+
+    def _column_prefix(self) -> np.ndarray:
+        """Per grid column, prefix sums of the cell counts over the rows:
+        entry ``x * (ny + 1) + y`` counts the points in rows ``0..y-1``."""
+        if self._prefix is None:
+            nx, ny = self._shape
+            prefix = np.zeros((nx, ny + 1), dtype=np.intp)
+            np.cumsum(np.diff(self._start).reshape(nx, ny), axis=1, out=prefix[:, 1:])
+            self._prefix = prefix.ravel()
+        return self._prefix
 
     def query_segment(self, p0, p1, radius: float) -> np.ndarray:
         """Indices of points within ``radius`` of the segment ``p0 -> p1``.

@@ -57,10 +57,6 @@ class NeighborTables:
     def degree(self, node_id: int) -> int:
         return self._neighborhood.degree(node_id)
 
-    def warm(self, node_ids) -> None:
-        """Batch-fill the underlying cache for ``node_ids`` (one index pass)."""
-        self._neighborhood.warm(node_ids)
-
     def warm_degrees(self, node_ids) -> None:
         """Batch-fill only the degree cache (no list materialization)."""
         self._neighborhood.warm_degrees(node_ids)

@@ -138,21 +138,8 @@ class TestCompiledRun:
 
 
 class TestRunBackendsAndCheckpoints:
-    """The unified per-run entry point: backend= and checkpoint= mirror the
-    sweep engines' surface on run_config/CompiledRun.run."""
-
-    def test_serial_and_batched_are_bit_identical(self):
-        ref = run_fingerprint(run_config(_small()))
-        assert run_fingerprint(run_config(_small(), backend="serial")) == ref
-        assert run_fingerprint(run_config(_small(), backend="batched")) == ref
-
-    def test_process_backend_points_at_the_sweep_engines(self):
-        with pytest.raises(ValueError, match="run_sweep"):
-            compile_config(_small()).run(backend="process")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="'serial' or 'batched'"):
-            compile_config(_small()).run(backend="turbo")
+    """The unified per-run entry point: checkpoint= mirrors the sweep
+    engines' surface on run_config/CompiledRun.run."""
 
     def test_checkpoint_policy_roundtrips_through_run_config(self):
         from repro import CheckpointPolicy

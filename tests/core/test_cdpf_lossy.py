@@ -43,24 +43,35 @@ def run_paper(link_model=None, *, ne=False, seed=0, density=10.0, fault_plan=Non
 
 
 class TestZeroLossDifferential:
+    """Both families, CDPF and CDPF-NE.  Without a link model the tracker
+    hands its rounds over directly; a zero-loss link model forces message
+    transport — so these tests also pin direct handoff == message path."""
+
     def test_zero_loss_estimates_bitwise_identical(self):
         """The central transparency guarantee, end to end through the tracker:
         installing a p_loss=0 link model must not change a single byte."""
-        r_none, t_none = run_paper(None)
-        r_zero, t_zero = run_paper(IIDLossLink(p_loss=0.0, seed=7))
-        assert set(r_none.estimates) == set(r_zero.estimates)
-        for k in r_none.estimates:
-            assert np.array_equal(r_none.estimates[k], r_zero.estimates[k]), k
-        assert r_none.total_bytes == r_zero.total_bytes
-        assert r_none.total_messages == r_zero.total_messages
-        assert r_none.bytes_by_category == r_zero.bytes_by_category
-        assert t_zero.medium.accounting.total_dropped_messages == 0
+        for ne in (False, True):
+            r_none, t_none = run_paper(None, ne=ne)
+            r_zero, t_zero = run_paper(IIDLossLink(p_loss=0.0, seed=7), ne=ne)
+            assert t_none._direct_handoff() and not t_zero._direct_handoff()
+            assert set(r_none.estimates) == set(r_zero.estimates), ne
+            for k in r_none.estimates:
+                assert np.array_equal(r_none.estimates[k], r_zero.estimates[k]), (ne, k)
+            assert r_none.total_bytes == r_zero.total_bytes, ne
+            assert r_none.total_messages == r_zero.total_messages, ne
+            assert r_none.bytes_by_category == r_zero.bytes_by_category, ne
+            assert (
+                t_none.medium.accounting.bytes_by_phase()
+                == t_zero.medium.accounting.bytes_by_phase()
+            ), ne
+            assert t_zero.medium.accounting.total_dropped_messages == 0
 
     def test_degraded_iterations_zero_on_lossless_run(self):
-        _, tracker = run_paper(None)
-        assert tracker.stats.degraded_iterations == 0
-        _, tracker = run_paper(IIDLossLink(p_loss=0.0, seed=7))
-        assert tracker.stats.degraded_iterations == 0
+        for ne in (False, True):
+            _, tracker = run_paper(None, ne=ne)
+            assert tracker.stats.degraded_iterations == 0
+            _, tracker = run_paper(IIDLossLink(p_loss=0.0, seed=7), ne=ne)
+            assert tracker.stats.degraded_iterations == 0
 
 
 @pytest.mark.slow

@@ -82,33 +82,51 @@ class TestStepOrder:
 
 
 class TestMessageContent:
+    """Wire content of the CDPF rounds.  A zero-loss link model forces real
+    message transport (a lossless medium hands rounds over directly), and
+    the direct handoff must charge the ledger the same per-message sizes."""
+
+    @staticmethod
+    def _messages_and_direct_ledger(scenario, trajectory, sensing_seed, category):
+        from repro.network.links import IIDLossLink
+
+        runs = []
+        for world in (scenario.with_(link_model=IIDLossLink(p_loss=0.0, seed=1)), scenario):
+            tr = CDPFTracker(world, rng=np.random.default_rng(1))
+            rng = np.random.default_rng(sensing_seed)
+            tr.step(generate_step_context(world, trajectory, 0, rng))
+            captured = capture_broadcasts(tr.medium)
+            tr.step(generate_step_context(world, trajectory, 1, rng))
+            runs.append((captured, tr.medium.accounting))
+        (captured, _), (direct, ledger) = runs
+        assert not direct  # the lossless medium sent no message objects
+        row = ledger.by_key[(1, category)]
+        return captured, row[0] / row[1]
+
     def test_propagation_carries_state_and_weight_only(
         self, small_scenario, small_trajectory
     ):
         """The wire content of a CDPF particle broadcast is Dp + Dw — nothing
         else travels (the whole point of Table I's CDPF row)."""
-        tr = CDPFTracker(small_scenario, rng=np.random.default_rng(1))
-        rng = np.random.default_rng(5)
-        tr.step(generate_step_context(small_scenario, small_trajectory, 0, rng))
-
-        captured = capture_broadcasts(tr.medium)
-        tr.step(generate_step_context(small_scenario, small_trajectory, 1, rng))
+        captured, direct_size = self._messages_and_direct_ledger(
+            small_scenario, small_trajectory, 5, "propagation"
+        )
         particle_msgs = [m for m in captured if isinstance(m, ParticleMessage)]
         assert particle_msgs
         for m in particle_msgs:
             assert m.n_particles == 1  # combined: one particle per node
             assert not m.carry_prediction
             assert m.size_bytes(small_scenario.sizes) == 20
+        assert direct_size == 20
 
     def test_measurement_messages_are_dm_sized(self, small_scenario, small_trajectory):
-        tr = CDPFTracker(small_scenario, rng=np.random.default_rng(1))
-        rng = np.random.default_rng(7)
-        tr.step(generate_step_context(small_scenario, small_trajectory, 0, rng))
-        captured = capture_broadcasts(tr.medium)
-        tr.step(generate_step_context(small_scenario, small_trajectory, 1, rng))
+        captured, direct_size = self._messages_and_direct_ledger(
+            small_scenario, small_trajectory, 7, "measurement"
+        )
         meas = [m for m in captured if isinstance(m, MeasurementMessage)]
         assert meas
         assert all(m.size_bytes(small_scenario.sizes) == 4 for m in meas)
+        assert direct_size == 4
 
 
 class TestWeightSemantics:
@@ -160,3 +178,72 @@ class TestWeightSemantics:
         tr.holders[far] = HeldParticle(velocity=np.zeros(2), weight=0.5)
         tr._assign_weights_ne(2)
         assert tr.holders[far].weight == 0.0
+
+
+class TestNEAreaBoundary:
+    def test_holder_missing_from_its_own_area_gets_zero_weight(self):
+        """The own-distance test (FMA norm) and the area test (plain
+        sqrt-of-squares) disagree in the last bit for this node: 10.0 vs
+        10.000000000000002 at R_s = 10.  The holder then sits outside its own
+        estimation area and contributes nothing, like any out-of-area
+        holder (it used to crash the weight lookup)."""
+        from repro.core.propagation import HeldParticle
+        from repro.kernels.geometry import norm2d_many
+        from repro.network.deployment import Deployment
+        from repro.network.spatial import GridIndex
+        from repro.scenario import make_paper_scenario
+
+        scenario = make_paper_scenario(
+            10.0, rng=np.random.default_rng(0), width=100.0, height=100.0
+        )
+        positions = scenario.deployment.positions.copy()
+        node = 0
+        positions[node] = (55.351981074861236, 41.552734254545605)
+        scenario = scenario.with_(
+            deployment=Deployment(
+                positions=positions,
+                width=100.0,
+                height=100.0,
+                index=GridIndex(positions, scenario.deployment.index.cell_size),
+            )
+        )
+        predicted = np.array([50.0, 50.0])
+        diff = positions[node] - predicted
+        assert norm2d_many(diff[:1], diff[1:])[0] == 10.0
+        assert np.sqrt(diff[0] * diff[0] + diff[1] * diff[1]) > 10.0
+
+        tr = CDPFTracker(
+            scenario, rng=np.random.default_rng(1), neighborhood_estimation=True
+        )
+        assert scenario.sensing_radius == 10.0
+        tr._estimate = predicted
+        tr._velocity_estimate = np.zeros(2)
+        tr.holders = {node: HeldParticle(velocity=np.zeros(2), weight=1.0)}
+        tr._assign_weights_ne(1)
+        assert tr.holders[node].weight == 0.0
+
+
+class TestConsistencyCheckTransparency:
+    @pytest.mark.parametrize("ne", [False, True], ids=["CDPF", "CDPF-NE"])
+    def test_check_consistency_leaves_the_run_unchanged(
+        self, small_scenario, small_trajectory, ne
+    ):
+        """check_consistency reads real inboxes, so it forces message
+        transport; the run must be bit-identical to the direct handoff."""
+        from repro.config.compile import run_fingerprint
+        from repro.experiments.runner import run_tracking
+
+        fingerprints = []
+        for check in (False, True):
+            tr = CDPFTracker(
+                small_scenario,
+                rng=np.random.default_rng(1),
+                neighborhood_estimation=ne,
+                check_consistency=check,
+            )
+            assert tr._direct_handoff() is not check
+            result = run_tracking(
+                tr, small_scenario, small_trajectory, rng=np.random.default_rng(2)
+            )
+            fingerprints.append(run_fingerprint(result))
+        assert fingerprints[0] == fingerprints[1]

@@ -9,6 +9,7 @@ from repro.core.propagation import (
     HeldParticle,
     PropagationConfig,
     combine_shares,
+    combine_shares_grouped,
     division_shares,
     implied_velocity,
     select_recorders,
@@ -188,6 +189,76 @@ class TestCombineShares:
     def test_negative_share_rejected(self):
         with pytest.raises(ValueError):
             combine_shares([(-1.0, np.zeros(2))])
+
+
+class TestCombineSharesGrouped:
+    """The correction's one-pass combine equals per-recorder combine_shares
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_per_recorder(rids, weights, velocities):
+        grouped = combine_shares_grouped(rids, weights, velocities)
+        assert list(grouped) == sorted(set(rids.tolist()))
+        for r, got in grouped.items():
+            mine = np.flatnonzero(rids == r)
+            ref = combine_shares([(float(weights[i]), velocities[i]) for i in mine])
+            assert got.weight == ref.weight, r
+            assert np.array_equal(got.velocity, ref.velocity), r
+
+    @pytest.mark.parametrize("mode", ["track", "inherit", "displacement", "blend"])
+    def test_round_of_broadcasts_matches(self, mode):
+        """Shares from many broadcasts, recorders repeated across them, each
+        share's velocity from its own sender under ``mode``."""
+        from repro.kernels.propagation import batch_implied_velocities
+
+        rng = np.random.default_rng(42)
+        rids, weights, vels = [], [], []
+        for _ in range(40):  # broadcasts
+            rec = np.sort(rng.choice(60, size=int(rng.integers(1, 12)), replace=False))
+            sender_pos, sender_vel = rng.uniform(0, 100, 2), rng.normal(0, 3, 2)
+            rids.append(rec)
+            weights.append(rng.random(rec.size) * rng.choice([1e-3, 1.0, 1e3]))
+            vels.append(
+                batch_implied_velocities(
+                    sender_pos, rng.uniform(0, 100, (rec.size, 2)), sender_vel,
+                    5.0, mode, 0.5, track_velocity=np.array([2.5, -1.25]),
+                )
+            )
+        rids = np.concatenate(rids)
+        assert np.bincount(rids).max() > 5  # recorders repeat across broadcasts
+        self.assert_matches_per_recorder(rids, np.concatenate(weights), np.concatenate(vels))
+
+    def test_zero_weight_groups_use_plain_mean(self):
+        rids = np.array([7, 3, 7, 3, 9, 7])
+        weights = np.array([0.0, 0.5, 0.0, 0.25, 0.0, 0.0])
+        velocities = np.arange(12, dtype=np.float64).reshape(6, 2) / 3.0
+        self.assert_matches_per_recorder(rids, weights, velocities)
+        grouped = combine_shares_grouped(rids, weights, velocities)
+        assert grouped[7].weight == 0.0 and grouped[9].weight == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.floats(0.0, 10.0, allow_nan=False),
+                st.floats(-50.0, 50.0, allow_nan=False),
+                st.floats(-50.0, 50.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_property_matches_per_recorder(self, shares):
+        rids = np.array([s[0] for s in shares])
+        weights = np.array([s[1] for s in shares])
+        velocities = np.array([[s[2], s[3]] for s in shares])
+        self.assert_matches_per_recorder(rids, weights, velocities)
+
+    def test_empty_and_negative(self):
+        assert combine_shares_grouped(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2))) == {}
+        with pytest.raises(ValueError):
+            combine_shares_grouped(np.array([1]), np.array([-1.0]), np.zeros((1, 2)))
 
 
 class TestImpliedVelocity:

@@ -1,12 +1,10 @@
-"""The lock-step batched backend: bit-identity, routing, fallback, resume."""
+"""The batched backend: bit-identity, any factory, one world per
+(density, seed), sensing contexts, resume."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.engine import expand_tasks, run_sweep
-from repro.experiments.lockstep import partition_batchable
-from repro.experiments.sweep import default_tracker_factories, density_sweep
-from repro.factory import tracker_factory
+from repro.experiments.sweep import density_sweep
 
 SMALL = dict(
     scenario_kwargs={"width": 80.0, "height": 60.0},
@@ -52,8 +50,8 @@ def assert_tracking_identical(a, b, key):
 
 class TestBitIdentity:
     def test_all_families_match_serial(self):
-        """Every tracker family — the batched CDPF/CDPF-NE and the
-        falling-back CPF/SDPF — produces bit-identical per-cell results."""
+        """Every tracker family produces bit-identical per-cell results
+        through the shared-world backend and the per-cell serial path."""
         serial, ss = collect("serial")
         batched, sb = collect("batched")
         assert set(serial) == set(batched)
@@ -71,51 +69,27 @@ class TestBitIdentity:
         for key in a:
             assert_tracking_identical(a[key], b[key], key)
 
+    def test_one_world_per_density_and_seed(self, monkeypatch):
+        """Every algorithm at a (density, seed) runs on one shared world."""
+        import repro.experiments.lockstep as lockstep
 
-class TestPartition:
-    def _pending(self, factories):
-        tasks = expand_tasks((5.0,), sorted(factories), 1)
-        specs = []
-        for task in tasks:
-            specs.append(
-                type(
-                    "Spec",
-                    (),
-                    {"task": task, "factory": factories[task.algorithm]},
-                )()
-            )
-        return list(enumerate(specs))
+        built = []
+        original = lockstep.make_paper_scenario
 
-    def test_named_cdpf_families_are_batchable(self):
-        pending = self._pending(default_tracker_factories())
-        batchable, remaining = partition_batchable(pending)
-        batched_algs = {spec.task.algorithm for _, spec in batchable}
-        serial_algs = {spec.task.algorithm for _, spec in remaining}
-        assert batched_algs == {"CDPF", "CDPF-NE"}
-        assert serial_algs == {"CPF", "SDPF"}
+        def counting(*args, **kwargs):
+            built.append(kwargs["density_per_100m2"])
+            return original(*args, **kwargs)
 
-    def test_custom_factory_is_not_batchable(self):
-        from repro.core.cdpf import CDPFTracker
-
-        def custom(scenario, rng):  # structurally a CDPF, but opaque
-            return CDPFTracker(scenario, rng=rng)
-
-        pending = self._pending({"CDPF": custom})
-        batchable, remaining = partition_batchable(pending)
-        assert batchable == []
-        assert len(remaining) == 1
-
-    def test_index_order_preserved(self):
-        pending = self._pending(default_tracker_factories())
-        batchable, remaining = partition_batchable(pending)
-        indices = sorted(i for i, _ in batchable) + sorted(i for i, _ in remaining)
-        assert sorted(indices) == [i for i, _ in pending]
+        monkeypatch.setattr(lockstep, "make_paper_scenario", counting)
+        rows, _ = collect("batched")
+        assert len(rows) == 2 * 2 * 4  # densities x seeds x families
+        assert sorted(built) == [5.0, 5.0, 10.0, 10.0]
 
 
 class TestFallback:
     def test_custom_factory_through_batched_backend_matches_serial(self):
-        """A factory the partition cannot see into falls back to the
-        per-cell path inside the batched backend — identical results."""
+        """A custom factory runs through the shared-world backend like the
+        registry's own factories — identical results to the serial path."""
         from repro.core.cdpf import CDPFTracker
 
         factories = {
@@ -129,9 +103,9 @@ class TestFallback:
 
 class TestSensingContexts:
     def test_fast_contexts_match_generate_step_context(self):
-        """The vectorized per-world context builder draws the same
-        detectors and bit-identical measurements as the per-step path."""
-        from repro.experiments.lockstep import _generate_contexts
+        """generate_step_context draws every detector's bearing in one
+        vectorized call: the same detectors and bit-identical Python-float
+        measurements as per-detector BearingMeasurement.measure draws."""
         from repro.experiments.runner import generate_step_context
         from repro.scenario import make_paper_scenario, make_trajectory
 
@@ -139,17 +113,32 @@ class TestSensingContexts:
         scenario = make_paper_scenario(
             density_per_100m2=10.0, rng=rng, width=80.0, height=60.0
         )
+        scenario = scenario.with_(measurement_bias_std=0.02)
         trajectory = make_trajectory(n_iterations=5, rng=rng, start=(5.0, 30.0))
-        fast = _generate_contexts(
-            scenario, trajectory, np.random.default_rng(123), 5
-        )
-        slow_rng = np.random.default_rng(123)
+        physical = scenario.physical_deployment
+        fast_rng = np.random.default_rng(123)
+        ref_rng = np.random.default_rng(123)
+        n_checked = 0
         for k in range(6):  # the runner generates contexts for k = 0..n
-            slow = generate_step_context(scenario, trajectory, k, slow_rng)
-            assert np.array_equal(fast[k].detectors, slow.detectors)
-            assert set(fast[k].measurements) == set(slow.measurements)
-            for nid, z in slow.measurements.items():
-                assert fast[k].measurements[nid] == z, (k, nid)
+            fast = generate_step_context(scenario, trajectory, k, fast_rng)
+            path = trajectory.position_at_iteration(k)[None, :]
+            detectors = scenario.detection.detect(physical.index, path, ref_rng)
+            state = np.concatenate(
+                [trajectory.position_at_iteration(k), trajectory.velocity_at_iteration(k)]
+            )
+            bias = ref_rng.normal(0.0, scenario.measurement_bias_std)
+            assert np.array_equal(fast.detectors, detectors)
+            assert list(fast.measurements) == [int(d) for d in detectors]
+            for nid in detectors:
+                z = scenario.measurement.measure(
+                    state, ref_rng, physical.positions[int(nid)]
+                ) + bias
+                assert type(fast.measurements[int(nid)]) is float
+                assert fast.measurements[int(nid)] == z, (k, nid)
+                n_checked += 1
+        assert n_checked > 0
+        # both streams consumed the same number of draws
+        assert fast_rng.random() == ref_rng.random()
 
 
 class TestResume:

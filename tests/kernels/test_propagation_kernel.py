@@ -187,6 +187,33 @@ class TestBatchImpliedVelocities:
         assert got.shape == (9, 2)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("mode", ["track", "inherit", "displacement", "blend"])
+    @pytest.mark.parametrize("with_track", [False, True])
+    def test_per_recorder_senders_match_per_sender_calls(self, mode, with_track):
+        """(n, 2) per-recorder sender rows == one call per sender."""
+        rng = np.random.default_rng(15)
+        track_vel = rng.normal(size=2) if with_track else None
+        sizes = [3, 1, 5]
+        sender_pos = rng.uniform(0, 100, size=(len(sizes), 2))
+        sender_vel = rng.normal(size=(len(sizes), 2))
+        rec = rng.uniform(0, 100, size=(sum(sizes), 2))
+        sender_of = np.repeat(np.arange(len(sizes)), sizes)
+        got = batch_implied_velocities(
+            sender_pos[sender_of], rec, sender_vel[sender_of], dt=2.0, mode=mode,
+            alpha=0.3, track_velocity=track_vel,
+        )
+        bounds = np.cumsum([0] + sizes)
+        expected = np.vstack(
+            [
+                batch_implied_velocities(
+                    sender_pos[b], rec[bounds[b]:bounds[b + 1]], sender_vel[b],
+                    dt=2.0, mode=mode, alpha=0.3, track_velocity=track_vel,
+                )
+                for b in range(len(sizes))
+            ]
+        )
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("mode", ["displacement", "blend"])
     def test_nonpositive_dt_raises(self, mode):
         with pytest.raises(ValueError, match="dt must be positive"):

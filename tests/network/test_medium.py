@@ -151,6 +151,29 @@ class TestSleepAndFailure:
         m.wake([1])
         assert not m.is_available(1)
 
+    def test_delivers_all_tracks_every_condition(self):
+        """Direct handoff is allowed only while every copy would arrive."""
+        from repro.network.links import IIDLossLink
+
+        m = line_medium()
+        assert m.delivers_all
+        m.set_asleep([2])
+        assert not m.delivers_all
+        m.wake([2])
+        assert m.delivers_all
+        m.set_partition(np.arange(m.n_nodes) < 3)
+        assert not m.delivers_all
+        m.set_partition(None)
+        m.install_link_override(IIDLossLink(p_loss=0.0, seed=1))
+        assert not m.delivers_all
+        m.install_link_override(None)
+        m.fail_nodes([4])
+        assert not m.delivers_all
+        lossless_model = Medium(
+            m.positions, m.radio, link_model=IIDLossLink(p_loss=0.0, seed=1)
+        )
+        assert not lossless_model.delivers_all
+
 
 class TestInboxes:
     def test_collect_drains(self):

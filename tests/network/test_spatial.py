@@ -140,6 +140,42 @@ class TestQueryDiskBatch:
         np.testing.assert_array_equal(flat[offsets[1] : offsets[2]], [0, 1])
 
 
+class TestCountInDisks:
+    """Exact disk counts: the same membership as query_disk, cell counts
+    for the cells wholly inside a disk."""
+
+    @pytest.mark.parametrize("cell_fraction", [1 / 12, 1 / 3, 1.0, 3.0])
+    def test_matches_query_disk_sizes(self, cell_fraction):
+        rng = np.random.default_rng(43)
+        pts = rng.uniform(0, 100, size=(2000, 2))
+        r = 7.5
+        idx = GridIndex(pts, r * cell_fraction)
+        # deployment nodes, random points, and centers off the field
+        centers = np.vstack(
+            [pts[:60], rng.uniform(0, 100, (30, 2)), rng.uniform(-40, 140, (30, 2))]
+        )
+        expected = [idx.query_disk(c, r).size for c in centers]
+        np.testing.assert_array_equal(idx.count_in_disks(centers, r), expected)
+
+    def test_points_exactly_on_the_circle(self):
+        """Integer lattice, integer centers and radius: many points sit at
+        distance exactly r, where only the exact test can decide."""
+        g = np.arange(0.0, 41.0)
+        pts = np.array(np.meshgrid(g, g)).reshape(2, -1).T.copy()
+        idx = GridIndex(pts, 5.0 / 12)
+        centers = np.array([[20.0, 20.0], [0.0, 0.0], [13.0, 27.0], [40.0, 3.0]])
+        expected = [idx.query_disk(c, 5.0).size for c in centers]
+        np.testing.assert_array_equal(idx.count_in_disks(centers, 5.0), expected)
+
+    def test_empty_inputs(self):
+        idx = GridIndex(np.zeros((3, 2)), 1.0)
+        assert idx.count_in_disks(np.zeros((0, 2)), 1.0).shape == (0,)
+        empty = GridIndex(np.zeros((0, 2)), 1.0)
+        np.testing.assert_array_equal(empty.count_in_disks(np.ones((2, 2)), 1.0), [0, 0])
+        with pytest.raises(ValueError):
+            idx.count_in_disks(np.zeros((1, 2)), -1.0)
+
+
 class TestQuerySegment:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)

@@ -66,31 +66,6 @@ class TestNeighborTables:
 
 
 class TestWarm:
-    def test_warm_is_bit_identical_to_lazy(self, tables):
-        """Batch pre-fill (KD-tree prefilter path when scipy is present)
-        produces exactly the arrays the per-node lazy path would cache."""
-        dep, nt = tables
-        rng = np.random.default_rng(33)
-        cold = NeighborTables(dep.positions, RADIO)
-        ids = rng.choice(600, size=80, replace=False)
-        cold.warm(ids)
-        for nid in ids:
-            np.testing.assert_array_equal(
-                cold.neighbors(int(nid)), nt.neighbors(int(nid))
-            )
-
-    def test_warm_without_scipy_falls_back_to_grid(self, tables):
-        dep, nt = tables
-        cold = NeighborTables(dep.positions, RADIO)
-        cold._neighborhood._kdtree_unavailable = True  # simulate absent scipy
-        ids = [0, 17, 123, 599]
-        cold.warm(ids)
-        assert cold._neighborhood._kdtree is None
-        for nid in ids:
-            np.testing.assert_array_equal(
-                cold.neighbors(nid), nt.neighbors(nid)
-            )
-
     def test_warm_degrees_matches_list_lengths(self, tables):
         dep, nt = tables
         cold = NeighborTables(dep.positions, RADIO)
@@ -100,10 +75,13 @@ class TestWarm:
         for nid in ids:
             assert cold.degree(nid) == nt.neighbors(nid).shape[0], nid
 
-    def test_warm_degrees_without_scipy(self, tables):
+    def test_warm_degrees_without_scipy(self, tables, monkeypatch):
+        """Degree counting is numpy-only: it works with scipy unimportable."""
+        import sys
+
+        monkeypatch.setitem(sys.modules, "scipy.spatial", None)
         dep, nt = tables
         cold = NeighborTables(dep.positions, RADIO)
-        cold._neighborhood._kdtree_unavailable = True
         ids = [4, 99, 321]
         cold.warm_degrees(ids)
         for nid in ids:
@@ -112,16 +90,17 @@ class TestWarm:
     def test_warm_rejects_out_of_range(self, tables):
         dep, nt = tables
         with pytest.raises(ValueError):
-            NeighborTables(dep.positions, RADIO).warm([0, 600])
+            NeighborTables(dep.positions, RADIO).warm_degrees([0, 600])
         with pytest.raises(ValueError):
             NeighborTables(dep.positions, RADIO).warm_degrees([-1])
 
     def test_empty_warm_is_noop(self, tables):
         dep, nt = tables
         cold = NeighborTables(dep.positions, RADIO)
-        cold.warm([])
+        cold.warm_degrees([])
         cold.warm_degrees(np.zeros(0, dtype=np.intp))
         assert not cold._neighborhood._neighbors
+        assert (cold._neighborhood._degree < 0).all()
 
 
 class TestMutualVisibility:
