@@ -285,6 +285,7 @@ class LinkConfig:
                            loss_good=self.loss_good, loss_bad=self.loss_bad,
                            p_delay=self.p_delay)
         _check_positive("link", inner_radius=self.inner_radius, gamma=self.gamma)
+        _check_non_negative("link", seed=self.seed)
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,50 @@
 """Vectorized keyed uniform draws for per-copy link delivery.
 
 The link models draw one uniform per (message copy, directed link) from
-``np.random.default_rng(SeedSequence(seed, spawn_key=key)).random()`` —
-deterministic and order-independent, but building a ``SeedSequence`` and a
-``Generator`` per copy costs tens of microseconds of pure Python/object
-overhead.  This module replays the exact same computation for a whole batch
-of receivers in vectorized ``uint64`` arithmetic:
+``np.random.default_rng(SeedSequence(seed, spawn_key=(tag, sender, receiver,
+iteration, nonce))).random()`` — deterministic and order-independent, but
+building a ``SeedSequence`` and a ``Generator`` per copy costs tens of
+microseconds of pure Python/object overhead.  This module replays the exact
+same computation for a whole batch of copies:
 
-* the SeedSequence entropy-mixing pool (Knuth-style multiplicative hashing
-  with the documented INIT_A/MULT_A/... constants), with the entropy padded
-  to the pool size *before* the spawn key is appended — so the assembled
-  word list for ``SeedSequence(seed, spawn_key=(tag, sender, receiver,
-  iteration, nonce))`` is ``[seed, 0, 0, 0, tag, sender, receiver,
-  iteration, nonce]``;
-* ``generate_state(4, uint64)`` producing PCG64's 256-bit seed material;
-* PCG64 seeding (``initstate``/``initseq``), one LCG step, and the XSL-RR
-  output function, with 128-bit arithmetic carried as (hi, lo) uint64 pairs
-  and 64x64 products split into 32-bit limbs;
-* the 53-bit mantissa scaling of ``Generator.random()``.
+* **SeedSequence's entropy pool.**  The assembled words are the seed's
+  little-endian 32-bit words (any non-negative int, as SeedSequence splits
+  it), zero-padded to the pool size of 4 *before* the spawn key is
+  appended, then the tag and the four key words.  The hashmix multiplier
+  advances through a fixed sequence whatever the data, so the pool fill,
+  the cross-mix and everything up to and including the tag are a function
+  of ``(seed, tag)`` alone: :func:`_prefix` computes that prefix once in
+  Python ints and caches it, together with the hash constants each key
+  word meets.  A scalar key word (a broadcast's sender, the iteration,
+  nonce 0) is hashed once per call in Python ints; only per-copy words are
+  hashed per copy.
+* **The ``uint32`` domain.**  The per-copy part runs on ``(4, n)`` ``uint32``
+  arrays, one row per pool word, so numpy's wrapping ``uint32`` arithmetic
+  does what the reference's ``& 0xFFFFFFFF`` masks do;
+  ``generate_state(4, uint64)`` is eight more hashmix rows over the pool.
+* **PCG64 seeding** (``initstate``/``initseq``) and one ``next64``: seeding
+  starts from state 0, so its first LCG step leaves ``state = inc`` with no
+  multiply; the two remaining steps carry the 128-bit state as (hi, lo)
+  ``uint64`` pairs with the high half of each 64x64 product taken from
+  32-bit limbs.  XSL-RR output and the 53-bit mantissa scaling of
+  ``Generator.random()`` finish the draw.
+
+Key words (tag, sender, receiver, iteration, nonce) are single 32-bit words:
+values in ``[0, 2^32)``, which every node id, iteration and nonce of the
+simulator is.  The seed may be any non-negative int.
 
 ``link_uniform_many(seed, tag, sender, receivers, iteration, nonces)`` is
 bit-exact against the scalar ``_link_uniform`` for every key
-(``tests/kernels/test_delivery_kernel.py`` pins this property), which is
-what lets the medium vectorize loss draws without changing a single
-delivery outcome anywhere.
+(``tests/kernels/test_delivery_kernel.py`` and
+``tests/fuzz/test_link_draws.py`` pin this property), which is what lets the
+medium vectorize loss draws without changing a single delivery outcome
+anywhere.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -41,133 +59,163 @@ __all__ = [
 #: Outcome codes used by the batched classify path (``LinkModel.classify_many``).
 OUTCOME_DELIVER, OUTCOME_DROP, OUTCOME_DELAY = 0, 1, 2
 
-_M32 = np.uint64(0xFFFFFFFF)
-_INIT_A = np.uint64(0x43B0D7E5)
-_MULT_A = np.uint64(0x931E8875)
-_INIT_B = np.uint64(0x8B51F9DD)
-_MULT_B = np.uint64(0x58F38DED)
-_MIX_MULT_L = np.uint64(0xCA01F9DD)
-_MIX_MULT_R = np.uint64(0x4973F715)
-_XSHIFT = np.uint64(16)
+_M32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
 _POOL_SIZE = 4
 
-# PCG64's 128-bit LCG multiplier, split into 64-bit halves.
-_PCG_MULT_HI = np.uint64(2549297995355413924)
-_PCG_MULT_LO = np.uint64(4865540595714422341)
+# PCG64's 128-bit LCG multiplier, split into 64-bit halves, and the low
+# half's 32-bit limbs
+_PCG_MULT_HI = 2549297995355413924
+_PCG_MULT_LO = 4865540595714422341
+_PCG_MULT_LO_HI, _PCG_MULT_LO_LO = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _M32
 
 
-def _hashmix(value: np.ndarray, hash_const: np.uint64):
-    """One SeedSequence hashmix step on uint32-domain words."""
-    value = (value ^ hash_const) & _M32
-    hash_const = (hash_const * _MULT_A) & _M32
-    value = (value * hash_const) & _M32
-    value = (value ^ (value >> _XSHIFT)) & _M32
-    return value, hash_const
+def _hash_keys(hash_const: int, mult: int):
+    """The (xor, multiply) constants of successive hashmix calls: the
+    multiplier evolves independently of the data being hashed."""
+    while True:
+        nxt = hash_const * mult & _M32
+        yield hash_const, nxt
+        hash_const = nxt
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = ((x * _MIX_MULT_L) - (y * _MIX_MULT_R)) & _M32
-    return (result ^ (result >> _XSHIFT)) & _M32
+def _hashmix(value: int, key: tuple[int, int]) -> int:
+    xor_const, mult = key
+    value = (value ^ xor_const) * mult & _M32
+    return value ^ value >> _XSHIFT
 
 
-def _seed_pool(entropy_words: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixed entropy pool: (n, w) words -> (n, 4) pool."""
-    n, w = entropy_words.shape
-    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint64)
-    hash_const = _INIT_A
-    for i in range(_POOL_SIZE):
-        src = entropy_words[:, i] if i < w else np.zeros(n, dtype=np.uint64)
-        pool[:, i], hash_const = _hashmix(src, hash_const)
+def _mix(x: int, y: int) -> int:
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _M32
+    return result ^ result >> _XSHIFT
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a non-negative int."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _column(values) -> np.ndarray:
+    """A read-only ``(k, 1)`` uint32 column (the cached prefixes share them)."""
+    col = np.array(values, dtype=np.uint32)[:, None]
+    col.flags.writeable = False
+    return col
+
+
+#: generate_state's eight output words read pool rows 0..3 twice
+_STATE_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_STATE_KEYS = list(islice(_hash_keys(_INIT_B, _MULT_B), 8))
+_STATE_XOR = _column([x for x, _ in _STATE_KEYS])
+_STATE_MULT = _column([m for _, m in _STATE_KEYS])
+
+
+@lru_cache(maxsize=256)
+def _prefix(seed: int, tag: int):
+    """The pool after the seed's words, their zero padding and the tag, as a
+    ``(4, 1)`` uint32 column, plus the hash constants of the four key words
+    that follow (sender, receiver, iteration, nonce): for each, the four
+    (xor, multiply) pairs as Python ints and as ``(4, 1)`` uint32 columns."""
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    words += _words(tag)
+    keys = _hash_keys(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, next(keys)) for w in words[:_POOL_SIZE]]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
-                h, hash_const = _hashmix(pool[:, i_src], hash_const)
-                pool[:, i_dst] = _mix(pool[:, i_dst], h)
-    for i_src in range(_POOL_SIZE, w):
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], next(keys)))
+    for word in words[_POOL_SIZE:]:
         for i_dst in range(_POOL_SIZE):
-            h, hash_const = _hashmix(entropy_words[:, i_src], hash_const)
-            pool[:, i_dst] = _mix(pool[:, i_dst], h)
-    return pool
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, next(keys)))
+    word_keys = []
+    for _ in range(4):
+        pairs = tuple(islice(keys, _POOL_SIZE))
+        word_keys.append(
+            (pairs, _column([x for x, _ in pairs]), _column([m for _, m in pairs]))
+        )
+    return _column(pool), tuple(word_keys)
 
 
-def _generate_state8(pool: np.ndarray) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) as 8 uint32-domain words."""
-    n = pool.shape[0]
-    out = np.zeros((n, 8), dtype=np.uint64)
-    hash_const = _INIT_B
-    for i_dst in range(8):
-        data = pool[:, i_dst % _POOL_SIZE]
-        data = (data ^ hash_const) & _M32
-        hash_const = (hash_const * _MULT_B) & _M32
-        data = (data * hash_const) & _M32
-        data = (data ^ (data >> _XSHIFT)) & _M32
-        out[:, i_dst] = data
+def _mix_word(pool: np.ndarray, word, keys) -> np.ndarray:
+    """Mix one key word into every pool row (``(4, 1)`` or ``(4, n)``)."""
+    pairs, xor_col, mult_col = keys
+    if np.ndim(word) == 0:
+        value = int(word)
+        h = _column([_hashmix(value, key) for key in pairs])
+    else:
+        h = np.asarray(word).astype(np.uint32)[None, :] ^ xor_col
+        h *= mult_col
+        h ^= h >> _XSHIFT
+    out = pool * _MIX_MULT_L - h * _MIX_MULT_R
+    out ^= out >> _XSHIFT
     return out
 
 
-def _mul_64_64(a: np.ndarray, b: np.ndarray):
-    """Full 64x64 -> 128 product via 32-bit limbs; returns (hi, lo)."""
-    a_lo = a & _M32
-    a_hi = a >> np.uint64(32)
-    b_lo = b & _M32
-    b_hi = b >> np.uint64(32)
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    hh = a_hi * b_hi
-    mid = (ll >> np.uint64(32)) + (lh & _M32) + (hl & _M32)
-    lo = (ll & _M32) | ((mid & _M32) << np.uint64(32))
-    hi = hh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, lo
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) as eight uint32 rows."""
+    state = pool[_STATE_ROWS]
+    state ^= _STATE_XOR
+    state *= _STATE_MULT
+    state ^= state >> _XSHIFT
+    return state
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    carry = (lo < a_lo).astype(np.uint64)
-    return a_hi + b_hi + carry, lo
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state = state * PCG_MULT + inc  (mod 2^128) on (hi, lo) uint64 pairs."""
+    a_lo = lo & _M32
+    a_hi = lo >> 32
+    t = a_hi * _PCG_MULT_LO_LO + (a_lo * _PCG_MULT_LO_LO >> 32)
+    u = a_lo * _PCG_MULT_LO_HI + (t & _M32)
+    # high half of lo * MULT_LO, then the two cross products
+    hi = a_hi * _PCG_MULT_LO_HI + (t >> 32) + (u >> 32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
 
 
-def _pcg_step(s_hi, s_lo, inc_hi, inc_lo):
-    """state = state * PCG_MULT + inc  (mod 2^128)."""
-    hi, lo = _mul_64_64(s_lo, _PCG_MULT_LO)
-    hi = hi + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
-    return _add128(hi, lo, inc_hi, inc_lo)
-
-
-def _pcg64_first_double(state8: np.ndarray) -> np.ndarray:
-    """First ``Generator.random()`` of a PCG64 seeded from 8 uint32 words."""
-    w = state8
+def _pcg64_first_double(state: np.ndarray) -> np.ndarray:
+    """First ``Generator.random()`` of a PCG64 seeded from eight uint32 rows."""
     # little-endian uint64 view of the uint32 word stream
-    seed0 = (w[:, 1] << np.uint64(32)) | w[:, 0]
-    seed1 = (w[:, 3] << np.uint64(32)) | w[:, 2]
-    seed2 = (w[:, 5] << np.uint64(32)) | w[:, 4]
-    seed3 = (w[:, 7] << np.uint64(32)) | w[:, 6]
-    init_hi, init_lo = seed0, seed1
-    # inc = (initseq << 1) | 1, initseq = seed2 << 64 | seed3
-    inc_hi = (seed2 << np.uint64(1)) | (seed3 >> np.uint64(63))
-    inc_lo = (seed3 << np.uint64(1)) | np.uint64(1)
-    # pcg_setseq_128_srandom: state = 0; step; state += initstate; step
-    s_hi = np.zeros_like(init_hi)
-    s_lo = np.zeros_like(init_lo)
-    s_hi, s_lo = _pcg_step(s_hi, s_lo, inc_hi, inc_lo)
-    s_hi, s_lo = _add128(s_hi, s_lo, init_hi, init_lo)
-    s_hi, s_lo = _pcg_step(s_hi, s_lo, inc_hi, inc_lo)
-    # next64: advance, then XSL-RR (rotr64(hi ^ lo, state >> 122))
-    s_hi, s_lo = _pcg_step(s_hi, s_lo, inc_hi, inc_lo)
-    xored = s_hi ^ s_lo
-    rot = s_hi >> np.uint64(58)
-    # numpy masks shift counts mod 64, so rot == 0 yields x | x == x
-    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    init_hi, init_lo, seq_hi, seq_lo = (state[1::2].astype(np.uint64) << 32) | state[0::2]
+    # inc = (initseq << 1) | 1
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    # pcg_setseq_128_srandom: step from state 0 (leaving inc), add initstate,
+    # step; then next64 steps once more before the XSL-RR output
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < init_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    xored = hi ^ lo
+    rot = hi >> 58
+    # "& 63" keeps the left shift in range: rot == 0 yields x | x == x
+    out = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _take(value, sel: np.ndarray):
+    return value if np.ndim(value) == 0 else np.asarray(value)[sel]
 
 
 def link_uniform_many(
-    seed: int,
+    seed,
     tag: int,
-    sender: int,
+    sender,
     receivers: np.ndarray,
-    iteration: int,
-    nonces: np.ndarray | int,
+    iteration,
+    nonces,
 ) -> np.ndarray:
     """One keyed uniform per receiver, bit-exact to the scalar draw.
 
@@ -179,18 +227,23 @@ def link_uniform_many(
     from media with different seeds, without changing any single copy's
     draw).
     """
-    receivers = np.asarray(receivers, dtype=np.uint64)
-    n = receivers.shape[0]
-    words = np.zeros((n, 9), dtype=np.uint64)
-    words[:, 0] = np.asarray(seed, dtype=np.uint64)
-    # words 1..3 stay zero: SeedSequence pads the entropy to the pool size
-    # before appending the spawn key
-    words[:, 4] = np.uint64(tag)
-    words[:, 5] = np.asarray(sender, dtype=np.uint64)
-    words[:, 6] = receivers
-    words[:, 7] = np.asarray(iteration, dtype=np.uint64)
-    words[:, 8] = np.asarray(nonces, dtype=np.uint64)
-    return _pcg64_first_double(_generate_state8(_seed_pool(words)))
+    receivers = np.asarray(receivers)
+    if np.ndim(seed):
+        # one prefix per distinct seed; object dtype keeps seeds of any size
+        # exact (a list mixing ints past 2^63 would otherwise become floats)
+        uniq, inverse = np.unique(np.asarray(seed, dtype=object), return_inverse=True)
+        out = np.empty(receivers.shape[0])
+        for i, s in enumerate(uniq.tolist()):
+            sel = inverse == i
+            out[sel] = link_uniform_many(
+                s, tag, _take(sender, sel), receivers[sel],
+                _take(iteration, sel), _take(nonces, sel),
+            )
+        return out
+    pool, word_keys = _prefix(int(seed), int(tag))
+    for word, keys in zip((sender, receivers, iteration, nonces), word_keys):
+        pool = _mix_word(pool, word, keys)
+    return _pcg64_first_double(_generate_state(pool))
 
 
 def batch_deliver(

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
-from .links import IIDLossLink
+from .links import IIDLossLink, _check_seed
 from .medium import Medium
 
 __all__ = [
@@ -136,6 +136,7 @@ class LossBurst:
             raise ValueError(f"window end {self.end} before start {self.start}")
         if not 0.0 <= self.p_loss <= 1.0:
             raise ValueError(f"p_loss must be in [0, 1], got {self.p_loss}")
+        _check_seed(self.seed)
 
     def active(self, iteration: int) -> bool:
         return self.start <= iteration <= self.end

@@ -82,6 +82,96 @@ def _link_uniform(seed: int, *key: int) -> float:
     return float(np.random.default_rng(ss).random())
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed SeedSequence would refuse, before the first draw does."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+class LinkTable:
+    """Int values keyed by packed directed links, ``sender << 32 | receiver``.
+
+    Absent links read as 0.  Batched reads and writes search two sorted
+    int64 arrays, one ``searchsorted`` per call: a few MB for a few hundred
+    thousand links, where a dict of that size misses the cache on nearly
+    every probe and its cost stops tracking CPU speed.  Scalar writes go to
+    a small dict that the next batched call merges in, so the one-copy path
+    stays O(1).
+    """
+
+    def __init__(self, items=()) -> None:
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._values = np.zeros(0, dtype=np.int64)
+        self._pending = dict(items)
+
+    def __len__(self) -> int:
+        self._merge()
+        return self._keys.size
+
+    def __eq__(self, other):
+        if not isinstance(other, LinkTable):
+            return NotImplemented
+        return self.items() == other.items()
+
+    def clear(self) -> None:
+        self.__init__()
+
+    def items(self) -> list[tuple[int, int]]:
+        """``(key, value)`` pairs in key order."""
+        self._merge()
+        return list(zip(self._keys.tolist(), self._values.tolist()))
+
+    def get(self, key: int) -> int:
+        value = self._pending.get(key)
+        if value is not None:
+            return value
+        if self._keys.size:
+            i = int(self._keys.searchsorted(key))
+            if i < self._keys.size and int(self._keys[i]) == key:
+                return int(self._values[i])
+        return 0
+
+    def set(self, key: int, value: int) -> None:
+        self._pending[key] = value
+
+    def get_many(self, keys: np.ndarray) -> np.ndarray:
+        self._merge()
+        pos, hit = self._find(keys)
+        out = np.zeros(keys.shape[0], dtype=np.int64)
+        out[hit] = self._values[pos[hit]]
+        return out
+
+    def set_many(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values`` at ``keys``; a repeated key keeps its last value."""
+        self._merge()
+        self._write(keys, values)
+
+    def _find(self, keys: np.ndarray):
+        pos = self._keys.searchsorted(keys)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        return pos, hit
+
+    def _merge(self) -> None:
+        if self._pending:
+            pending, self._pending = self._pending, {}
+            n = len(pending)
+            self._write(
+                np.fromiter(pending.keys(), np.int64, n),
+                np.fromiter(pending.values(), np.int64, n),
+            )
+
+    def _write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        keys, last = np.unique(keys[::-1], return_index=True)
+        values = np.asarray(values, dtype=np.int64)[::-1][last]
+        pos, hit = self._find(keys)
+        self._values[pos[hit]] = values[hit]
+        miss = ~hit
+        if miss.any():
+            self._keys = np.insert(self._keys, pos[miss], keys[miss])
+            self._values = np.insert(self._values, pos[miss], values[miss])
+
+
 #: LinkOutcome -> the int8 code of the batched classify path.
 _OUTCOME_CODE = {
     LinkOutcome.DELIVER: OUTCOME_DELIVER,
@@ -169,6 +259,7 @@ class IIDLossLink(LinkModel):
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_loss <= 1.0:
             raise ValueError(f"p_loss must be in [0, 1], got {self.p_loss}")
+        _check_seed(self.seed)
 
     def classify(self, sender, receiver, distance, iteration, nonce=0):
         if self.p_loss <= 0.0:
@@ -218,6 +309,7 @@ class DistanceFadingLink(LinkModel):
             raise ValueError("edge_probability must be in [0, 1]")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        _check_seed(self.seed)
 
     def delivery_probability(self, distance: float) -> float:
         if distance <= self.inner_radius:
@@ -280,7 +372,11 @@ class GilbertElliottLink(LinkModel):
 
     The chain is advanced lazily and deterministically: the state at iteration
     ``k`` is a pure function of the seed, the link, and ``k``, so replaying a
-    run reproduces every burst.
+    run reproduces every burst.  The memo of where each chain stands is one
+    :class:`LinkTable` of packed ints, key ``sender << 32 | receiver`` and
+    value ``(at + 1) << 1 | bad`` (so a missing link reads as 0: good,
+    before iteration 0); a batched round reads it with one ``get_many`` and
+    writes it back with one ``set_many``.
     """
 
     p_good_to_bad: float = 0.05
@@ -288,22 +384,24 @@ class GilbertElliottLink(LinkModel):
     loss_good: float = 0.0
     loss_bad: float = 0.9
     seed: int = 0
-    #: (sender, receiver) -> (state_is_bad, iteration_of_state)
-    _state: dict = field(default_factory=dict, repr=False)
+    #: sender << 32 | receiver -> (iteration_of_state + 1) << 1 | state_is_bad
+    _state: LinkTable = field(default_factory=LinkTable, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        _check_seed(self.seed)
 
     def reset(self) -> None:
         self._state.clear()
 
     def _state_at(self, sender: int, receiver: int, iteration: int) -> bool:
         """True iff the directed link is in the bad state at ``iteration``."""
-        key = (sender, receiver)
-        bad, at = self._state.get(key, (False, -1))
+        key = int(sender) << 32 | int(receiver)
+        packed = self._state.get(key)
+        at, bad = (packed >> 1) - 1, bool(packed & 1)
         if at > iteration:
             # replay from the chain's origin: the per-step draws are keyed,
             # so recomputation gives the identical path
@@ -311,7 +409,7 @@ class GilbertElliottLink(LinkModel):
         for k in range(at + 1, iteration + 1):
             u = _link_uniform(self.seed, 3, sender, receiver, k, 0)
             bad = (u < self.p_good_to_bad) if not bad else (u >= self.p_bad_to_good)
-        self._state[key] = (bad, iteration)
+        self._state.set(key, (iteration + 1) << 1 | bad)
         return bad
 
     def classify(self, sender, receiver, distance, iteration, nonce=0):
@@ -328,27 +426,23 @@ class GilbertElliottLink(LinkModel):
         receivers = np.asarray(receivers)
         n = receivers.shape[0]
         senders = np.broadcast_to(np.asarray(sender), receivers.shape)
+        keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
+        packed = self._state.get_many(keys)
+        at = (packed >> 1) - 1
+        bad = (packed & 1).astype(bool)
+        stale = at > iteration  # replay those from the chain's origin
+        at[stale] = -1
+        bad[stale] = False
         # advance every directed link's chain to ``iteration`` in lockstep;
         # the per-step draws are keyed on (link, step), so batching them
         # changes nothing about the paths the scalar replay would take —
         # duplicate links in one round redo identical draws and agree
-        bad = np.zeros(n, dtype=bool)
-        at = np.full(n, -1, dtype=np.int64)
-        for i, (s, r) in enumerate(zip(senders, receivers)):
-            b, a = self._state.get((int(s), int(r)), (False, -1))
-            if a > iteration:
-                b, a = False, -1
-            bad[i], at[i] = b, a
-        start = int(at.min()) + 1 if n else iteration + 1
-        for k in range(start, iteration + 1):
+        for k in range(int(at.min()) + 1 if n else iteration + 1, iteration + 1):
             step = at < k
-            if not step.any():
-                continue
             u = link_uniform_many(self.seed, 3, senders[step], receivers[step], k, 0)
             b = bad[step]
             bad[step] = np.where(b, u >= self.p_bad_to_good, u < self.p_good_to_bad)
-        for i, (s, r) in enumerate(zip(senders, receivers)):
-            self._state[(int(s), int(r))] = (bool(bad[i]), iteration)
+        self._state.set_many(keys, bad + ((iteration + 1) << 1))
         p = np.where(bad, self.loss_bad, self.loss_good)
         out = np.where(p >= 1.0, OUTCOME_DROP, OUTCOME_DELIVER).astype(np.int8)
         drawn = (p > 0.0) & (p < 1.0)
@@ -371,17 +465,17 @@ class GilbertElliottLink(LinkModel):
         # O(1) after a restore instead of replaying every chain from origin
         state = super().snapshot()
         state["chains"] = [
-            [int(s), int(r), bool(bad), int(at)]
-            for (s, r), (bad, at) in sorted(self._state.items())
+            [int(key >> 32), int(key & 0xFFFFFFFF), bool(packed & 1), int(packed >> 1) - 1]
+            for key, packed in self._state.items()
         ]
         return state
 
     def restore(self, state: dict) -> None:
         super().restore(state)
-        self._state = {
-            (int(s), int(r)): (bool(bad), int(at))
+        self._state = LinkTable(
+            (int(s) << 32 | int(r), (int(at) + 1) << 1 | bool(bad))
             for s, r, bad, at in state["chains"]
-        }
+        )
 
 
 @dataclass
@@ -396,6 +490,7 @@ class DelayingLink(LinkModel):
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_delay <= 1.0:
             raise ValueError(f"p_delay must be in [0, 1], got {self.p_delay}")
+        _check_seed(self.seed)
 
     def reset(self) -> None:
         self.inner.reset()

@@ -66,7 +66,7 @@ from ..kernels.delivery import (
     batch_deliver,
 )
 from ..kernels.geometry import norm2d_many
-from .links import LinkModel, LinkOutcome
+from .links import LinkModel, LinkOutcome, LinkTable
 from .messages import DataSizes, Message
 from .neighborhood import NeighborhoodCache
 from .radio import RadioModel
@@ -669,9 +669,12 @@ class Medium:
         self._partition: np.ndarray | None = None
         #: messages parked by a DELAY outcome: (deliver_at_iteration, node, msg)
         self._delayed: list[tuple[int, int, Message]] = []
-        #: per-(sender, receiver, iteration) message counter so two messages on
-        #: the same link in one iteration draw independent link fates
-        self._link_nonce: dict[tuple[int, int, int], int] = {}
+        #: per-link message counters of the current iteration only (key
+        #: ``sender << 32 | receiver``), so two messages on the same link in
+        #: one iteration draw independent link fates; a send at another
+        #: iteration starts a fresh store
+        self._nonces = LinkTable()
+        self._nonce_iteration: int | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -795,6 +798,13 @@ class Medium:
 
     # -- per-copy link evaluation -------------------------------------------
 
+    def _nonce_store(self, iteration: int) -> LinkTable:
+        """The link-nonce counters of ``iteration``."""
+        if iteration != self._nonce_iteration:
+            self._nonces = LinkTable()
+            self._nonce_iteration = iteration
+        return self._nonces
+
     def _copy_outcome(self, sender: int, receiver: int, iteration: int) -> LinkOutcome:
         """Fate of one message copy on the directed link sender -> receiver."""
         if self._partition is not None and bool(
@@ -803,9 +813,10 @@ class Medium:
             return LinkOutcome.DROP
         if self.link_model is None and self._link_override is None:
             return LinkOutcome.DELIVER
-        key = (sender, receiver, iteration)
-        nonce = self._link_nonce.get(key, 0)
-        self._link_nonce[key] = nonce + 1
+        nonces = self._nonce_store(iteration)
+        key = int(sender) << 32 | int(receiver)
+        nonce = nonces.get(key)
+        nonces.set(key, nonce + 1)
         distance = float(np.linalg.norm(self.positions[sender] - self.positions[receiver]))
         outcome = LinkOutcome.DELIVER
         if self.link_model is not None:
@@ -819,31 +830,28 @@ class Medium:
     ) -> np.ndarray:
         """Per-copy link nonces for a round, identical to sequential sends.
 
-        The scalar path increments ``_link_nonce[(sender, receiver,
-        iteration)]`` once per copy in send order; here the same counters are
-        advanced for a whole round at once: occurrence ranks within the round
-        come from one stable sort, and the dict is touched only once per
-        *distinct* link.
+        The scalar path takes a link's counter and increments it once per
+        copy in send order; here a whole round advances the same counters at
+        once: one stable sort groups the copies by link (keeping send order
+        within a link), the counters of the distinct links are read with one
+        ``get_many`` and written back with one ``set_many``.
         """
         n = receivers.shape[0]
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        n_nodes = np.int64(self.n_nodes)
-        keys = senders.astype(np.int64) * n_nodes + receivers.astype(np.int64)
-        uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        order = np.argsort(inv, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-        base = np.empty(uniq.size, dtype=np.int64)
-        nonce_get = self._link_nonce.get
-        nn = int(n_nodes)
-        for i, (k, c) in enumerate(zip(uniq.tolist(), counts.tolist())):
-            key = (k // nn, k % nn, iteration)
-            b = nonce_get(key, 0)
-            base[i] = b
-            self._link_nonce[key] = b + c
-        return base[inv] + ranks
+        nonces = self._nonce_store(iteration)
+        keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        counts = np.diff(np.append(starts, n))
+        links = ordered[starts]
+        base = nonces.get_many(links)
+        nonces.set_many(links, base + counts)
+        out = np.empty(n, dtype=np.int64)
+        # base of the copy's link + its rank among that link's copies
+        out[order] = np.repeat(base - starts, counts) + np.arange(n)
+        return out
 
     def flush_delayed(self, iteration: int) -> None:
         """Deliver parked copies whose iteration has arrived (to awake nodes)."""
@@ -1316,9 +1324,8 @@ class Medium:
         Deliberately NOT carried, because it is derived or recomputed:
 
         * ``_available`` / ``_offered`` — rebuilt from the sets;
-        * ``_link_nonce`` — keyed per iteration; at a boundary every entry
-          refers to an already-finished iteration and can never be read
-          again;
+        * the link-nonce store — it holds one iteration's counters, and at
+          a boundary that iteration has finished;
         * ``_link_override`` — installed (or cleared) by the fault plan's
           ``apply`` at the start of every iteration, including the first
           resumed one;
@@ -1386,5 +1393,6 @@ class Medium:
                 )
             self.link_model.restore(state["link_model"])
         self.accounting.restore(state["accounting"])
-        self._link_nonce = {}
+        self._nonces = LinkTable()
+        self._nonce_iteration = None
         self._rebuild_available()

@@ -158,44 +158,6 @@ class GridIndex:
         d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
         return np.unique(flat[d2 <= radius * radius])
 
-    def query_disk_batch(
-        self, centers: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-center disk queries as one CSR ``(flat, offsets)`` pass.
-
-        Unlike :meth:`query_disk_many` (which unions), every center keeps
-        its own hit list: center ``i`` owns ``flat[offsets[i]:offsets[i+1]]``.
-        Membership and per-center hit order are identical to ``query_disk``
-        (same candidate walk, same squared-distance test), so warming a
-        cache from this batch is indistinguishable from per-center queries.
-        """
-        if radius < 0.0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.size == 0:
-            return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        centers = np.atleast_2d(centers)
-        n = centers.shape[0]
-        r = np.array([radius, radius])
-        cand_chunks: list[np.ndarray] = []
-        ctr_chunks: list[np.ndarray] = []
-        for i, c in enumerate(centers):
-            cand = self._candidates(c - r, c + r)
-            if cand.size:
-                cand_chunks.append(cand)
-                ctr_chunks.append(np.full(cand.size, i, dtype=np.intp))
-        if not cand_chunks:
-            return np.zeros(0, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
-        flat = np.concatenate(cand_chunks)
-        ctr = np.concatenate(ctr_chunks)
-        diff = self.positions[flat] - centers[ctr]
-        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
-        keep = d2 <= radius * radius
-        flat, ctr = flat[keep], ctr[keep]
-        counts = np.bincount(ctr, minlength=n)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        return flat, offsets
-
     def count_in_disks(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Per center, the number of points :meth:`query_disk` would return.
 

@@ -13,6 +13,13 @@ from repro.config import (
     TrackerConfig,
     TrajectoryConfig,
 )
+from repro.network.faults import LossBurst
+from repro.network.links import (
+    DelayingLink,
+    DistanceFadingLink,
+    GilbertElliottLink,
+    IIDLossLink,
+)
 
 
 class TestValidationNamesTheField:
@@ -69,6 +76,33 @@ class TestValidationNamesTheField:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             ScenarioConfig(seed=-1)
+
+    def test_negative_link_seed(self):
+        """SeedSequence refuses negative entropy; the config must refuse it
+        up front instead of letting the run die at the first link draw."""
+        with pytest.raises(ConfigError, match="link.seed"):
+            LinkConfig(kind="iid", seed=-3)
+
+    def test_negative_loss_burst_seed_names_its_index(self):
+        with pytest.raises(ConfigError, match=r"faults\[0\].*seed"):
+            ScenarioConfig(
+                faults=({"kind": "loss_burst", "start": 1, "end": 2, "seed": -1},)
+            )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: IIDLossLink(seed=-1),
+            lambda: DistanceFadingLink(seed=-1),
+            lambda: GilbertElliottLink(seed=-1),
+            lambda: DelayingLink(seed=-1),
+            lambda: LossBurst(start=0, end=1, seed=-1),
+        ],
+        ids=["iid", "distance", "gilbert_elliott", "delaying", "loss_burst"],
+    )
+    def test_negative_seeds_rejected_at_construction(self, make):
+        with pytest.raises(ValueError, match="seed"):
+            make()
 
 
 class TestFromDict:

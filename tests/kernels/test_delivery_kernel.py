@@ -73,15 +73,18 @@ class TestLinkUniformMany:
         assert np.array_equal(got, expected)
 
     def test_edge_keys(self):
-        """Zeros everywhere, and the largest single-word seed.
+        """Zeros everywhere, and seeds at every word-count boundary.
 
-        SeedSequence splits entropy into 32-bit words; the kernel packs the
-        seed as one word, so its domain is seeds < 2^32 — which covers every
-        link-model seed the simulator uses.
+        SeedSequence splits the seed into as many 32-bit words as it needs
+        and pads to the pool size of 4 only below that: 2^32 takes two
+        words, 2^64 - 1 two, and 2^128 + 3 five (past the pool size, so the
+        fifth word is mixed in after the pool is filled).
         """
-        for seed in (0, 1, 2**32 - 1):
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**128 + 3):
             got = link_uniform_many(seed, 1, 0, np.array([0]), 0, np.array([0]))
-            assert got[0] == _link_uniform(seed, 1, 0, 0, 0, 0)
+            assert got[0] == _link_uniform(seed, 1, 0, 0, 0, 0), seed
+            got = link_uniform_many(seed, 1, 3, np.array([4]), 0, np.array([0]))
+            assert got[0] == _link_uniform(seed, 1, 3, 4, 0, 0), seed
 
     def test_draws_are_valid_uniforms(self):
         u = link_uniform_many(3, 2, 9, np.arange(1000), 1, np.zeros(1000, dtype=int))

@@ -148,9 +148,9 @@ class TestBatchEquivalence:
                     medium.unicast(0, target, m2, 0),
                     medium.broadcast(0, m3, 0),
                 ]
-            key = (0, target, 0)
             # 3 copies crossed the 0->target link, in enqueue order
-            assert medium._link_nonce[key] == 3
+            assert medium._nonce_iteration == 0
+            assert medium._nonces.get(0 << 32 | target) == 3
             if batched:
                 got_batched = [_delivery_tuple(d) for d in deliveries]
             else:

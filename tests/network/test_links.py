@@ -22,6 +22,7 @@ from repro.network.links import (
     IIDLossLink,
     LinkModel,
     LinkOutcome,
+    LinkTable,
 )
 from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage
@@ -195,6 +196,43 @@ class TestGilbertElliott:
             p_good_to_bad=0.1, p_bad_to_good=0.4, loss_good=0.0, loss_bad=1.0
         )
         assert link.delivery_probability(5.0) == pytest.approx(1.0 - 0.1 / 0.5)
+
+
+class TestLinkTable:
+    """The packed-key table agrees with a plain dict under any mix of scalar
+    and batched reads and writes (absent keys read 0, last write wins)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 9)),
+                    max_size=12,
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_matches_dict(self, ops):
+        table, oracle = LinkTable(), {}
+        for batched, writes in ops:
+            keys = [s << 32 | r for s, r, _v in writes]
+            values = [v for *_k, v in writes]
+            if batched:
+                got = table.get_many(np.array(keys, dtype=np.int64))
+                assert got.tolist() == [oracle.get(k, 0) for k in keys]
+                table.set_many(np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64))
+                oracle.update(zip(keys, values))
+            else:
+                for k, v in zip(keys, values):
+                    assert table.get(k) == oracle.get(k, 0)
+                    table.set(k, v)
+                    oracle[k] = v
+        assert table.items() == sorted(oracle.items())
+        assert table == LinkTable(oracle.items())
+        assert len(table) == len(oracle)
 
 
 class TestDelay:

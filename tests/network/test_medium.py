@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.network.links import LinkModel, LinkOutcome
 from repro.network.medium import CommAccounting, Medium
 from repro.network.messages import DataSizes, MeasurementMessage, ParticleMessage
 from repro.network.radio import RadioModel
@@ -173,6 +174,41 @@ class TestSleepAndFailure:
             m.positions, m.radio, link_model=IIDLossLink(p_loss=0.0, seed=1)
         )
         assert not lossless_model.delivers_all
+
+
+class _NonceRecorder(LinkModel):
+    """Delivers every copy and records the nonce each one drew with."""
+
+    def __init__(self):
+        self.nonces = []
+
+    def classify(self, sender, receiver, distance, iteration, nonce=0):
+        self.nonces.append((sender, receiver, iteration, nonce))
+        return LinkOutcome.DELIVER
+
+
+class TestLinkNonces:
+    def test_counted_per_link_and_kept_for_the_current_iteration_only(self):
+        recorder = _NonceRecorder()
+        pos = np.column_stack([np.arange(6) * 10.0, np.zeros(6)])
+        m = Medium(pos, RadioModel(comm_radius=30.0), link_model=recorder)
+        m.broadcast(0, msg(), 0)  # reaches 1, 2, 3
+        m.unicast(0, 1, msg(), 0)
+        m.broadcast(0, msg(), 0)
+        assert [nc for s, r, k, nc in recorder.nonces if (s, r) == (0, 1)] == [0, 1, 2]
+        assert [nc for s, r, k, nc in recorder.nonces if (s, r) == (0, 2)] == [0, 1]
+        assert dict(m._nonces.items()) == {0 << 32 | 1: 3, 0 << 32 | 2: 2, 0 << 32 | 3: 2}
+
+        recorder.nonces.clear()
+        m.unicast(0, 1, msg(k=1), 1)
+        m.broadcast(2, msg(2, k=1), 1)  # reaches 0, 1, 3, 4, 5
+        m.unicast(0, 1, msg(k=1), 1)
+        assert [nc for s, r, k, nc in recorder.nonces if (s, r) == (0, 1)] == [0, 1]
+        assert all(k == 1 for _s, _r, k, _nc in recorder.nonces)
+        assert m._nonce_iteration == 1
+        assert dict(m._nonces.items()) == {
+            0 << 32 | 1: 2, **{2 << 32 | r: 1 for r in (0, 1, 3, 4, 5)}
+        }
 
 
 class TestInboxes:

@@ -111,35 +111,6 @@ class TestQueryDiskMany:
         np.testing.assert_array_equal(idx.query_disk_many(np.array([0.0, 0.0]), 1.0), [0])
 
 
-class TestQueryDiskBatch:
-    def test_per_center_slices_match_query_disk(self):
-        rng = np.random.default_rng(41)
-        pts = rng.uniform(0, 50, size=(300, 2))
-        idx = GridIndex(pts, 5.0)
-        centers = rng.uniform(0, 50, size=(12, 2))
-        flat, offsets = idx.query_disk_batch(centers, 5.0)
-        assert offsets.shape == (13,)
-        for i, c in enumerate(centers):
-            np.testing.assert_array_equal(
-                flat[offsets[i] : offsets[i + 1]], idx.query_disk(c, 5.0)
-            )
-
-    def test_empty_centers(self):
-        idx = GridIndex(np.zeros((3, 2)), 1.0)
-        flat, offsets = idx.query_disk_batch(np.zeros((0, 2)), 1.0)
-        assert flat.size == 0
-        assert np.array_equal(offsets, [0])
-
-    def test_centers_with_no_hits_keep_empty_slices(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        idx = GridIndex(pts, 2.0)
-        flat, offsets = idx.query_disk_batch(
-            np.array([[50.0, 50.0], [0.0, 0.0]]), 1.5
-        )
-        assert offsets[1] - offsets[0] == 0
-        np.testing.assert_array_equal(flat[offsets[1] : offsets[2]], [0, 1])
-
-
 class TestCountInDisks:
     """Exact disk counts: the same membership as query_disk, cell counts
     for the cells wholly inside a disk."""
