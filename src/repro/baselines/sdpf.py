@@ -10,6 +10,9 @@ one radio hop from every node.  Each iteration:
    particles one hop; recorders record/divide/combine           [N_s (D_p + D_w)]
 2. **measurement sharing** — holders that detected broadcast     [N_n D_m]
 3. **likelihood + weight update** locally on every holder
+   (steps 2-3 run CDPF's round: :func:`~repro.core.cdpf.share_measurements`
+   and :func:`~repro.core.cdpf.joint_log_likelihoods`, so SDPF shares CDPF's
+   direct handoff on a medium that delivers every copy)
 4. **weight aggregation** — three-way handshake with the transceiver:
    query broadcast, per-holder weight reports, total broadcast  [N_s D_w + 2 msgs]
 5. **resampling** — holders normalize by the total and apply the drop rule;
@@ -28,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.cdpf import joint_log_likelihoods, share_measurements
 from ..core.propagation import PropagationConfig
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
 from ..network.messages import (
-    MeasurementMessage,
     ParticleMessage,
     QueryMessage,
     TotalWeightMessage,
@@ -112,12 +115,6 @@ class SDPFTracker:
             Phase("estimation", self._phase_estimation),
         )
         self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
-
-    @property
-    def degraded_iterations(self) -> int:
-        """Iterations where channel loss erased every recorded share and the
-        tracker fell back to prior-weight propagation (0 on a reliable medium)."""
-        return self.stats.degraded_iterations
 
     # ------------------------------------------------------------------
 
@@ -223,7 +220,14 @@ class SDPFTracker:
             )
 
     def _create_new_particles(self, detectors: set[int]) -> set[int]:
-        """Same creation rule as CDPF: detectors outside all predicted areas."""
+        """Detectors outside every overheard predicted area create particles.
+
+        Not CDPF's draw order: while a track is alive every eligible detector
+        (not a holder, available) draws its rate-limit uniform *before* the
+        hearing and slack tests, out-of-earshot detectors included.  CDPF
+        draws only for detectors that heard propagation and sit outside every
+        area.  The recorded goldens pin this RNG stream.
+        """
         positions = self.scenario.deployment.positions
         if self.holders:
             base = float(np.mean([p.total for p in self.holders.values()]))
@@ -421,73 +425,37 @@ class SDPFTracker:
         state.created = self._create_new_particles(state.detectors)
 
     def _phase_share(self, state: IterationState) -> None:
-        """Step 2: holders that detected broadcast their measurements (N_n D_m)."""
+        """Step 2: holders that detected broadcast their measurements (N_n D_m).
+
+        CDPF's measurement round, handed over directly when the medium
+        delivers every copy; holders created this iteration keep their
+        initialization weight, so only the others collect.
+        """
         if state.birth:
             return
-        ctx = state.ctx
-        k = state.iteration
         sharers = sorted(
             nid
             for nid in self.holders
             if nid in state.detectors and self.medium.is_available(nid)
         )
-        batch = self.medium.transmission_batch(k)
-        for s in sharers:
-            msg = MeasurementMessage(sender=s, iteration=k, value=float(ctx.measurements[s]))
-            batch.broadcast(s, msg)
-        batch.flush()
+        state.receivers = [r for r in sorted(self.holders) if r not in state.created]
+        state.heard = share_measurements(
+            self.medium, sharers, state.receivers, state.ctx.measurements,
+            state.iteration, direct=self.medium.delivers_all,
+        )
 
     def _phase_likelihood(self, state: IterationState) -> None:
-        """Step 3: every holder multiplies its weights by the joint likelihood."""
+        """Step 3: every holder multiplies its weights by CDPF's joint
+        (tempered) likelihood of its own position."""
         if state.birth:
             return
-        ctx = state.ctx
-        detectors = state.detectors
-        positions = self.scenario.deployment.positions
-        measurement = self.scenario.measurement
-        rows: list[int] = []
-        pair_lists: list[list[tuple[int, float]]] = []
-        for r in sorted(self.holders):
-            if r in state.created:
-                self.medium.collect(r)
-                continue
-            inbox = [m for m in self.medium.collect(r) if isinstance(m, MeasurementMessage)]
-            own = [(r, ctx.measurements[r])] if r in detectors else []
-            pairs = [(m.sender, m.value) for m in inbox] + own
-            if not pairs:
-                continue
-            rows.append(r)
-            pair_lists.append(pairs)
-        if rows:
-            from ..kernels.likelihood import batch_likelihood
-
-            # one (holders, measurements) log-kernel matrix with the
-            # discretization-aware sigma inflation (see core.cdpf); columns
-            # key on distinct (sender, value) pairs so delayed stale copies
-            # evaluate separately from this iteration's readings
-            col_of: dict[tuple[int, float], int] = {}
-            for pairs in pair_lists:
-                for pair in pairs:
-                    if pair not in col_of:
-                        col_of[pair] = len(col_of)
-            refs = np.vstack(
-                [measurement.reference_point(positions[s]) for s, _ in col_of]
-            )
-            zs = np.array([z for _, z in col_of], dtype=np.float64)
-            lam_denom = np.pi * self.scenario.radio.comm_radius**2
-            lam = np.array(
-                [(self.neighbors.degree(r) + 1) / lam_denom for r in rows]
-            )
-            matrix = batch_likelihood(
-                positions[rows], lam, refs, zs, measurement.noise_std
-            )
-            for i, (r, pairs) in enumerate(zip(rows, pair_lists)):
-                cols = [col_of[pair] for pair in pairs]
-                # tempered fusion — same rationale as CDPF (see core.cdpf)
-                log_lik = float(matrix[i, cols].mean())
-                p = self.holders[r]
-                p.weights = p.weights * float(np.exp(log_lik))
-        self.medium.clear_inboxes()
+        log_liks = joint_log_likelihoods(
+            self.scenario, self.neighbors, state.receivers, state.heard,
+            state.detectors, state.ctx.measurements,
+        )
+        for r, log_lik in log_liks.items():
+            p = self.holders[r]
+            p.weights = p.weights * float(np.exp(log_lik))
 
     # ------------------------------------------------------------------
 
@@ -559,9 +527,3 @@ class SDPFTracker:
         self._estimate = est
         self._estimate_iter = k
         state.estimate = self._estimate
-
-    # convenience for tests -------------------------------------------------
-
-    @property
-    def holder_ids(self) -> list[int]:
-        return sorted(self.holders)

@@ -94,6 +94,102 @@ def bearing_log_kernel(
     return -0.5 * (residual / noise_std) ** 2
 
 
+def share_measurements(
+    medium, sharers: list[int], receivers: list[int], measurements, iteration: int, *, direct: bool
+) -> list[list[tuple[int, float]]]:
+    """One measurement round (CDPF's likelihood phase, SDPF's share phase):
+    per receiver, the ``(sender, value)`` pairs its inbox holds, in the
+    sharers' broadcast order.  The round ends with every inbox cleared.
+
+    ``direct`` (only when ``Medium.delivers_all``) skips message transport:
+    a receiver hears each other sharer within comm radius under the medium's
+    own ``d2 <= r*r`` test on its physical positions, and the round is
+    charged as one aggregated ledger row.  Otherwise the round is a
+    :class:`TransmissionBatch` whose inboxes are collected, delayed stale
+    copies included.
+    """
+    values = [(s, float(measurements[s])) for s in sharers]
+    if direct:
+        if sharers:
+            sizes = medium.sizes
+            medium.accounting.record(
+                iteration,
+                MeasurementMessage.category,
+                (sizes.header + sizes.measurement) * len(sharers),
+                len(sharers),
+            )
+        spos = medium.positions[sharers]
+        rpos = medium.positions[receivers]
+        dx = rpos[:, None, 0] - spos[None, :, 0]
+        dy = rpos[:, None, 1] - spos[None, :, 1]
+        radius = medium.radio.comm_radius
+        in_range = dx * dx + dy * dy <= radius * radius
+        in_range &= np.asarray(receivers)[:, None] != np.asarray(sharers)[None, :]
+        row, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
+        bounds = np.searchsorted(row, np.arange(len(receivers) + 1)).tolist()
+        col = col.tolist()
+        heard = [[values[j] for j in col[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]
+    else:
+        batch = medium.transmission_batch(iteration)
+        for s, value in values:
+            batch.broadcast(s, MeasurementMessage(sender=s, iteration=iteration, value=value))
+        batch.flush()
+        heard = [
+            [(m.sender, m.value) for m in medium.collect(r)
+             if isinstance(m, MeasurementMessage)]
+            for r in receivers
+        ]
+    medium.clear_inboxes()
+    return heard
+
+
+def joint_log_likelihoods(
+    scenario: Scenario, neighbors, receivers: list[int], heard, detectors: set[int], measurements
+) -> dict[int, float]:
+    """Each receiver's tempered joint bearing log-likelihood at its own position.
+
+    ``heard`` is :func:`share_measurements`' output for ``receivers``; a
+    detector adds its own reading, and a receiver with no measurement is
+    left out (weight unchanged).  The round is one ``(holders,
+    measurements)`` :func:`batch_likelihood` matrix whose columns are the
+    distinct pairs: a delayed channel can deliver stale copies whose value
+    differs from this iteration's reading, so columns key on the pair.
+    """
+    positions = scenario.deployment.positions
+    measurement = scenario.measurement
+    rows: list[int] = []
+    pair_lists: list[list[tuple[int, float]]] = []
+    for r, pairs in zip(receivers, heard):
+        if r in detectors:
+            pairs = pairs + [(r, measurements[r])]
+        if pairs:
+            rows.append(r)
+            pair_lists.append(pairs)
+    if not rows:
+        return {}
+    distinct = dict.fromkeys(pair for pairs in pair_lists for pair in pairs)
+    col_of = {pair: j for j, pair in enumerate(distinct)}
+    senders = [s for s, _ in col_of]
+    if measurement.reference == "node":
+        refs = positions[senders]
+    else:
+        refs = np.zeros((len(senders), 2))
+    zs = np.array([z for _, z in col_of], dtype=np.float64)
+    # discretization-aware sigma: local density from each node's degree
+    lam_denom = np.pi * scenario.radio.comm_radius**2
+    neighbors.warm_degrees(rows)
+    lam = np.array([(neighbors.degree(r) + 1) / lam_denom for r in rows])
+    matrix = batch_likelihood(positions[rows], lam, refs, zs, measurement.noise_std)
+    # tempered fusion (mean log-kernel): the per-sensor bearings share a
+    # common-mode error, so treating them as fully independent would sharpen
+    # the joint likelihood far below the node-position quantization scale and
+    # randomly annihilate every holder
+    return {
+        r: float(matrix[i, [col_of[pair] for pair in pairs]].mean())
+        for i, (r, pairs) in enumerate(zip(rows, pair_lists))
+    }
+
+
 @dataclass
 class CDPFStats(TrackerStats):
     """Per-run bookkeeping the experiments read out.
@@ -766,121 +862,30 @@ class CDPFTracker:
     # ------------------------------------------------------------------
 
     def _phase_likelihood(self, state: IterationState) -> None:
-        """Share measurements one hop and evaluate each holder's joint kernel.
+        """Share measurements one hop and evaluate each holder's joint kernel
+        (:func:`share_measurements` + :func:`joint_log_likelihoods`, the same
+        round SDPF runs in its share and likelihood phases).
 
         Only computes the per-holder log-likelihood (into ``state.log_liks``);
         the weight multiplication is the assign_weight phase.  The kernels
         read only prior-weight-independent data (states, measurements), so
         deferring the multiply is bit-identical to the fused loop.
         """
-        ctx = state.ctx
-        detectors: set[int] = state.detectors
-        positions = self.scenario.deployment.positions
-        measurement = self.scenario.measurement
-        medium = self.medium
-        k = state.iteration
+        measurements = state.ctx.measurements
         sharers = sorted(
             nid
             for nid in self.holders
-            if nid in detectors and medium.is_available(nid)
+            if nid in state.detectors and self.medium.is_available(nid)
         )
         # holders created this iteration keep their initialization weight
         receivers = [r for r in sorted(self.holders) if r not in state.created]
-        if self._direct_handoff():
-            heard = self._share_measurements_directly(sharers, receivers, ctx, k)
-        else:
-            batch = medium.transmission_batch(k)
-            for s in sharers:
-                value = float(ctx.measurements[s])
-                batch.broadcast(s, MeasurementMessage(sender=s, iteration=k, value=value))
-            batch.flush()
-            heard = [
-                [(m.sender, m.value) for m in medium.collect(r)
-                 if isinstance(m, MeasurementMessage)]
-                for r in receivers
-            ]
-        # Gather every holder's (sender, measurement) pairs, then evaluate the
-        # whole round as one (holders, measurements) log-kernel matrix.  The
-        # matrix columns are the distinct pairs actually sitting in inboxes —
-        # a delayed channel can deliver stale copies whose value differs from
-        # this iteration's reading, so columns key on the pair, not the sender.
-        rows: list[int] = []
-        pair_lists: list[list[tuple[int, float]]] = []
-        for r, pairs in zip(receivers, heard):
-            if r in detectors:
-                # a node's own measurement needs no radio message
-                pairs = pairs + [(r, ctx.measurements[r])]
-            if not pairs:
-                continue  # no information this iteration; weight unchanged
-            rows.append(r)
-            pair_lists.append(pairs)
-        log_liks: dict[int, float] = {}
-        if rows:
-            col_of: dict[tuple[int, float], int] = {}
-            for pairs in pair_lists:
-                for pair in pairs:
-                    if pair not in col_of:
-                        col_of[pair] = len(col_of)
-            senders = [s for s, _ in col_of]
-            if measurement.reference == "node":
-                refs = positions[senders]
-            else:
-                refs = np.zeros((len(senders), 2))
-            zs = np.array([z for _, z in col_of], dtype=np.float64)
-            # discretization-aware sigma: local density from each node's degree
-            lam_denom = np.pi * self.scenario.radio.comm_radius**2
-            self.neighbors.warm_degrees(rows)
-            lam = np.array(
-                [(self.neighbors.degree(r) + 1) / lam_denom for r in rows]
-            )
-            matrix = batch_likelihood(
-                positions[rows], lam, refs, zs, measurement.noise_std
-            )
-            # tempered fusion (mean log-kernel): the per-sensor bearings share
-            # a common-mode error, so treating them as fully independent would
-            # sharpen the joint likelihood far below the node-position
-            # quantization scale and randomly annihilate every holder
-            for i, (r, pairs) in enumerate(zip(rows, pair_lists)):
-                cols = [col_of[pair] for pair in pairs]
-                log_liks[r] = float(matrix[i, cols].mean())
-        state.log_liks = log_liks
-        medium.clear_inboxes()
-
-    def _share_measurements_directly(
-        self, sharers: list[int], receivers: list[int], ctx: StepContext, k: int
-    ) -> list[list[tuple[int, float]]]:
-        """Direct-handoff measurement sharing: per receiver, the ``(sender,
-        value)`` pairs its inbox would hold, in the sharers' broadcast order.
-
-        A receiver hears a sharer iff it is not the sharer and lies within
-        comm radius under the medium's own ``d2 <= r*r`` test on its
-        (physical) positions.
-        """
-        medium = self.medium
-        if sharers:
-            sizes = medium.sizes
-            medium.accounting.record(
-                k,
-                MeasurementMessage.category,
-                (sizes.header + sizes.measurement) * len(sharers),
-                len(sharers),
-            )
-        if not (sharers and receivers):
-            return [[] for _ in receivers]
-        spos = medium.positions[sharers]
-        rpos = medium.positions[receivers]
-        dx = rpos[:, None, 0] - spos[None, :, 0]
-        dy = rpos[:, None, 1] - spos[None, :, 1]
-        radius = medium.radio.comm_radius
-        in_range = dx * dx + dy * dy <= radius * radius
-        in_range &= np.asarray(receivers)[:, None] != np.asarray(sharers)[None, :]
-        values = [(s, float(ctx.measurements[s])) for s in sharers]
-        row, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
-        bounds = np.searchsorted(row, np.arange(len(receivers) + 1)).tolist()
-        col = col.tolist()
-        return [
-            [values[j] for j in col[a:b]] for a, b in zip(bounds[:-1], bounds[1:])
-        ]
+        heard = share_measurements(
+            self.medium, sharers, receivers, measurements, state.iteration,
+            direct=self._direct_handoff(),
+        )
+        state.log_liks = joint_log_likelihoods(
+            self.scenario, self.neighbors, receivers, heard, state.detectors, measurements
+        )
 
     # ------------------------------------------------------------------
     # step 4: assign weight (likelihood multiply, or NE contribution)

@@ -278,28 +278,9 @@ class JsonlStore:
         merely mixed in alongside matching ones.
         """
         cells: dict[tuple[float, str, int], CellResult] = {}
-        if not self.path.exists():
-            return cells
-        raw = self.path.read_text(encoding="utf-8").splitlines()
-        lines = [(i, line.strip()) for i, line in enumerate(raw) if line.strip()]
         n_foreign = 0
         n_checkpoints = 0  # matching-fingerprint mid-cell checkpoints
-        for pos, (lineno, line) in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if pos == len(lines) - 1:
-                    continue  # truncated tail from an interrupted append
-                raise StoreLoadError(
-                    f"{self.path}:{lineno + 1}: undecodable JSON in the middle "
-                    f"of the store ({exc.msg}); this is corruption, not an "
-                    "interrupted append — refusing to resume from it"
-                ) from exc
-            if not isinstance(record, dict):
-                raise StoreLoadError(
-                    f"{self.path}:{lineno + 1}: expected one JSON object per "
-                    f"line, got {type(record).__name__}"
-                )
+        for lineno, record in self._records():
             if record.get("fingerprint") != fingerprint:
                 n_foreign += 1
                 continue
@@ -313,10 +294,16 @@ class JsonlStore:
                 # result load.
                 n_checkpoints += 1
                 continue
-            schema = int(record.get("schema", 1))
+            try:
+                schema = int(record.get("schema", 1))
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise StoreLoadError(
+                    f"{self.path}:{lineno}: record schema "
+                    f"{record['schema']!r} is not an integer"
+                ) from exc
             if schema > RECORD_SCHEMA:
                 raise StoreLoadError(
-                    f"{self.path}:{lineno + 1}: record schema {schema} is newer "
+                    f"{self.path}:{lineno}: record schema {schema} is newer "
                     f"than this code's schema {RECORD_SCHEMA}; refusing to "
                     "guess at its layout"
                 )
@@ -328,9 +315,9 @@ class JsonlStore:
                 continue
             try:
                 cell = CellResult.from_record(record)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise StoreLoadError(
-                    f"{self.path}:{lineno + 1}: record matches this sweep's "
+                    f"{self.path}:{lineno}: record matches this sweep's "
                     f"fingerprint but cannot be read back: {exc!r}"
                 ) from exc
             cells[cell.key] = cell
@@ -356,40 +343,61 @@ class JsonlStore:
 
         Checkpoint records ride the same JSONL file as completed cells
         (``kind == "checkpoint"``); the last one appended per cell wins.  A
-        checkpoint that fails its integrity check is skipped — re-running the
-        cell from scratch is always safe, so checkpoint corruption is never
-        fatal the way result corruption is.
+        checkpoint record that cannot be read back (a missing or malformed
+        cell key, another schema, a failed integrity check) is skipped —
+        re-running the cell from scratch is always safe, so checkpoint
+        corruption is never fatal the way result corruption is.  A corrupt
+        *file* raises :class:`StoreLoadError`, as in :meth:`load`.
         """
         from ..runtime.checkpoint import CheckpointError, RunCheckpoint
 
         checkpoints: dict[tuple[float, str, int], RunCheckpoint] = {}
-        if not self.path.exists():
-            return checkpoints
-        raw = self.path.read_text(encoding="utf-8").splitlines()
-        lines = [line.strip() for line in raw if line.strip()]
-        for pos, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if pos == len(lines) - 1:
-                    continue  # truncated tail from an interrupted append
-                raise  # load() reports this corruption with full context
-            if not isinstance(record, dict) or record.get("kind") != "checkpoint":
+        for _, record in self._records():
+            if record.get("kind") != "checkpoint":
                 continue
             if record.get("fingerprint") != fingerprint:
                 continue
-            if int(record.get("schema", 1)) != RECORD_SCHEMA:
-                continue
-            key = (
-                float(record["density"]),
-                str(record["algorithm"]),
-                int(record["seed"]),
-            )
             try:
+                if int(record.get("schema", 1)) != RECORD_SCHEMA:
+                    continue
+                key = (
+                    float(record["density"]),
+                    str(record["algorithm"]),
+                    int(record["seed"]),
+                )
                 checkpoints[key] = RunCheckpoint.from_dict(record["checkpoint"])
-            except (CheckpointError, KeyError, TypeError, ValueError):
+            except (CheckpointError, KeyError, OverflowError, TypeError, ValueError):
                 continue
         return checkpoints
+
+    def _records(self):
+        """``(line number, record)`` for every JSON object line of the store.
+
+        Tolerates exactly one failure mode, a truncated *final* line (an
+        interrupted append); an undecodable line anywhere else, or a line
+        that is not a JSON object, raises :class:`StoreLoadError`.
+        """
+        if not self.path.exists():
+            return
+        raw = self.path.read_text(encoding="utf-8").splitlines()
+        lines = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
+        for pos, (lineno, line) in enumerate(lines):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if pos == len(lines) - 1:
+                    continue  # truncated tail from an interrupted append
+                raise StoreLoadError(
+                    f"{self.path}:{lineno}: undecodable JSON in the middle "
+                    f"of the store ({exc.msg}); this is corruption, not an "
+                    "interrupted append — refusing to resume from it"
+                ) from exc
+            if not isinstance(record, dict):
+                raise StoreLoadError(
+                    f"{self.path}:{lineno}: expected one JSON object per "
+                    f"line, got {type(record).__name__}"
+                )
+            yield lineno, record
 
     def append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -404,13 +404,6 @@ class CommAccounting:
             out[(cat, phase)] += b
         return dict(out)
 
-    def bytes_by_phase_iteration(self) -> dict[tuple[int, str], int]:
-        """(iteration, phase) -> bytes, for per-iteration phase series."""
-        out: dict[tuple[int, str], int] = defaultdict(int)
-        for (it, _cat, phase), (b, _m) in self.by_phase_key.items():
-            out[(it, phase)] += b
-        return dict(out)
-
     def dropped_bytes_by_phase(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)
         for (_it, _cat, phase), (b, _m) in self.dropped_by_phase_key.items():

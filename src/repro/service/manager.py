@@ -525,13 +525,17 @@ class SessionManager:
         ``create_session(config_toml, session_id=..., resume_from=...)``.
         A session whose stored config no longer loads (a store written by
         an older release with a since-removed key) is left out with a
-        warning naming it, so one stale record cannot abort a restart.
+        warning naming it, and so is a malformed record (a line that is not
+        a JSON object, a session record without a string id and config), so
+        one stale record cannot abort a restart.
         """
         if self.store is None or not Path(self.store.path).exists():
             return []
+        path = self.store.path
         configs: dict[str, str] = {}
         latest: dict[str, dict] = {}
-        for line in Path(self.store.path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
@@ -539,10 +543,26 @@ class SessionManager:
                 rec = json.loads(line)
             except json.JSONDecodeError:
                 continue  # truncated tail from an interrupted append
+            if not isinstance(rec, dict):
+                warnings.warn(
+                    f"{path}:{lineno}: skipping a {type(rec).__name__} line; "
+                    "store records are JSON objects",
+                    stacklevel=2,
+                )
+                continue
+            sid = rec.get("session")
             if rec.get("kind") == "service-session":
-                configs[rec["session"]] = rec["config_toml"]
-            elif rec.get("kind") == "checkpoint" and "session" in rec:
-                latest[rec["session"]] = rec["checkpoint"]
+                config_toml = rec.get("config_toml")
+                if not (isinstance(sid, str) and isinstance(config_toml, str)):
+                    warnings.warn(
+                        f"{path}:{lineno}: not restoring session {sid!r}: its "
+                        "record needs a string session id and config_toml",
+                        stacklevel=2,
+                    )
+                    continue
+                configs[sid] = config_toml
+            elif rec.get("kind") == "checkpoint" and isinstance(sid, str) and "checkpoint" in rec:
+                latest[sid] = rec["checkpoint"]
         self.pending_restores = []
         for sid, config_toml in configs.items():
             if sid not in latest:
@@ -551,7 +571,7 @@ class SessionManager:
                 loads_config(config_toml)
             except ConfigError as exc:
                 warnings.warn(
-                    f"{self.store.path}: not restoring session {sid!r}: its "
+                    f"{path}: not restoring session {sid!r}: its "
                     f"stored config no longer loads ({exc})",
                     stacklevel=2,
                 )

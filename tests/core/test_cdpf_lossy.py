@@ -14,6 +14,7 @@ overhearing-based aggregation survives lossy radios.  Three pinned claims:
 import numpy as np
 import pytest
 
+from repro.baselines.sdpf import SDPFTracker
 from repro.core.cdpf import CDPFTracker
 from repro.experiments.options import RunOptions
 from repro.experiments.runner import run_tracking
@@ -22,16 +23,23 @@ from repro.network.links import IIDLossLink
 from repro.scenario import make_paper_scenario, make_trajectory
 
 
-def run_paper(link_model=None, *, ne=False, seed=0, density=10.0, fault_plan=None):
-    """One seeded paper-scenario run; returns (TrackingResult, tracker)."""
+def run_paper(
+    link_model=None, *, ne=False, sdpf=False, seed=0, density=10.0, fault_plan=None
+):
+    """One seeded paper-scenario run; returns (TrackingResult, tracker).
+
+    ``sdpf`` runs the SDPF baseline instead of CDPF (``ne`` then unused)."""
     rng = np.random.default_rng(4500 + seed)
     scenario = make_paper_scenario(density_per_100m2=density, rng=rng)
     if link_model is not None:
         scenario = scenario.with_(link_model=link_model)
     trajectory = make_trajectory(n_iterations=10, rng=rng)
-    tracker = CDPFTracker(
-        scenario, rng=np.random.default_rng(seed), neighborhood_estimation=ne
-    )
+    if sdpf:
+        tracker = SDPFTracker(scenario, rng=np.random.default_rng(seed))
+    else:
+        tracker = CDPFTracker(
+            scenario, rng=np.random.default_rng(seed), neighborhood_estimation=ne
+        )
     result = run_tracking(
         tracker,
         scenario,
@@ -43,27 +51,28 @@ def run_paper(link_model=None, *, ne=False, seed=0, density=10.0, fault_plan=Non
 
 
 class TestZeroLossDifferential:
-    """Both families, CDPF and CDPF-NE.  Without a link model the tracker
-    hands its rounds over directly; a zero-loss link model forces message
-    transport — so these tests also pin direct handoff == message path."""
+    """CDPF, CDPF-NE and SDPF (which runs CDPF's measurement round).  Without
+    a link model the medium delivers every copy and the trackers hand their
+    rounds over directly; a zero-loss link model forces message transport —
+    so these tests also pin direct handoff == message path."""
 
     def test_zero_loss_estimates_bitwise_identical(self):
         """The central transparency guarantee, end to end through the tracker:
         installing a p_loss=0 link model must not change a single byte."""
-        for ne in (False, True):
-            r_none, t_none = run_paper(None, ne=ne)
-            r_zero, t_zero = run_paper(IIDLossLink(p_loss=0.0, seed=7), ne=ne)
-            assert t_none._direct_handoff() and not t_zero._direct_handoff()
-            assert set(r_none.estimates) == set(r_zero.estimates), ne
+        for family in ({"ne": False}, {"ne": True}, {"sdpf": True}):
+            r_none, t_none = run_paper(None, **family)
+            r_zero, t_zero = run_paper(IIDLossLink(p_loss=0.0, seed=7), **family)
+            assert t_none.medium.delivers_all and not t_zero.medium.delivers_all
+            assert set(r_none.estimates) == set(r_zero.estimates), family
             for k in r_none.estimates:
-                assert np.array_equal(r_none.estimates[k], r_zero.estimates[k]), (ne, k)
-            assert r_none.total_bytes == r_zero.total_bytes, ne
-            assert r_none.total_messages == r_zero.total_messages, ne
-            assert r_none.bytes_by_category == r_zero.bytes_by_category, ne
+                assert np.array_equal(r_none.estimates[k], r_zero.estimates[k]), (family, k)
+            assert r_none.total_bytes == r_zero.total_bytes, family
+            assert r_none.total_messages == r_zero.total_messages, family
+            assert r_none.bytes_by_category == r_zero.bytes_by_category, family
             assert (
                 t_none.medium.accounting.bytes_by_phase()
                 == t_zero.medium.accounting.bytes_by_phase()
-            ), ne
+            ), family
             assert t_zero.medium.accounting.total_dropped_messages == 0
 
     def test_degraded_iterations_zero_on_lossless_run(self):

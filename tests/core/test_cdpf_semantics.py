@@ -247,3 +247,60 @@ class TestConsistencyCheckTransparency:
             )
             fingerprints.append(run_fingerprint(result))
         assert fingerprints[0] == fingerprints[1]
+
+
+class TestShareMeasurements:
+    """The measurement round CDPF and SDPF share: the direct handoff must
+    hear and charge exactly what message transport delivers."""
+
+    @staticmethod
+    def _round(sharers, receivers, *, direct):
+        from repro.core.cdpf import share_measurements
+        from repro.network.medium import Medium
+        from repro.network.messages import DataSizes
+        from repro.network.radio import RadioModel
+
+        # node 5 sits exactly one comm radius from node 0 (d2 == r*r hears);
+        # node 3 is out of range of every other node
+        positions = np.array(
+            [[0.0, 0.0], [5.0, 0.0], [8.0, 0.0], [50.0, 50.0], [3.0, 4.0], [10.0, 0.0]]
+        )
+        medium = Medium(
+            positions, RadioModel(comm_radius=10.0), DataSizes(measurement=10, header=2)
+        )
+        assert medium.delivers_all
+        measurements = {i: 0.25 * i - 0.5 for i in range(positions.shape[0])}
+        with medium.phase("likelihood"):
+            heard = share_measurements(
+                medium, sharers, receivers, measurements, 3, direct=direct
+            )
+        assert medium.pending_nodes() == []  # the round drains every inbox
+        return heard, medium.accounting.by_phase_key
+
+    @pytest.mark.parametrize(
+        "sharers, receivers",
+        [([0, 1, 2], [0, 1, 3, 4, 5]), ([], [0, 1, 3]), ([0, 2], []), ([], [])],
+        ids=["mixed", "no-sharers", "no-receivers", "empty"],
+    )
+    def test_direct_handoff_equals_message_path(self, sharers, receivers):
+        direct = self._round(sharers, receivers, direct=True)
+        sent = self._round(sharers, receivers, direct=False)
+        assert direct == sent
+        heard, ledger = direct
+        assert len(heard) == len(receivers)
+        if sharers:
+            row = [12 * len(sharers), len(sharers)]  # (header + D_m) per sharer
+            assert ledger == {(3, "measurement", "likelihood"): row}
+        else:
+            assert ledger == {}
+
+    def test_heard_lists(self):
+        heard, _ = self._round([0, 1, 2], [0, 1, 3, 4, 5], direct=True)
+        v = {s: 0.25 * s - 0.5 for s in (0, 1, 2)}
+        assert heard == [
+            [(1, v[1]), (2, v[2])],  # a sharer never hears itself
+            [(0, v[0]), (2, v[2])],
+            [],  # out of range of every sharer
+            [(0, v[0]), (1, v[1]), (2, v[2])],
+            [(0, v[0]), (1, v[1]), (2, v[2])],  # on the boundary of node 0
+        ]

@@ -272,6 +272,73 @@ class TestJsonlStore:
         with pytest.raises(StoreLoadError, match="JSON object"):
             store.load("fp")
 
+    @pytest.mark.parametrize("schema", ["two", [2], 1e999], ids=["str", "list", "inf"])
+    def test_non_integer_schema_raises(self, tmp_path, schema):
+        store = JsonlStore(tmp_path / "s.jsonl")
+        rec = self._record(seed=0)
+        rec["schema"] = schema
+        store.append(rec)
+        with pytest.raises(StoreLoadError, match="not an integer"):
+            store.load("fp")
+
+    def _checkpoint(self, **overrides):
+        record = {
+            "fingerprint": "fp",
+            "schema": RECORD_SCHEMA,
+            "kind": "checkpoint",
+            "density": 5.0,
+            "algorithm": "CDPF",
+            "seed": 0,
+            "checkpoint": {"version": 1, "iteration": 3, "payload": {}},
+        }
+        record.update(overrides)
+        return {k: v for k, v in record.items() if v is not None}
+
+    def test_malformed_checkpoint_records_are_skipped(self, tmp_path):
+        """A checkpoint of this sweep whose cell key or schema cannot be read
+        is skipped like one that fails its integrity check."""
+        store = JsonlStore(tmp_path / "s.jsonl")
+        for overrides in (
+            {"density": None},
+            {"algorithm": None},
+            {"seed": None},
+            {"density": "dense"},
+            {"seed": "zero"},
+            {"seed": [0]},
+            {"seed": 1e999},
+            {"schema": "two"},
+        ):
+            store.append(self._checkpoint(**overrides))
+        store.append(self._record(seed=1))
+        assert store.load_checkpoints("fp") == {}
+        assert set(store.load("fp")) == {(5.0, "CDPF", 1)}
+
+    def test_checkpoint_loader_raises_on_midfile_corruption(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        with path.open("a") as h:
+            h.write("[1, 2, 3\n")
+        store = JsonlStore(path)
+        store.append(self._checkpoint())
+        with pytest.raises(StoreLoadError, match="corruption"):
+            store.load_checkpoints("fp")
+
+    def test_checkpointed_sweep_runs_past_a_malformed_checkpoint(self, tmp_path):
+        tasks = expand_tasks((5,), ("CDPF",), 2)
+        kwargs = dict(
+            factories={"CDPF": default_tracker_factories()["CDPF"]},
+            n_iterations=2,
+            **SMALL,
+        )
+        fingerprint = sweep_fingerprint(
+            2011, 2, SMALL["scenario_kwargs"], SMALL["trajectory_kwargs"]
+        )
+        store = JsonlStore(tmp_path / "s.jsonl")
+        store.append(self._checkpoint(fingerprint=fingerprint, density=None))
+        cells, summary = run_sweep(tasks, store=store, checkpoint_every=1, **kwargs)
+        reference, _ = run_sweep(tasks, **kwargs)
+        assert summary.n_executed == len(tasks)
+        assert [c.rmse for c in cells] == [c.rmse for c in reference]
+
     def test_append_creates_parent_dirs(self, tmp_path):
         store = JsonlStore(tmp_path / "nested" / "dir" / "s.jsonl")
         store.append(self._record())

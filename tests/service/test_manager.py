@@ -324,16 +324,27 @@ class TestDurableStore:
             next(r for r in records if r["kind"] == kind)
             for kind in ("service-session", "checkpoint")
         )
+        # ... and malformed records: a line that is not an object, a session
+        # record without config_toml, a non-string config_toml
+        no_config = {k: v for k, v in session.items() if k != "config_toml"}
         with store.open("a") as f:
             for record in (
                 {**session, "session": "old", "config_toml": stale_config_toml},
                 {**checkpoint, "session": "old"},
+                [1, 2],
+                {**no_config, "session": "no-config"},
+                {**checkpoint, "session": "no-config"},
+                {**session, "session": "int-config", "config_toml": 7},
+                {**checkpoint, "session": "int-config"},
             ):
                 f.write(json.dumps(record) + "\n")
 
         async def second_life(manager):
-            with pytest.warns(UserWarning, match="'old'"):
+            with pytest.warns(UserWarning) as caught:
                 restored = manager.resume_store_sessions()
+            warned = " ".join(str(w.message) for w in caught)
+            for name in ("'old'", "list line", "'no-config'", "'int-config'"):
+                assert name in warned
             assert restored == ["s"]
             sid, toml, checkpoint = manager.pending_restores[0]
             await manager.create_session(
