@@ -10,9 +10,11 @@ one radio hop from every node.  Each iteration:
    particles one hop; recorders record/divide/combine           [N_s (D_p + D_w)]
 2. **measurement sharing** — holders that detected broadcast     [N_n D_m]
 3. **likelihood + weight update** locally on every holder
-   (steps 2-3 run CDPF's round: :func:`~repro.core.cdpf.share_measurements`
-   and :func:`~repro.core.cdpf.joint_log_likelihoods`, so SDPF shares CDPF's
-   direct handoff on a medium that delivers every copy)
+   (steps 1-3 run CDPF's rounds — :func:`~repro.core.cdpf.broadcast_particles`
+   and :func:`~repro.core.cdpf.record_shares` with one row per particle, then
+   :func:`~repro.core.cdpf.share_measurements` and
+   :func:`~repro.core.cdpf.joint_log_likelihoods` — and take CDPF's direct
+   handoff on a medium that delivers every copy)
 4. **weight aggregation** — three-way handshake with the transceiver:
    query broadcast, per-holder weight reports, total broadcast  [N_s D_w + 2 msgs]
 5. **resampling** — holders normalize by the total and apply the drop rule;
@@ -31,11 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.cdpf import joint_log_likelihoods, share_measurements
+from ..core.cdpf import (
+    broadcast_particles,
+    joint_log_likelihoods,
+    record_shares,
+    share_measurements,
+)
 from ..core.propagation import PropagationConfig
-from ..kernels.propagation import batch_implied_velocities, batch_propagate
 from ..network.messages import (
-    ParticleMessage,
     QueryMessage,
     TotalWeightMessage,
     WeightReportMessage,
@@ -97,7 +102,6 @@ class SDPFTracker:
         self._velocity_estimate: np.ndarray | None = None
         self._last_sender_positions: np.ndarray | None = None
         self._last_predictions: np.ndarray | None = None
-        self._last_union_count = 1
         self.transceiver_id = -1  # pseudo-node; not part of the deployment
         self.stats = TrackerStats()
 
@@ -158,7 +162,6 @@ class SDPFTracker:
             "last_predictions": (
                 None if self._last_predictions is None else self._last_predictions.copy()
             ),
-            "last_union_count": int(self._last_union_count),
             "rng": snapshot_rng(self.rng),
             "stats": self.stats.snapshot(),
         }
@@ -190,7 +193,6 @@ class SDPFTracker:
         self._last_predictions = (
             None if lp is None else np.asarray(lp, dtype=np.float64).copy()
         )
-        self._last_union_count = int(state["last_union_count"])
         restore_rng(self.rng, state["rng"])
         self.stats.restore(state["stats"])
 
@@ -242,9 +244,14 @@ class SDPFTracker:
         area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
         track_alive = bool(self.holders)
         created: set[int] = set()
-        for nid in sorted(detectors):
-            if nid in self.holders or not self.medium.is_available(nid):
-                continue
+        eligible = [
+            nid
+            for nid in sorted(detectors)
+            if nid not in self.holders and self.medium.is_available(nid)
+        ]
+        if track_alive:
+            self.neighbors.warm_degrees(eligible)
+        for nid in eligible:
             if track_alive:
                 # local creation rate limit (see core.cdpf)
                 n_codetectors = max(1.0, (self.neighbors.degree(nid) + 1) * area_ratio)
@@ -277,7 +284,13 @@ class SDPFTracker:
     # ------------------------------------------------------------------
 
     def _phase_propagation(self, state: IterationState) -> None:
-        """Step 1: broadcast particle lists; record/divide/combine per particle.
+        """Step 1: broadcast particle lists; record/divide per particle, then
+        combine and thin per recorder.
+
+        The round is CDPF's (:func:`~repro.core.cdpf.broadcast_particles` and
+        :func:`~repro.core.cdpf.record_shares`) with one row per particle
+        and one message per available holder, handed over directly when the
+        medium delivers every copy.
 
         Also hosts the birth iteration: with no holders yet the detectors seed
         the first particle lists and the iteration jumps straight to the
@@ -293,119 +306,58 @@ class SDPFTracker:
             else:
                 state.birth = True
             return
-        k = state.iteration
         positions = self.scenario.deployment.positions
-        index = self.scenario.deployment.index
-        dt = self.scenario.dynamics.dt
-        cfg = self.config
 
-        broadcast: list[ParticleMessage] = []
-        batch = self.medium.transmission_batch(k)
-        for nid in sorted(self.holders):
-            if not self.medium.is_available(nid):
-                continue  # sleeping/failed holder: its particles leak away
-            p = self.holders[nid]
-            states = np.hstack([np.tile(positions[nid], (p.n, 1)), p.velocities])
-            msg = ParticleMessage(sender=nid, iteration=k, states=states, weights=p.weights)
-            batch.broadcast(nid, msg)
-            broadcast.append(msg)
-        # per-broadcast recipients that lost the copy, aligned with broadcast
-        lost_sets = [
-            set(delivery.dropped.tolist()) | set(delivery.delayed.tolist())
-            for delivery in batch.flush()
-        ]
-        if not broadcast:
+        # a sleeping/failed holder does not broadcast: its particles leak away
+        senders = [nid for nid in sorted(self.holders) if self.medium.is_available(nid)]
+        lists = [self.holders[nid] for nid in senders]
+        counts = [p.n for p in lists]
+        if senders:
+            states = np.concatenate(
+                [
+                    np.repeat(positions[senders], counts, axis=0),
+                    np.concatenate([p.velocities for p in lists]),
+                ],
+                axis=1,
+            )
+            weights = np.concatenate([p.weights for p in lists])
+        else:
+            states, weights = np.zeros((0, 4)), np.zeros(0)
+        lost = broadcast_particles(
+            self.medium, senders, counts, states, weights, state.iteration,
+            direct=self.medium.delivers_all,
+        )
+        if not senders:
             self.holders = {}
             return
 
-        # Per-broadcast recording (consistent across receivers, evaluated once
-        # per particle — see the Theorem-2 note in repro.core.cdpf).
-        all_states = np.vstack([m.states for m in broadcast])
-        self._last_sender_positions = all_states[:, :2]
-        self._last_predictions = all_states[:, :2] + all_states[:, 2:] * dt
-        comm_radius = self.scenario.radio.comm_radius
-        shares_at: dict[int, list[tuple[float, np.ndarray]]] = {}
-        all_recorder_ids: set[int] = set()
-        for mi, msg in enumerate(broadcast):
-            # one spatial query per message covering all of its particles'
-            # predicted areas, then vectorized per-particle filtering
-            preds = msg.states[:, :2] + msg.states[:, 2:] * dt
-            center = preds.mean(axis=0)
-            spread = float(np.max(np.linalg.norm(preds - center, axis=1))) if preds.shape[0] > 1 else 0.0
-            sender_pos0 = msg.states[0, :2]
-            cand_all = index.query_disk(center, cfg.predicted_area_radius + spread)
-            if cand_all.size == 0:
-                continue
-            d_sender_all = np.sqrt(
-                np.sum((positions[cand_all] - sender_pos0) ** 2, axis=1)
-            )
-            cand_all = cand_all[d_sender_all <= comm_radius]
-            lost = lost_sets[mi]
-            if lost and cand_all.size:
-                # recipients that lost this broadcast heard none of its
-                # particles and cannot record any of its shares
-                keep = np.fromiter(
-                    (int(c) not in lost for c in cand_all), dtype=bool, count=cand_all.size
-                )
-                cand_all = cand_all[keep]
-            if cand_all.size == 0:
-                continue
-            cand_pos_all = positions[cand_all]
-            # all of the message's particles against the shared candidate set
-            # in one batched selection; the per-particle in-area cut keeps the
-            # scalar path's squared-distance compare bitwise (Python ``** 2``
-            # on the radius, plain mul-add on the coordinate deltas)
-            pdx = cand_pos_all[None, :, 0] - preds[:, 0:1]
-            pdy = cand_pos_all[None, :, 1] - preds[:, 1:2]
-            in_area_masks = pdx * pdx + pdy * pdy <= cfg.predicted_area_radius**2
-            selected = batch_propagate(
-                preds,
-                msg.weights,
-                cand_all,
-                cand_pos_all,
-                area_radius=cfg.predicted_area_radius,
-                record_threshold=cfg.record_threshold,
-                max_recorders=cfg.max_recorders,
-                keep_masks=in_area_masks,
-            )
-            for j, (sel, _, rec_shares) in enumerate(selected):
-                if sel.size == 0:
-                    continue
-                rec_ids = cand_all[sel]
-                all_recorder_ids.update(rec_ids.tolist())
-                vels = batch_implied_velocities(
-                    msg.states[j, :2],
-                    positions[rec_ids],
-                    msg.states[j, 2:],
-                    dt,
-                    cfg.velocity_mode,
-                    cfg.velocity_alpha,
-                    track_velocity=self._velocity_estimate,
-                )
-                for i, (rid, share) in enumerate(
-                    zip(rec_ids.tolist(), rec_shares.tolist())
-                ):
-                    if not self.medium.is_available(rid):
-                        continue
-                    shares_at.setdefault(rid, []).append((share, vels[i]))
-
+        self._last_sender_positions = states[:, :2]
+        self._last_predictions = states[:, :2] + states[:, 2:] * self.scenario.dynamics.dt
+        rids, shares, velocities = record_shares(
+            self.scenario, self.medium, self.config, states, weights, counts, lost,
+            track_velocity=self._velocity_estimate,
+        )
+        # one stable sort groups each recorder's shares in row order: holder,
+        # then particle, then recorder id
+        order = np.argsort(rids, kind="stable")
+        rids, shares, velocities = rids[order], shares[order], velocities[order]
+        starts = np.flatnonzero(np.diff(rids, prepend=-1)).tolist()
+        m = self.particles_per_node
         new_holders: dict[int, _NodeParticles] = {}
-        for rid in sorted(shares_at):
-            received = shares_at[rid]
-            weights = np.array([s[0] for s in received])
-            velocities = np.vstack([s[1] for s in received])
+        for a, b in zip(starts, starts[1:] + [rids.size]):
+            w, v = shares[a:b], velocities[a:b]
             # local thinning: keep the top particles_per_node shares,
             # preserving the node's total weight through the cut
-            if weights.size > self.particles_per_node:
-                order = np.argsort(weights)[::-1][: self.particles_per_node]
-                total_before = weights.sum()
-                weights, velocities = weights[order], velocities[order]
-                kept = weights.sum()
+            if b - a > m:
+                keep = np.argsort(w)[::-1][:m]
+                total_before = w.sum()
+                w, v = w[keep], v[keep]
+                kept = w.sum()
                 if kept > 0:
-                    weights = weights * (total_before / kept)
-            new_holders[rid] = _NodeParticles(velocities=velocities, weights=weights)
+                    w = w * (total_before / kept)
+            new_holders[int(rids[a])] = _NodeParticles(velocities=v, weights=w)
 
-        if not new_holders and any(lost_sets):
+        if not new_holders and lost is not None and any(ids.size for ids in lost):
             # Graceful degradation: every share was lost to the channel.
             # Prior-weight propagation — surviving holders keep their particle
             # lists for one iteration instead of the track dying in one fade.
@@ -414,7 +366,6 @@ class SDPFTracker:
                 nid: p for nid, p in self.holders.items() if self.medium.is_available(nid)
             }
         self.holders = new_holders
-        self._last_union_count = max(len(all_recorder_ids), 1)
         self.medium.clear_inboxes()
 
     # ------------------------------------------------------------------

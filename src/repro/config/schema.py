@@ -26,6 +26,7 @@ Three properties are load-bearing for the fuzz harness built on top:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import get_args, get_origin, get_type_hints
 
@@ -117,16 +118,20 @@ def _section_to_dict(section) -> dict:
     return out
 
 
+def _finite(v: float) -> bool:
+    return not isinstance(v, float) or math.isfinite(v)  # ints are always finite
+
+
 def _check_positive(path: str, **values: float) -> None:
     for name, v in values.items():
-        if not v > 0:
-            _fail(f"{path}.{name}", f"must be positive, got {v}")
+        if not (v > 0 and _finite(v)):
+            _fail(f"{path}.{name}", f"must be positive and finite, got {v}")
 
 
 def _check_non_negative(path: str, **values: float) -> None:
     for name, v in values.items():
-        if v < 0:
-            _fail(f"{path}.{name}", f"must be non-negative, got {v}")
+        if not (v >= 0 and _finite(v)):
+            _fail(f"{path}.{name}", f"must be non-negative and finite, got {v}")
 
 
 def _check_probability(path: str, **values: float) -> None:

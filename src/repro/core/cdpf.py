@@ -190,6 +190,115 @@ def joint_log_likelihoods(
     }
 
 
+def broadcast_particles(
+    medium, senders: list[int], counts, states: np.ndarray, weights: np.ndarray,
+    iteration: int, *, direct: bool,
+) -> list[np.ndarray] | None:
+    """One propagation round (CDPF's and SDPF's propagation phase): sender
+    ``senders[i]`` broadcasts one :class:`ParticleMessage` carrying its
+    ``counts[i]`` consecutive rows of the ``(rows, 4)`` ``states`` and their
+    ``weights``.
+
+    ``direct`` (only when ``Medium.delivers_all``) skips message transport:
+    every in-range node hears every copy, so the round is charged as one
+    aggregated ledger row — what one message per sender costs — and None is
+    returned.  Otherwise the round is a :class:`TransmissionBatch`, and the
+    result holds, per sender, the ids of the recipients that lost its copy
+    (dropped or delayed).
+    """
+    if direct:
+        if senders:
+            sizes = medium.sizes
+            n_bytes = sizes.header * len(senders) + (sizes.particle + sizes.weight) * len(weights)
+            medium.accounting.record(
+                iteration, ParticleMessage.category, n_bytes, len(senders)
+            )
+        return None
+    batch = medium.transmission_batch(iteration)
+    bounds = np.cumsum([0, *counts]).tolist()
+    for s, a, b in zip(senders, bounds[:-1], bounds[1:]):
+        msg = ParticleMessage(sender=s, iteration=iteration, states=states[a:b], weights=weights[a:b])
+        batch.broadcast(s, msg)
+    return [np.concatenate((d.dropped, d.delayed)) for d in batch.flush()]
+
+
+def record_shares(
+    scenario: Scenario,
+    medium,
+    config: PropagationConfig,
+    states: np.ndarray,
+    weights: np.ndarray,
+    counts,
+    lost: list[np.ndarray] | None,
+    *,
+    track_velocity: np.ndarray | None = None,
+    shared_prediction: np.ndarray | None = None,
+    anticipate=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Record/divide step of a :func:`broadcast_particles` round: every share
+    recorded, as ``(recorder ids, shares, implied velocities)``.
+
+    Rows come in broadcast order, and each row's recorders in ascending id
+    order.  ``lost`` is :func:`broadcast_particles`' result: None on the
+    direct path, where every copy arrived and every node is up.
+
+    The recording decision and the division are functions of *shared* data
+    only (the broadcast row, static positions, anticipated availability), so
+    every candidate computes the identical result — Theorem 2's argument —
+    and the round is evaluated once instead of once per receiver.  The
+    candidates are (row, id) pairs from one grid walk over the rows'
+    predicted areas; ``shared_prediction`` (track mode's consensus area)
+    makes that one ``query_disk`` for every row.  A pair is dropped when the
+    candidate is out of the row's sender's comm radius, not anticipated
+    available (``anticipate``: a pure ``ids -> bool mask`` hook), or lost
+    the sender's copy.  Off the direct path, an anticipated recorder that is
+    actually unavailable loses its share (weight leak — the §V-D
+    uncertain-factor case).
+    """
+    positions = scenario.deployment.positions
+    index = scenario.deployment.index
+    dt = scenario.dynamics.dt
+    radius = config.predicted_area_radius
+    n_rows = weights.shape[0]
+    sender_pos = states[:, :2]
+    if shared_prediction is not None:
+        preds = np.broadcast_to(shared_prediction, (n_rows, 2))
+        cand = index.query_disk(shared_prediction, radius)
+        rows = np.repeat(np.arange(n_rows), cand.size)
+        ids = np.tile(cand, n_rows)
+    else:
+        preds = sender_pos + states[:, 2:] * dt
+        rows, ids = index.query_disk_pairs(preds, radius)
+    cand_pos = positions[ids]
+    dx = cand_pos[:, 0] - sender_pos[rows, 0]
+    dy = cand_pos[:, 1] - sender_pos[rows, 1]
+    keep = np.sqrt(dx * dx + dy * dy) <= scenario.radio.comm_radius
+    if anticipate is not None and ids.size:
+        keep &= np.asarray(anticipate(ids), dtype=bool)
+    if lost is not None and any(lost_ids.size for lost_ids in lost):
+        # a candidate that lost a sender's copy heard none of its rows
+        broadcast_of = np.repeat(np.arange(len(counts)), counts)
+        lost_keys = np.repeat(np.arange(len(lost)), [a.size for a in lost]) << 32
+        lost_keys |= np.concatenate(lost)
+        keep &= ~np.isin(broadcast_of[rows] << 32 | ids, lost_keys)
+    rows, ids, cand_pos = rows[keep], ids[keep], cand_pos[keep]
+    sel, _, shares = batch_propagate(
+        preds, weights, rows, ids, cand_pos, area_radius=radius,
+        record_threshold=config.record_threshold, max_recorders=config.max_recorders,
+    )
+    rows, rids = rows[sel], ids[sel]
+    velocities = batch_implied_velocities(
+        sender_pos[rows], positions[rids], states[rows, 2:], dt,
+        config.velocity_mode, config.velocity_alpha, track_velocity=track_velocity,
+    )
+    if lost is not None:
+        up = np.fromiter(
+            (medium.is_available(r) for r in rids.tolist()), dtype=bool, count=rids.size
+        )
+        rids, shares, velocities = rids[up], shares[up], velocities[up]
+    return rids, shares, velocities
+
+
 @dataclass
 class CDPFStats(TrackerStats):
     """Per-run bookkeeping the experiments read out.
@@ -421,7 +530,8 @@ class CDPFTracker:
         return self.medium.delivers_all and not self.check_consistency
 
     def _phase_propagation(self, state: IterationState) -> None:
-        """Step 1 (first half): every available holder broadcasts its particle.
+        """Step 1 (first half): every available holder broadcasts its particle
+        (:func:`broadcast_particles`, one row per holder).
 
         Also hosts the birth iteration (§III-B initialization): with no
         holders yet there is nothing to propagate, the detectors seed the
@@ -429,8 +539,8 @@ class CDPFTracker:
 
         Leaves ``state.broadcast = (states, weights)`` — the ``(B, 4)``
         sender states (position ++ velocity, sorted sender order) and their
-        weights, or None when nothing was sent — and ``state.lost_sets``,
-        per broadcast the recipients that lost the copy (None under direct
+        weights, or None when nothing was sent — and ``state.lost``, per
+        broadcast the recipients that lost the copy (None under direct
         handoff, where nothing is lost).
         """
         ctx = state.ctx
@@ -439,61 +549,32 @@ class CDPFTracker:
             self._initialize(ctx, state.detectors)
             state.finish(None)
             return
-        k = state.iteration
-        positions = self.scenario.deployment.positions
-        medium = self.medium
-
-        if self._direct_handoff():
-            ids = sorted(self.holders)
-            particles = [self.holders[nid] for nid in ids]
-            states = np.concatenate(
-                [positions[ids], np.array([p.velocity for p in particles])], axis=1
-            )
-            weights = np.array([p.weight for p in particles], dtype=np.float64)
-            # one one-particle ParticleMessage (no carried prediction) per
-            # holder, charged whether or not anyone is in range
-            sizes = medium.sizes
-            n_bytes = sizes.header + sizes.particle + sizes.weight
-            medium.accounting.record(
-                k, ParticleMessage.category, n_bytes * len(ids), len(ids)
-            )
-            state.broadcast = (states, weights)
-            state.lost_sets = None
-            return
-
         # A holder that slept or failed before its broadcast loses its
         # particle — the weight leaks, exactly the §V-D uncertain-factor case.
-        # Under an unreliable channel each broadcast's per-recipient drop
+        # Under an unreliable channel each broadcast's per-recipient loss
         # record is kept: a node that lost a copy can neither record a share
         # from it nor count its weight in the overheard total.
-        sent: list[ParticleMessage] = []
-        batch = medium.transmission_batch(k)
-        for nid in sorted(self.holders):
-            if not medium.is_available(nid):
-                continue
-            particle = self.holders[nid]
-            msg = ParticleMessage(
-                sender=nid,
-                iteration=k,
-                states=particle.state(positions[nid])[None, :],
-                weights=np.array([particle.weight]),
-            )
-            batch.broadcast(nid, msg)
-            sent.append(msg)
-        state.lost_sets = [
-            set(delivery.dropped.tolist()) | set(delivery.delayed.tolist())
-            for delivery in batch.flush()
-        ]
-        if not sent:
+        senders = [nid for nid in sorted(self.holders) if self.medium.is_available(nid)]
+        particles = [self.holders[nid] for nid in senders]
+        states = np.concatenate(
+            [
+                self.scenario.deployment.positions[senders],
+                np.array([p.velocity for p in particles]).reshape(-1, 2),
+            ],
+            axis=1,
+        )
+        weights = np.array([p.weight for p in particles], dtype=np.float64)
+        state.lost = broadcast_particles(
+            self.medium, senders, [1] * len(senders), states, weights, state.iteration,
+            direct=self._direct_handoff(),
+        )
+        if not senders:
             # the whole population became unavailable: the track is lost and
             # detection-driven creation must rebuild it
             self.holders = {}
             state.broadcast = None
             return
-        state.broadcast = (
-            np.vstack([m.states for m in sent]),
-            np.concatenate([m.weights for m in sent]),
-        )
+        state.broadcast = (states, weights)
 
     def _phase_correction(self, state: IterationState) -> None:
         """Steps 1b + 2: overheard total, record/divide/combine, normalize, drop."""
@@ -501,11 +582,9 @@ class CDPFTracker:
             return  # nothing was propagated; the estimate stays unavailable
         states, weights = state.broadcast
         #: None under direct handoff: every copy arrived, every node is up
-        lost_sets: list[set[int]] | None = state.lost_sets
+        lost: list[np.ndarray] | None = state.lost
         n_sent = weights.shape[0]
         k = state.iteration
-        positions = self.scenario.deployment.positions
-        index = self.scenario.deployment.index
         dt = self.scenario.dynamics.dt
         cfg = self.config
 
@@ -530,15 +609,6 @@ class CDPFTracker:
         self._estimate_iter = k - 1
 
         # --- steps 1b + 2: record, divide, combine; normalize; drop -------
-        #
-        # The recording decision and the division shares are functions of
-        # *shared* data only (sender state in the broadcast message, static
-        # node positions, anticipated availability), so — exactly as Theorem 2
-        # argues for contributions — every candidate computes the identical
-        # result.  The simulator exploits that consistency and evaluates each
-        # broadcast's recorder set once instead of once per receiver; the
-        # per-receiver equivalence is asserted by a dedicated test.
-        comm_radius = self.scenario.radio.comm_radius
         self._last_sender_positions = states[:, :2]
         self._last_predictions = states[:, :2] + states[:, 2:] * dt
         # In track mode every holder carries the same consensus velocity, and
@@ -568,88 +638,16 @@ class CDPFTracker:
                     predicted_area_radius=cfg.predicted_area_radius * cfg.area_scale_max,
                 )
                 self.stats.area_widenings += 1
-        # One spatial query + one batched recorder selection for the whole
-        # round instead of per-broadcast scalar calls.  In track mode every
-        # broadcast shares the consensus predicted area, so the candidate set
-        # is queried once; otherwise the per-sender areas are unioned and each
-        # broadcast keeps only its own in-area candidates (``query_disk``'s
-        # ``d2 <= r*r`` test replicated bitwise — the sqrt'd probability cut
-        # alone is NOT equivalent at the disk boundary).  The availability
-        # hook is evaluated once over the shared candidate set; hooks are
-        # pure functions of the ids (all in-repo hooks are).
-        sender_pos_all = states[:, :2]
-        sender_vel_all = states[:, 2:]
-        if consensus_pred is not None:
-            preds = np.broadcast_to(consensus_pred, (n_sent, 2))
-            cand = index.query_disk(consensus_pred, cfg.predicted_area_radius)
-            in_area_masks = None
-        else:
-            preds = sender_pos_all + sender_vel_all * dt
-            cand = index.query_disk_many(preds, cfg.predicted_area_radius)
-        if cand.size:
-            cand_pos = positions[cand]
-            if consensus_pred is None:
-                pdx = cand_pos[None, :, 0] - preds[:, 0:1]
-                pdy = cand_pos[None, :, 1] - preds[:, 1:2]
-                in_area_masks = pdx * pdx + pdy * pdy <= (
-                    cfg.predicted_area_radius * cfg.predicted_area_radius
-                )
-            sdx = cand_pos[None, :, 0] - sender_pos_all[:, 0:1]
-            sdy = cand_pos[None, :, 1] - sender_pos_all[:, 1:2]
-            keep_masks = np.sqrt(sdx * sdx + sdy * sdy) <= comm_radius
-            if in_area_masks is not None:
-                keep_masks &= in_area_masks
-            keep_masks &= self._available_mask(cand)[None, :]
-            for bi, lost in enumerate(lost_sets or ()):
-                if lost:
-                    # a candidate that lost this copy never heard the
-                    # particle: it cannot record a share of it
-                    keep_masks[bi] &= np.fromiter(
-                        (int(c) not in lost for c in cand), dtype=bool, count=cand.size
-                    )
-            selected = batch_propagate(
-                preds,
-                w_eff,
-                cand,
-                cand_pos,
-                area_radius=cfg.predicted_area_radius,
-                record_threshold=cfg.record_threshold,
-                max_recorders=cfg.max_recorders,
-                keep_masks=keep_masks,
-            )
-        else:
-            selected = []
-
         # Every recorded share of the round, in broadcast order, combined per
         # recorder by one grouped pass (§III-A: weights sum, velocities
         # average by share).
-        picked = [(bi, sel, sh) for bi, (sel, _, sh) in enumerate(selected) if sel.size]
-        combined: dict[int, HeldParticle] = {}
-        if picked:
-            rids = cand[np.concatenate([sel for _, sel, _ in picked])]
-            rec_shares = np.concatenate([sh for _, _, sh in picked])
-            sender_of = np.repeat(
-                [bi for bi, _, _ in picked], [sel.size for _, sel, _ in picked]
-            )
-            vels = batch_implied_velocities(
-                sender_pos_all[sender_of],
-                positions[rids],
-                sender_vel_all[sender_of],
-                dt,
-                cfg.velocity_mode,
-                cfg.velocity_alpha,
-                track_velocity=self._velocity_estimate,
-            )
-            if lost_sets is not None:
-                # anticipated recorders that are actually unavailable lose
-                # their share (weight leak — the §V-D uncertain-factor case)
-                up = np.fromiter(
-                    (self.medium.is_available(r) for r in rids.tolist()),
-                    dtype=bool,
-                    count=rids.size,
-                )
-                rids, rec_shares, vels = rids[up], rec_shares[up], vels[up]
-            combined = combine_shares_grouped(rids, rec_shares, vels)
+        rids, shares, velocities = record_shares(
+            self.scenario, self.medium, cfg, states, w_eff, [1] * n_sent, lost,
+            track_velocity=self._velocity_estimate,
+            shared_prediction=consensus_pred,
+            anticipate=self.anticipate_available,
+        )
+        combined = combine_shares_grouped(rids, shares, velocities)
 
         # Drop rule (the correction step's "resampling"): discard recorded
         # particles whose share is below drop_threshold times the largest
@@ -660,7 +658,7 @@ class CDPFTracker:
         # Relative-to-max pruning is scale-free in the weights, so it cannot
         # go extinct and the surviving holder count is set by geometry —
         # growing with deployment density exactly as §III-A describes.
-        any_lost = lost_sets is not None and any(lost_sets)
+        any_lost = lost is not None and any(lost_ids.size for lost_ids in lost)
         if not combined and any_lost:
             # Graceful degradation: the correction round lost quorum — every
             # share was lost to the channel.  Fall back to prior-weight
@@ -684,9 +682,9 @@ class CDPFTracker:
         # on a reliable medium this is exactly the shared total.
         lost_weight_at: dict[int, float] = {}
         if any_lost:
-            for bi, lost in enumerate(lost_sets):
+            for bi, lost_ids in enumerate(lost):
                 w_bi = float(w_eff[bi])
-                for r in lost:
+                for r in lost_ids.tolist():
                     lost_weight_at[r] = lost_weight_at.get(r, 0.0) + w_bi
 
         max_share = max((p.weight for p in combined.values()), default=0.0)

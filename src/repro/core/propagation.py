@@ -208,9 +208,10 @@ def select_recorders(
     if ids.size == 0:
         return ids, np.zeros(0)
     pred = np.asarray(predicted_position, dtype=np.float64)
-    ((sel, probs, _),) = batch_propagate(
+    sel, probs, _ = batch_propagate(
         pred[None, :],
         np.ones(1),
+        np.zeros(ids.size, dtype=np.intp),
         ids,
         pos,
         area_radius=config.predicted_area_radius,

@@ -19,8 +19,8 @@ Modules
     sums so single-group results match :func:`repro.core.contributions.
     estimated_contributions` to the last bit.
 :mod:`~repro.kernels.propagation`
-    Predict + recorder selection + weight division over a whole batch of
-    broadcasts against one shared candidate set.
+    Recorder selection + weight division over a whole propagation round,
+    as one list of (broadcast row, candidate) pairs.
 :mod:`~repro.kernels.likelihood`
     All detector measurements against all particle holders as one
     ``(holders, sensors)`` log-kernel matrix, plus the batched

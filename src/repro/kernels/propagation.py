@@ -1,23 +1,24 @@
-"""Batched recorder selection + weight division over many broadcasts.
+"""Batched recorder selection + weight division over a propagation round.
 
-One propagation round evaluates, for every broadcast particle, which
-candidate nodes record it (linear probability model over the predicted
-area), splits the particle's weight across those recorders, and assigns
-each recorded share a velocity.  The scalar path does this once per
-broadcast via ``core.propagation.select_recorders`` + ``division_shares``;
-this kernel evaluates the whole round against one shared candidate array.
+One propagation round evaluates, for every broadcast particle (a *row*),
+which candidate nodes record it (linear probability model over the
+predicted area), splits the particle's weight across those recorders, and
+assigns each recorded share a velocity.  The scalar path does this once per
+particle via ``core.propagation.select_recorders`` + ``division_shares``;
+this kernel evaluates the whole round as one flat list of (row, candidate)
+pairs, so each row only ever touches the candidates of its own area.
 
-Bit-identity contract (pinned by ``tests/kernels/test_propagation_kernel.py``
-and the golden differential suite):
+Bit-identity contract (pinned by ``tests/kernels/test_propagation_kernel.py``,
+``tests/fuzz/test_record_round.py`` and the golden differential suite):
 
-* distances use the scalar form ``sqrt((pos - pred) ** 2 summed over x, y)``
-  — elementwise ``dx * dx + dy * dy`` is bitwise identical to the per-row
-  ``np.sum(d ** 2, axis=1)`` it replaces;
+* distances use the scalar form ``sqrt(dx * dx + dy * dy)`` — bitwise the
+  per-row ``np.sum(d ** 2, axis=1)`` it replaces;
 * the top-k cut uses the same ``np.lexsort((ids, -p))`` tie-break, whose
-  selected *set* is independent of candidate order because ids are unique;
-* each broadcast's share normalizer ``p.sum()`` is taken over a fresh
-  contiguous id-sorted gather, reproducing the pairwise reduction of the
-  scalar ``division_shares`` call exactly.
+  selected *set* is independent of candidate order because a row's ids are
+  unique;
+* each row's share normalizer ``p.sum()`` is taken over a contiguous
+  id-sorted slice, reproducing the pairwise reduction of the scalar
+  ``division_shares`` call exactly.
 """
 
 from __future__ import annotations
@@ -30,86 +31,80 @@ __all__ = ["batch_propagate", "batch_implied_velocities"]
 def batch_propagate(
     predicted: np.ndarray,
     weights: np.ndarray,
+    rows: np.ndarray,
     candidate_ids: np.ndarray,
     candidate_positions: np.ndarray,
     *,
     area_radius: float,
     record_threshold: float,
     max_recorders: int | None = None,
-    keep_masks: np.ndarray | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Recorders and weight shares for a batch of broadcast particles.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recorders and weight shares for a round of broadcast particles.
 
     Parameters
     ----------
     predicted:
-        ``(B, 2)`` predicted positions, one per broadcast particle.
+        ``(B, 2)`` predicted positions, one per row (broadcast particle).
     weights:
         ``(B,)`` particle weights to divide.
-    candidate_ids / candidate_positions:
-        ``(C,)`` ids and ``(C, 2)`` positions of the shared candidate set
-        (e.g. the predicted area's spatial-query result).
+    rows / candidate_ids / candidate_positions:
+        The ``(P,)`` pair list: pair ``i`` offers candidate
+        ``candidate_ids[i]``, at ``candidate_positions[i]`` (``(P, 2)``), to
+        row ``rows[i]``.  A row's candidate ids must be distinct; pairs may
+        come in any order.  Filters (range, availability, lost copies) are
+        applied by dropping pairs.
     area_radius / record_threshold / max_recorders:
         The ``PropagationConfig`` geometry knobs.
-    keep_masks:
-        Optional ``(B, C)`` bool eligibility (range / availability / lost-copy
-        filters composed by the caller); ``None`` keeps every candidate.
 
-    Returns a list of ``B`` tuples ``(sel, probs, shares)``: ``sel`` indexes
-    the candidate arrays in ascending-id order, ``probs`` are the linear
-    probabilities and ``shares`` the divided weights of those recorders.
-    A broadcast with no recorders yields three empty arrays.
+    Returns ``(sel, probs, shares)``: ``sel`` indexes the pair arrays — the
+    recorded pairs, by ascending row and, within a row, by ascending id —
+    ``probs`` are their linear probabilities and ``shares`` the divided
+    weights.  A row with no recorders has no pairs in ``sel``.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
     ids = np.asarray(candidate_ids, dtype=np.intp)
-    pos = np.asarray(candidate_positions, dtype=np.float64)
-    n_b = predicted.shape[0]
-    empty = (
-        np.zeros(0, dtype=np.intp),
-        np.zeros(0, dtype=np.float64),
-        np.zeros(0, dtype=np.float64),
-    )
-    if ids.size == 0:
-        return [empty] * n_b
+    pos = np.asarray(candidate_positions, dtype=np.float64).reshape(-1, 2)
 
-    # pre-sort candidates by id once: the per-broadcast selections below
-    # then come out id-ascending for free.  Bitwise neutral: probabilities
-    # are elementwise per candidate, and the id-sorted prob sequence each
-    # broadcast normalizes over is identical either way.
-    id_order = np.argsort(ids)
-    ids_s = ids[id_order]
-    pos_s = pos[id_order]
+    pred = predicted[rows]
+    dx = pos[:, 0] - pred[:, 0]
+    dy = pos[:, 1] - pred[:, 1]
+    p = np.maximum(0.0, 1.0 - np.sqrt(dx * dx + dy * dy) / area_radius)
+    sel = np.flatnonzero(p > max(record_threshold, 0.0))
+    if sel.size == 0:
+        return sel, np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.float64)
+    # one sort lays every row out as a contiguous id-sorted slice
+    sel = sel[np.lexsort((ids[sel], rows[sel]))]
+    sel_rows = rows[sel]
+    probs = p[sel]
+    bounds = _row_bounds(sel_rows)
 
-    dx = pos_s[None, :, 0] - predicted[:, 0:1]
-    dy = pos_s[None, :, 1] - predicted[:, 1:2]
-    d = np.sqrt(dx * dx + dy * dy)
-    p = np.maximum(0.0, 1.0 - d / area_radius)
-    keep = p > max(record_threshold, 0.0)
-    if keep_masks is not None:
-        keep &= np.asarray(keep_masks)[:, id_order]
+    if max_recorders is not None:
+        keep = np.ones(sel.size, dtype=bool)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b - a > max_recorders:
+                # top-k by probability, ties broken by id — the selected set
+                # is independent of candidate order because (p, id) keys are
+                # unique
+                top = np.lexsort((ids[sel[a:b]], -probs[a:b]))[:max_recorders]
+                keep[a:b] = False
+                keep[a + top] = True  # the slice stays id-sorted
+        if not keep.all():
+            sel, sel_rows, probs = sel[keep], sel_rows[keep], probs[keep]
+            bounds = _row_bounds(sel_rows)
 
-    # one global nonzero pass replaces B flatnonzero calls; rows come out
-    # sorted, so each broadcast's selection is a contiguous slice of cols
-    cols = np.nonzero(keep)[1]
-    bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    # per-row normalizers over contiguous slices; the division itself is
+    # elementwise, so one flat pass reproduces ``w * (p / p.sum())``
+    sums = np.array([probs[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    shares = weights[sel_rows] * (probs / np.repeat(sums, np.diff(bounds)))
+    return sel, probs, shares
 
-    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for b in range(n_b):
-        sel = cols[bounds[b] : bounds[b + 1]]
-        if sel.size == 0:
-            out.append(empty)
-            continue
-        probs = p[b, sel]
-        if max_recorders is not None and sel.size > max_recorders:
-            # top-k by probability, ties broken by id — the selected set is
-            # independent of candidate order because (p, id) keys are unique
-            order = np.lexsort((ids_s[sel], -probs))[:max_recorders]
-            order.sort()  # back to ascending ids (sel is id-sorted already)
-            sel, probs = sel[order], probs[order]
-        shares = weights[b] * (probs / probs.sum())
-        out.append((id_order[sel], probs, shares))
-    return out
+
+def _row_bounds(sorted_rows: np.ndarray) -> list[int]:
+    """Start of every run of equal rows, plus the end (non-empty input)."""
+    change = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+    return [0, *change.tolist(), sorted_rows.size]
 
 
 def batch_implied_velocities(

@@ -126,22 +126,27 @@ class GridIndex:
         d2 = np.sum((self.positions[cand] - center) ** 2, axis=1)
         return cand[d2 <= radius * radius]
 
-    def query_disk_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Union of ``query_disk`` over several centers, deduplicated and sorted.
+    def query_disk_pairs(
+        self, centers: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(center, point)`` pair of ``query_disk`` over several centers.
 
-        Candidate cells are still walked per center (a handful of slices
-        each), but the distance filter and the dedup run as ONE flat pass
-        over all (center, candidate) pairs instead of B separate kernels.
-        The squared-distance expression matches :meth:`query_disk` exactly,
-        so the union is bit-for-bit the same membership.
+        Returns ``(center_index, point_id)`` arrays, grouped by ascending
+        center; within a center the points come in grid-cell order, the
+        order :meth:`query_disk` returns them in.  Candidate cells are
+        walked per center (a handful of slices each), and the distance
+        filter runs as ONE flat pass over all pairs.  The squared-distance
+        expression matches :meth:`query_disk` exactly, so each center's
+        members are bit-for-bit the same.
         """
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         centers = np.asarray(centers, dtype=np.float64)
+        empty = np.zeros(0, dtype=np.intp)
         if centers.size == 0:
             # before atleast_2d: a 1-D empty array would become shape (1, 0)
             # and crash the per-center candidate walk with a malformed center
-            return np.zeros(0, dtype=np.intp)
+            return empty, empty
         centers = np.atleast_2d(centers)
         r = np.array([radius, radius])
         cand_chunks: list[np.ndarray] = []
@@ -152,11 +157,17 @@ class GridIndex:
                 cand_chunks.append(cand)
                 ctr_chunks.append(np.full(cand.size, i, dtype=np.intp))
         if not cand_chunks:
-            return np.zeros(0, dtype=np.intp)
+            return empty, empty
         flat = np.concatenate(cand_chunks)
-        diff = self.positions[flat] - centers[np.concatenate(ctr_chunks)]
-        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
-        return np.unique(flat[d2 <= radius * radius])
+        ctr = np.concatenate(ctr_chunks)
+        diff = self.positions[flat] - centers[ctr]
+        inside = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= radius * radius
+        return ctr[inside], flat[inside]
+
+    def query_disk_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Union of ``query_disk`` over several centers, deduplicated and sorted:
+        the distinct points of :meth:`query_disk_pairs`."""
+        return np.unique(self.query_disk_pairs(centers, radius)[1])
 
     def count_in_disks(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Per center, the number of points :meth:`query_disk` would return.

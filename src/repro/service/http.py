@@ -99,10 +99,11 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
+        # ASCII digits only (RFC 9110): int() would also take a sign,
+        # underscores and non-ASCII digits
+        if not (length.isascii() and length.isdigit()):
             raise HttpError(400, f"bad Content-Length {length!r}")
+        n = int(length)
         if n > _MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         if n:
@@ -174,13 +175,22 @@ async def ws_send_close(writer: asyncio.StreamWriter, code: int = 1000) -> None:
     await writer.drain()
 
 
+async def _ws_close_quietly(writer: asyncio.StreamWriter, code: int = 1000) -> None:
+    try:
+        await ws_send_close(writer, code)
+    except (ConnectionError, RuntimeError):
+        pass
+
+
 async def ws_recv(
     reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> str | None:
-    """Next text payload from the client; None once the peer closes.
+    """Next text payload from the client; None once the connection closes.
 
     Control frames are handled inline: ping is answered with pong, close
-    with a close echo.  Client frames must be masked per the RFC.
+    with a close echo.  Client frames must be masked per the RFC: an
+    unmasked frame is answered with close code 1002 (protocol error), and a
+    text message that is not valid UTF-8 with 1007 (invalid payload).
     """
     buffer = b""
     while True:
@@ -190,24 +200,22 @@ async def ws_recv(
             return None
         fin = bool(head[0] & 0x80)
         opcode = head[0] & 0x0F
-        masked = bool(head[1] & 0x80)
         n = head[1] & 0x7F
+        if not head[1] & 0x80:
+            await _ws_close_quietly(writer, 1002)
+            return None
         try:
             if n == 126:
                 n = struct.unpack(">H", await reader.readexactly(2))[0]
             elif n == 127:
                 n = struct.unpack(">Q", await reader.readexactly(8))[0]
-            mask = await reader.readexactly(4) if masked else b""
+            mask = await reader.readexactly(4)
             payload = await reader.readexactly(n) if n else b""
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        if masked:
-            payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
         if opcode == 0x8:  # close
-            try:
-                await ws_send_close(writer)
-            except (ConnectionError, RuntimeError):
-                pass
+            await _ws_close_quietly(writer)
             return None
         if opcode == 0x9:  # ping -> pong
             writer.write(_ws_frame(0xA, payload))
@@ -218,5 +226,8 @@ async def ws_recv(
         buffer += payload
         if not fin:
             continue
-        text, buffer = buffer, b""
-        return text.decode("utf-8")
+        try:
+            return buffer.decode("utf-8")
+        except UnicodeDecodeError:
+            await _ws_close_quietly(writer, 1007)
+            return None

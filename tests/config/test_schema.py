@@ -12,6 +12,7 @@ from repro.config import (
     SensingConfig,
     TrackerConfig,
     TrajectoryConfig,
+    loads_config,
 )
 from repro.network.faults import LossBurst
 from repro.network.links import (
@@ -30,6 +31,13 @@ class TestValidationNamesTheField:
     def test_bad_density(self):
         with pytest.raises(ConfigError, match="deployment.density_per_100m2"):
             DeploymentConfig(kind="uniform", density_per_100m2=0.0)
+
+    @pytest.mark.parametrize("name", ["width", "density_per_100m2"])
+    def test_non_finite_rejected(self, name):
+        """``inf`` used to pass validation and crash compile_config with an
+        OverflowError; it is now a ConfigError naming the field."""
+        with pytest.raises(ConfigError, match=f"deployment.{name}.*finite"):
+            loads_config(f"[deployment]\n{name} = inf\n")
 
     def test_bad_grid_side(self):
         with pytest.raises(ConfigError, match="deployment.n_per_side"):

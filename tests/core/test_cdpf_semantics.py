@@ -304,3 +304,55 @@ class TestShareMeasurements:
             [(0, v[0]), (1, v[1]), (2, v[2])],
             [(0, v[0]), (1, v[1]), (2, v[2])],  # on the boundary of node 0
         ]
+
+
+class TestBroadcastParticles:
+    """The propagation round CDPF and SDPF share: the direct handoff must
+    charge exactly what one message per sender costs on the wire."""
+
+    # sender 0 has one row, sender 1 has eight, sender 3 is out of range of
+    # every other node
+    SENDERS = [0, 1, 3]
+    COUNTS = [1, 8, 1]
+
+    @classmethod
+    def _round(cls, *, direct):
+        from repro.core.cdpf import broadcast_particles
+        from repro.network.medium import Medium
+        from repro.network.messages import DataSizes
+        from repro.network.radio import RadioModel
+
+        positions = np.array([[0.0, 0.0], [5.0, 0.0], [8.0, 0.0], [50.0, 50.0]])
+        medium = Medium(positions, RadioModel(comm_radius=10.0), DataSizes(header=8))
+        assert medium.delivers_all
+        rows = sum(cls.COUNTS)
+        states = np.column_stack(
+            [np.repeat(positions[cls.SENDERS], cls.COUNTS, axis=0), np.ones((rows, 2))]
+        )
+        weights = np.linspace(0.1, 1.0, rows)
+        with medium.phase("propagation"):
+            lost = broadcast_particles(
+                medium, cls.SENDERS, cls.COUNTS, states, weights, 4, direct=direct
+            )
+        return lost, medium, states, weights
+
+    def test_direct_handoff_charges_what_messages_cost(self):
+        lost, direct, _, _ = self._round(direct=True)
+        assert lost is None
+        _, sent, _, _ = self._round(direct=False)
+        for medium in (direct, sent):
+            acc = medium.accounting
+            # one header per sender, (D_p + D_w) per row
+            row = [8 * 3 + (16 + 4) * 10, 3]
+            assert acc.by_phase_key == {(4, "propagation", "propagation"): row}
+            assert [acc.total_bytes, acc.total_messages] == row
+
+    def test_message_path_delivers_each_senders_rows(self):
+        lost, medium, states, weights = self._round(direct=False)
+        assert [ids.tolist() for ids in lost] == [[], [], []]  # a reliable medium
+        inbox = {r: medium.collect(r) for r in range(4)}
+        assert [(m.sender, m.n_particles) for m in inbox[2]] == [(0, 1), (1, 8)]
+        assert inbox[3] == []
+        (from_1,) = [m for m in inbox[0] if m.sender == 1]
+        assert np.array_equal(from_1.states, states[1:9])
+        assert np.array_equal(from_1.weights, weights[1:9])

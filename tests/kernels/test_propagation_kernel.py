@@ -41,6 +41,28 @@ def _world(rng, n_candidates=60):
     return np.asarray(ids, dtype=np.intp), pos
 
 
+def _all_pairs(n_rows, n_candidates):
+    """Every (row, candidate index) pair, row-major."""
+    return (
+        np.repeat(np.arange(n_rows), n_candidates),
+        np.tile(np.arange(n_candidates), n_rows),
+    )
+
+
+def _per_row(out, rows, cand, n_rows):
+    """Split the kernel's flat result into per-row ``(candidate indices,
+    probs, shares)``, checking the flat layout on the way: rows ascending,
+    ids ascending within a row."""
+    sel, probs, shares = out
+    assert sel.shape == probs.shape == shares.shape
+    assert (np.diff(rows[sel]) >= 0).all()
+    result = []
+    for b in range(n_rows):
+        in_row = rows[sel] == b
+        result.append((cand[sel[in_row]], probs[in_row], shares[in_row]))
+    return result
+
+
 class TestBatchPropagate:
     @pytest.mark.parametrize("record_threshold", [0.0, 0.5])
     @pytest.mark.parametrize("max_recorders", [None, 4])
@@ -49,13 +71,13 @@ class TestBatchPropagate:
         ids, pos = _world(rng)
         predicted = rng.uniform(20.0, 80.0, size=(12, 2))
         weights = rng.uniform(0.1, 2.0, size=12)
+        rows, cand = _all_pairs(12, ids.size)
         out = batch_propagate(
-            predicted, weights, ids, pos,
+            predicted, weights, rows, ids[cand], pos[cand],
             area_radius=15.0, record_threshold=record_threshold,
             max_recorders=max_recorders,
         )
-        assert len(out) == 12
-        for b, (sel, probs, shares) in enumerate(out):
+        for b, (sel, probs, shares) in enumerate(_per_row(out, rows, cand, 12)):
             e_sel, e_probs, e_shares = _scalar_reference(
                 predicted[b], weights[b], ids, pos,
                 area_radius=15.0, record_threshold=record_threshold,
@@ -68,22 +90,29 @@ class TestBatchPropagate:
     def test_matches_select_recorders(self):
         """The public scalar wrappers and the kernel agree id-for-id: one
         ``select_recorders`` + ``division_shares`` per broadcast, the
-        per-particle loop of the propagation phase before the kernel."""
+        per-particle loop of the propagation phase before the kernel.
+        Each row sees its own ragged candidate subset."""
         rng = np.random.default_rng(9)
         ids, pos = _world(rng, 40)
         predicted = np.vstack([[50.0, 50.0], rng.uniform(30.0, 70.0, size=(15, 2))])
-        weights = rng.uniform(0.1, 2.0, size=predicted.shape[0])
+        n_rows = predicted.shape[0]
+        weights = rng.uniform(0.1, 2.0, size=n_rows)
+        rows, cand = _all_pairs(n_rows, ids.size)
+        offered = rng.random(rows.size) < 0.8
+        rows, cand = rows[offered], cand[offered]
         for radius, threshold, cap in ((18.0, 0.3, 6), (15.0, 0.3, 12)):
             config = PropagationConfig(
                 predicted_area_radius=radius, record_threshold=threshold,
                 max_recorders=cap,
             )
             out = batch_propagate(
-                predicted, weights, ids, pos,
+                predicted, weights, rows, ids[cand], pos[cand],
                 area_radius=radius, record_threshold=threshold, max_recorders=cap,
             )
-            for b, (sel, k_probs, k_shares) in enumerate(out):
-                rec_ids, probs = select_recorders(ids, pos, predicted[b], config)
+            per_row = _per_row(out, rows, cand, n_rows)
+            for b, (sel, k_probs, k_shares) in enumerate(per_row):
+                mine = cand[rows == b]
+                rec_ids, probs = select_recorders(ids[mine], pos[mine], predicted[b], config)
                 assert np.array_equal(ids[sel], rec_ids), (radius, b)
                 assert np.array_equal(k_probs, probs), (radius, b)
                 if rec_ids.size:
@@ -92,32 +121,39 @@ class TestBatchPropagate:
                     ), (radius, b)
 
     def test_candidate_order_invariance(self):
-        """Shuffling the candidate array changes indices, not the id->share map."""
+        """Shuffling the pair list changes indices, not the (row, id) -> share map."""
         rng = np.random.default_rng(10)
         ids, pos = _world(rng, 50)
-        pred = np.array([[45.0, 55.0]])
-        w = np.array([1.3])
+        predicted = np.array([[45.0, 55.0], [52.0, 48.0], [40.0, 60.0]])
+        w = np.array([1.3, 0.4, 2.2])
         kwargs = dict(area_radius=20.0, record_threshold=0.2, max_recorders=5)
-        ((sel_a, _, shares_a),) = batch_propagate(pred, w, ids, pos, **kwargs)
-        perm = rng.permutation(ids.size)
-        ((sel_b, _, shares_b),) = batch_propagate(
-            pred, w, ids[perm], pos[perm], **kwargs
-        )
-        assert dict(zip(ids[sel_a].tolist(), shares_a.tolist())) == dict(
-            zip(ids[perm][sel_b].tolist(), shares_b.tolist())
-        )
+        rows, cand = _all_pairs(3, ids.size)
+
+        def share_map(rows, cand):
+            sel, _, shares = batch_propagate(
+                predicted, w, rows, ids[cand], pos[cand], **kwargs
+            )
+            return list(zip(rows[sel].tolist(), ids[cand][sel].tolist(), shares.tolist()))
+
+        perm = rng.permutation(rows.size)
+        assert share_map(rows, cand) == share_map(rows[perm], cand[perm])
 
     def test_keep_masks_compose(self):
+        """A filter composes by dropping pairs: the kernel on the kept pairs
+        equals the scalar path with the filter as a mask."""
         rng = np.random.default_rng(12)
         ids, pos = _world(rng, 30)
         predicted = rng.uniform(30.0, 70.0, size=(5, 2))
         weights = np.ones(5)
         keep = rng.random((5, 30)) < 0.6
+        rows, cand = _all_pairs(5, 30)
+        kept = keep.ravel()
+        rows, cand = rows[kept], cand[kept]
         out = batch_propagate(
-            predicted, weights, ids, pos,
-            area_radius=25.0, record_threshold=0.1, keep_masks=keep,
+            predicted, weights, rows, ids[cand], pos[cand],
+            area_radius=25.0, record_threshold=0.1,
         )
-        for b, (sel, probs, shares) in enumerate(out):
+        for b, (sel, probs, shares) in enumerate(_per_row(out, rows, cand, 5)):
             e_sel, e_probs, e_shares = _scalar_reference(
                 predicted[b], weights[b], ids, pos,
                 area_radius=25.0, record_threshold=0.1, keep=keep[b],
@@ -128,20 +164,19 @@ class TestBatchPropagate:
             assert keep[b][sel].all()
 
     def test_empty_candidates(self):
-        out = batch_propagate(
-            np.zeros((3, 2)), np.ones(3), np.zeros(0, dtype=np.intp),
+        empty = np.zeros(0, dtype=np.intp)
+        sel, probs, shares = batch_propagate(
+            np.zeros((3, 2)), np.ones(3), empty, empty,
             np.zeros((0, 2)), area_radius=10.0, record_threshold=0.5,
         )
-        assert len(out) == 3
-        for sel, probs, shares in out:
-            assert sel.size == probs.size == shares.size == 0
+        assert sel.size == probs.size == shares.size == 0
 
     def test_no_recorders_in_range(self):
         """Candidates exist but all fall outside the predicted area."""
         ids = np.arange(4, dtype=np.intp)
         pos = np.full((4, 2), 500.0)
-        ((sel, probs, shares),) = batch_propagate(
-            np.zeros((1, 2)), np.ones(1), ids, pos,
+        sel, probs, shares = batch_propagate(
+            np.zeros((1, 2)), np.ones(1), np.zeros(4, dtype=np.intp), ids, pos,
             area_radius=10.0, record_threshold=0.5,
         )
         assert sel.size == 0 and probs.size == 0 and shares.size == 0
@@ -151,10 +186,12 @@ class TestBatchPropagate:
         ids, pos = _world(rng, 45)
         predicted = rng.uniform(25.0, 75.0, size=(8, 2))
         weights = rng.uniform(0.5, 3.0, size=8)
+        rows, cand = _all_pairs(8, ids.size)
         out = batch_propagate(
-            predicted, weights, ids, pos, area_radius=22.0, record_threshold=0.1
+            predicted, weights, rows, ids[cand], pos[cand],
+            area_radius=22.0, record_threshold=0.1,
         )
-        for b, (sel, probs, shares) in enumerate(out):
+        for b, (sel, probs, shares) in enumerate(_per_row(out, rows, cand, 8)):
             if sel.size == 0:
                 continue
             assert np.isclose(shares.sum(), weights[b], rtol=1e-12)

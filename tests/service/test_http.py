@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import run_config, run_fingerprint
 from repro.service import ServiceConfig, TrackingService
-from repro.service.http import websocket_accept
+from repro.service.http import websocket_accept, ws_recv
 
 from .conftest import small_config
 
@@ -271,3 +271,72 @@ class TestWebSocketStream:
 
         raw = run(with_service(ServiceConfig(n_workers=1), body))
         assert b"404" in raw.split(b"\r\n", 1)[0]
+
+
+class TestMalformedInput:
+    """Untrusted bytes get a structured answer, never a dropped or hung
+    connection."""
+
+    def test_bad_content_length_is_400(self):
+        async def body(service):
+            h, p = service.host, service.port
+            replies = []
+            # a negative length, then an underscore and a sign (int() takes both)
+            for length in ("-5", "1_0", "+5"):
+                reader, writer = await asyncio.open_connection(h, p)
+                writer.write(
+                    f"POST /sessions HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                replies.append(await asyncio.wait_for(reader.read(), 10))
+                writer.close()
+            return replies, await request(h, p, "GET", "/healthz")
+
+        replies, (status, health) = run(with_service(ServiceConfig(n_workers=1), body))
+        for raw in replies:
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400", raw
+            assert "Content-Length" in json.loads(payload)["error"]
+        assert status == 200 and health["status"] == "ok"
+
+    class _Sink:
+        """The writer half ws_recv answers on."""
+
+        def __init__(self):
+            self.data = b""
+
+        def write(self, data):
+            self.data += data
+
+        async def drain(self):
+            pass
+
+    def _recv(self, frame):
+        async def body():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame)
+            reader.feed_eof()
+            sink = self._Sink()
+            return await ws_recv(reader, sink), sink.data
+
+        return run(body())
+
+    @staticmethod
+    def _masked_text(payload):
+        mask = b"\x11\x22\x33\x44"
+        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        return bytes([0x81, 0x80 | len(payload)]) + mask + masked
+
+    def test_masked_text_frame_decodes(self):
+        assert self._recv(self._masked_text("héllo".encode())) == ("héllo", b"")
+
+    def test_invalid_utf8_closes_1007(self):
+        got, sent = self._recv(self._masked_text(b"ok\xff\xfe"))
+        assert got is None
+        assert sent == bytes([0x88, 2]) + struct.pack(">H", 1007)
+
+    def test_unmasked_frame_closes_1002(self):
+        got, sent = self._recv(bytes([0x81, 5]) + b"hello")
+        assert got is None
+        assert sent == bytes([0x88, 2]) + struct.pack(">H", 1002)
