@@ -7,7 +7,10 @@ communication cost is exactly Table I's convergecast term
 
     sum_i D_m * H_i   (one D_m-sized message per hop per detector)
 
-which the medium's ledger records hop by hop.
+which the medium's ledger records per round.  Each round's new routes come
+from one batched greedy pass (:func:`~repro.network.routing.greedy_paths`);
+on a medium that delivers every copy the round is charged as one aggregated
+ledger row instead of walking each path hop by hop.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from ..filters.sir import Observation, SIRFilter
 from ..kernels.likelihood import fused_bearing
 from ..models.measurement import BearingMeasurement
 from ..network.messages import MeasurementMessage
-from ..network.routing import RoutingError, greedy_path
+from ..network.routing import greedy_paths
 from ..runtime import IterationState, Phase, PhasePipeline, TrackerStats
 from ..scenario import Scenario, StepContext
 
@@ -103,19 +106,17 @@ class CPFTracker:
 
     # ------------------------------------------------------------------
 
-    def _route(self, source: int) -> list[int]:
-        path = self._path_cache.get(source)
-        if path is None:
-            exclude = self._reliable.blacklist if self._reliable is not None else None
-            path = greedy_path(
-                self.scenario.deployment.index,
-                source,
-                self.sink,
-                self.scenario.radio,
-                exclude=exclude,
-            )
-            self._path_cache[source] = path
-        return path
+    def _route_new(self, sources) -> dict[int, list[int] | None]:
+        """Routes for the uncached ``sources``, from one batched greedy pass
+        around the ARQ layer's current blacklist; None marks an unroutable
+        (disconnected) detector.  Nothing is cached here."""
+        fresh = [s for s in sources if s not in self._path_cache]
+        exclude = self._reliable.blacklist if self._reliable is not None else None
+        paths = greedy_paths(
+            self.scenario.deployment.index, fresh, self.sink, self.scenario.radio,
+            exclude=exclude,
+        )
+        return dict(zip(fresh, paths))
 
     def _arq(self):
         if self._reliable is None:
@@ -144,55 +145,11 @@ class CPFTracker:
         """
         ctx = state.ctx
         positions = self.scenario.deployment.positions
-        arrived: dict[int, bool] = {}
+        sent = [(nid, z) for nid, z in state.readings if nid != self.sink]
         if self.medium.is_unreliable:
-            # lossy channel: convergecast runs over the bounded ack/retransmit
-            # layer (hop-by-hop ARQ + route repair), every attempt charged to
-            # the ledger.  Routes resolve lazily inside send_many so each
-            # packet's route repair (blacklist growth) feeds the next route.
-            requests = [
-                (
-                    lambda nid=nid: self._try_route(nid),
-                    MeasurementMessage(sender=nid, iteration=ctx.iteration, value=z),
-                )
-                for nid, z in state.readings
-                if nid != self.sink
-            ]
-            results = self._arq().send_many(requests, ctx.iteration)
-            senders = [nid for nid, _z in state.readings if nid != self.sink]
-            for nid, delivery in zip(senders, results):
-                if delivery is None:
-                    continue  # disconnected detector: measurement lost
-                if delivery.receivers.size == 0:
-                    # timed out (or parked for next iteration): the sink
-                    # never fuses it this iteration; drop the cached path so
-                    # the next report re-routes around whatever died
-                    self._path_cache.pop(nid, None)
-                    arrived[nid] = False
-                else:
-                    arrived[nid] = True
+            arrived = self._send_arq(sent, ctx.iteration)
         else:
-            # reliable channel: every detector's path rides one batch flush.
-            # An asleep node anywhere on the transmitting prefix makes the
-            # path raise in the scalar walk; pre-filter those so one sleeping
-            # relay loses only its own packet, not the round.
-            batch = self.medium.transmission_batch(ctx.iteration)
-            entry_of: dict[int, int] = {}
-            for nid, z in state.readings:
-                if nid == self.sink:
-                    continue
-                path = self._try_route(nid)
-                if path is None:  # disconnected detector: measurement lost
-                    continue
-                if any(self.medium.is_asleep(n) for n in path[:-1]):
-                    continue  # a sleeping relay refuses to forward: lost
-                msg = MeasurementMessage(sender=nid, iteration=ctx.iteration, value=z)
-                entry_of[nid] = batch.unicast_path(path, msg)
-            flushed = batch.flush()
-            # a crashed relay silently eating the packet is the only loss
-            arrived = {
-                nid: not flushed[idx].dropped.size for nid, idx in entry_of.items()
-            }
+            arrived = self._send_lossless(sent, ctx.iteration)
         # fuse in sorted-reading order (the circular mean in _fuse is order-
         # sensitive, so successful reports keep their pre-batch positions)
         observations: list[Observation] = []
@@ -210,11 +167,114 @@ class CPFTracker:
         self.medium.clear_inboxes()
         state.observations = self._fuse(observations)
 
-    def _try_route(self, source: int) -> list[int] | None:
-        try:
-            return self._route(source)
-        except RoutingError:
-            return None
+    def _send_arq(self, sent: list[tuple[int, float]], iteration: int) -> dict[int, bool]:
+        """Lossy channel: the convergecast runs over the bounded ack/retransmit
+        layer (hop-by-hop ARQ + route repair), every attempt charged to the
+        ledger.
+
+        Routes resolve as each packet is sent, so one packet's route repair
+        (blacklist growth) feeds the next packet's route.  The round's new
+        routes are built up front in one batched pass, and one built before
+        the blacklist grew is rebuilt alone at its turn when that growth can
+        have changed it: when a node it forwards to is now blacklisted, or
+        when it found no route.  Blacklisting a node that is not a relay's
+        chosen next hop leaves that relay's choice unchanged, so every route
+        is the one a per-packet resolution would build.
+        """
+        arq = self._arq()
+        fresh = self._route_new(nid for nid, _z in sent)
+        routed_with = len(arq.blacklist)
+
+        def route(nid: int) -> list[int] | None:
+            if nid not in fresh:
+                return self._path_cache[nid]
+            path = fresh[nid]
+            if len(arq.blacklist) != routed_with and (
+                path is None or any(n in arq.blacklist for n in path[1:])
+            ):
+                path = greedy_paths(
+                    self.scenario.deployment.index, [nid], self.sink, self.scenario.radio,
+                    exclude=arq.blacklist,
+                )[0]
+            if path is not None:
+                self._path_cache[nid] = path
+            return path
+
+        requests = [
+            (
+                lambda nid=nid: route(nid),
+                MeasurementMessage(sender=nid, iteration=iteration, value=z),
+            )
+            for nid, z in sent
+        ]
+        arrived: dict[int, bool] = {}
+        for (nid, _z), delivery in zip(sent, arq.send_many(requests, iteration)):
+            if delivery is None:
+                continue  # disconnected detector: measurement lost
+            if delivery.receivers.size == 0:
+                # timed out (or parked for next iteration): the sink never
+                # fuses it this iteration; drop the cached path so the next
+                # report re-routes around whatever died
+                self._path_cache.pop(nid, None)
+                arrived[nid] = False
+            else:
+                arrived[nid] = True
+        return arrived
+
+    def _send_lossless(self, sent: list[tuple[int, float]], iteration: int) -> dict[int, bool]:
+        """Lossless channel: every routed detector's packet walks its path.
+
+        A packet is lost, neither sent nor charged nor fused, when its
+        detector is unroutable, when a hop of its route fails the medium's
+        range test on the physical positions (routes come from the believed
+        deployment, which mobility leaves behind), or when a relay on the
+        transmitting prefix sleeps.  When the medium delivers every copy the
+        round is handed over directly: one aggregated ledger row of
+        ``sum(hops) * (header + D_m)``, what the per-hop messages cost.
+        Otherwise the paths ride one :class:`TransmissionBatch` flush, where
+        a crashed relay silently eating the packet is the only loss.
+        """
+        for nid, path in self._route_new(nid for nid, _z in sent).items():
+            if path is not None:
+                self._path_cache[nid] = path
+        routed = [(nid, z, self._path_cache[nid]) for nid, z in sent if nid in self._path_cache]
+        if routed:
+            reach = self._hops_in_range([path for _nid, _z, path in routed])
+            routed = [entry for entry, ok in zip(routed, reach.tolist()) if ok]
+        if self.medium.delivers_all:
+            for _nid, z, _path in routed:
+                if not np.isfinite(z):  # what MeasurementMessage rejects
+                    raise ValueError(f"measurement must be finite, got {z}")
+            hops = sum(len(path) - 1 for _nid, _z, path in routed)
+            if hops:
+                sizes = self.medium.sizes
+                self.medium.accounting.record(
+                    iteration,
+                    MeasurementMessage.category,
+                    (sizes.header + sizes.measurement) * hops,
+                    hops,
+                )
+            return {nid: True for nid, _z, _path in routed}
+        batch = self.medium.transmission_batch(iteration)
+        entry_of: dict[int, int] = {}
+        for nid, z, path in routed:
+            if any(self.medium.is_asleep(n) for n in path[:-1]):
+                continue  # a sleeping relay refuses to forward: lost
+            msg = MeasurementMessage(sender=nid, iteration=iteration, value=z)
+            entry_of[nid] = batch.unicast_path(path, msg)
+        flushed = batch.flush()
+        return {nid: not flushed[idx].dropped.size for nid, idx in entry_of.items()}
+
+    def _hops_in_range(self, paths: list[list[int]]) -> np.ndarray:
+        """Per path, whether every hop passes the medium's range test on its
+        physical positions, in one array pass over all hops."""
+        positions = self.medium.positions
+        ok = self.medium.radio.in_range_many(
+            positions[[a for path in paths for a in path[:-1]]],
+            positions[[b for path in paths for b in path[1:]]],
+        )
+        owner = np.repeat(np.arange(len(paths)), [len(path) - 1 for path in paths])
+        return np.bincount(owner[~ok], minlength=len(paths)) == 0
 
     def _fuse(self, observations: list[Observation]) -> list[Observation]:
         """Collapse origin-referenced bearings into their sufficient statistic."""

@@ -28,7 +28,7 @@ from ..kernels.likelihood import dequantize_bearings, quantize_bearings
 from ..models.constant_velocity import ConstantVelocityModel
 from ..models.measurement import BearingMeasurement
 from ..network.messages import FilterStateMessage, QuantizedMeasurementMessage
-from ..network.routing import RoutingError, greedy_path
+from ..network.routing import RoutingError, greedy_path, greedy_paths
 from ..runtime import IterationState, Phase, PhasePipeline, TrackerStats
 from ..scenario import Scenario, StepContext
 
@@ -193,12 +193,16 @@ class DPFTracker:
         positions = self.scenario.deployment.positions
         observations: list[Observation] = []
         det_sorted = sorted(int(d) for d in detectors)
-        # quantizer round-trip batched over the whole detector set; the
-        # per-detector routing below keeps its scalar loop (path-dependent)
+        # quantizer round-trip batched over the whole detector set
         codes = quantize_bearings(
             np.array([float(ctx.measurements[n]) for n in det_sorted]), self.bits
         )
         zs = dequantize_bearings(codes, self.bits)
+        # every detector's route from one batched greedy pass (routes read
+        # only the static deployment); the sends stay per packet
+        paths = greedy_paths(
+            self.scenario.deployment.index, det_sorted, leader, self.scenario.radio
+        )
         for i, nid in enumerate(det_sorted):
             code = int(codes[i])
             z = float(zs[i])
@@ -206,16 +210,15 @@ class DPFTracker:
             if nid == leader:
                 observations.append(obs)
                 continue
+            if paths[i] is None:
+                continue  # unroutable: measurement lost
             msg = QuantizedMeasurementMessage(
                 sender=nid, iteration=ctx.iteration, code=code, bits=self.bits
             )
             try:
-                path = greedy_path(
-                    self.scenario.deployment.index, nid, leader, self.scenario.radio
-                )
-                self.medium.unicast_path(path, msg, ctx.iteration)
-            except (RoutingError, RuntimeError):
-                continue  # unroutable or a relay unavailable: measurement lost
+                self.medium.unicast_path(paths[i], msg, ctx.iteration)
+            except RuntimeError:
+                continue  # a relay unavailable: measurement lost
             observations.append(obs)
         self.medium.clear_inboxes()
         return observations

@@ -147,6 +147,13 @@ def _check_choice(path: str, value: str, choices: tuple[str, ...]) -> None:
 
 # -- sections -----------------------------------------------------------------
 
+#: Largest deployment a config may ask for: 6x the paper's densest world
+#: (40 nodes / 100 m^2 on 200 m x 200 m = 16 000 nodes), which builds in
+#: tens of milliseconds.  A config is untrusted input (the service compiles
+#: it in a worker), so a typo'd density cannot pin a worker building a
+#: world of hundreds of millions of nodes.
+MAX_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class DeploymentConfig:
@@ -170,15 +177,23 @@ class DeploymentConfig:
         _check_non_negative("deployment", jitter=self.jitter)
         if self.kind in ("uniform", "poisson"):
             _check_positive("deployment", density_per_100m2=self.density_per_100m2)
+            key, n_nodes = "density_per_100m2", (
+                self.density_per_100m2 * self.width * self.height / 100.0
+            )
         elif self.kind == "grid":
             if self.n_per_side <= 0:
                 _fail("deployment.n_per_side", f"must be positive, got {self.n_per_side}")
+            key, n_nodes = "n_per_side", self.n_per_side**2
         else:
             if self.n_clusters <= 0 or self.nodes_per_cluster <= 0:
                 _fail("deployment.n_clusters",
                       "n_clusters and nodes_per_cluster must be positive, got "
                       f"{self.n_clusters}, {self.nodes_per_cluster}")
             _check_positive("deployment", cluster_std=self.cluster_std)
+            key, n_nodes = "nodes_per_cluster", self.n_clusters * self.nodes_per_cluster
+        if n_nodes > MAX_NODES:
+            _fail(f"deployment.{key}",
+                  f"asks for {n_nodes:.0f} nodes, more than the {MAX_NODES} a world may hold")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from .messages import (
 )
 from .radio import RadioModel, protocol_model_receptions
 from .reliability import ReliabilityConfig, ReliableUnicast
-from .routing import RoutingError, greedy_path, hop_counts_bfs, path_hop_count
+from .routing import RoutingError, greedy_path, greedy_paths, hop_counts_bfs, path_hop_count
 from .sensing import (
     DetectionModel,
     EnergyDetection,
@@ -88,7 +88,7 @@ __all__ = [
     "Message", "ParticleMessage", "QuantizedMeasurementMessage", "QueryMessage",
     "TotalWeightMessage", "WakeupMessage", "WeightReportMessage",
     "RadioModel", "protocol_model_receptions",
-    "RoutingError", "greedy_path", "hop_counts_bfs", "path_hop_count",
+    "RoutingError", "greedy_path", "greedy_paths", "hop_counts_bfs", "path_hop_count",
     "DetectionModel", "EnergyDetection", "InstantDetection", "ProbabilisticDetection",
     "SamplingDetection",
     "AlwaysOnSchedule", "DutyCycleSchedule", "ProactiveWakeup",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.geometry import fma_many
+
 __all__ = ["RadioModel", "protocol_model_receptions"]
 
 
@@ -59,6 +61,12 @@ class RadioModel:
     def in_range(self, p: np.ndarray, q: np.ndarray) -> bool:
         d = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
         return float(d @ d) <= self.comm_radius**2
+
+    def in_range_many(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """:meth:`in_range` over the rows of ``p`` and ``q`` (broadcast), bit
+        for bit: its ``d @ d`` contracts to ``fma(dy, dy, dx * dx)``."""
+        d = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+        return fma_many(d[..., 1], d[..., 1], d[..., 0] * d[..., 0]) <= self.comm_radius**2
 
 
 def protocol_model_receptions(

@@ -182,6 +182,14 @@ async def _ws_close_quietly(writer: asyncio.StreamWriter, code: int = 1000) -> N
         pass
 
 
+def _unmask(payload: bytes, mask: bytes) -> bytes:
+    """XOR ``payload`` with the repeated 4-byte ``mask``, as one big-integer
+    XOR over the whole payload."""
+    n = len(payload)
+    key = (mask * (n // 4 + 1))[:n]
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(key, "big")).to_bytes(n, "big")
+
+
 async def ws_recv(
     reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> str | None:
@@ -189,8 +197,12 @@ async def ws_recv(
 
     Control frames are handled inline: ping is answered with pong, close
     with a close echo.  Client frames must be masked per the RFC: an
-    unmasked frame is answered with close code 1002 (protocol error), and a
-    text message that is not valid UTF-8 with 1007 (invalid payload).
+    unmasked frame is answered with close code 1002 (protocol error), as is
+    a control frame that is fragmented or carries more than 125 bytes
+    (RFC 6455 §5.5), and a text message that is not valid UTF-8 with 1007
+    (invalid payload).  A data frame whose declared length would take the
+    message past the request-body cap is answered with 1009 (message too
+    big) before any of its payload is read.
     """
     buffer = b""
     while True:
@@ -209,11 +221,21 @@ async def ws_recv(
                 n = struct.unpack(">H", await reader.readexactly(2))[0]
             elif n == 127:
                 n = struct.unpack(">Q", await reader.readexactly(8))[0]
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        if opcode & 0x8:  # control frame
+            if n > 125 or not fin:
+                await _ws_close_quietly(writer, 1002)
+                return None
+        elif len(buffer) + n > _MAX_BODY_BYTES:
+            await _ws_close_quietly(writer, 1009)
+            return None
+        try:
             mask = await reader.readexactly(4)
             payload = await reader.readexactly(n) if n else b""
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        payload = _unmask(payload, mask)
         if opcode == 0x8:  # close
             await _ws_close_quietly(writer)
             return None

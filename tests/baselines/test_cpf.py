@@ -89,3 +89,121 @@ class TestAccounting:
         # every non-sink detector contributes at least one hop
         n_routed = len(tr.hop_counts)
         assert res.total_messages >= n_routed
+
+
+def _paper_world(density, seed, *, link=None, drift=False, n_iterations=10):
+    """A paper-geometry world, optionally lossy or with random node drift
+    from iteration 2 on (the physical positions leave the believed ones)."""
+    from repro.experiments.options import RunOptions
+    from repro.network.faults import FaultPlan, MobilityDrift
+    from repro.scenario import make_paper_scenario, make_trajectory
+
+    rng = np.random.default_rng(seed)
+    scenario = make_paper_scenario(density, rng=rng)
+    if link is not None:
+        scenario = scenario.with_(link_model=link)
+    trajectory = make_trajectory(n_iterations, rng=rng)
+    options = None
+    if drift:
+        plan = FaultPlan(
+            events=(MobilityDrift(start=2, end=n_iterations, model="random", seed=seed),)
+        )
+        options = RunOptions(fault_plan=plan)
+    return scenario, trajectory, options
+
+
+class TestConvergecastPaths:
+    """A lossless round hands over directly when the medium delivers every
+    copy; the per-path message walk must reach the same result."""
+
+    @staticmethod
+    def _run(scenario, trajectory, options, monkeypatch, *, direct):
+        from repro.network.medium import Medium, TransmissionBatch
+
+        walked = []
+        with monkeypatch.context() as m:
+            if not direct:
+                m.setattr(Medium, "delivers_all", property(lambda self: False))
+            unicast_path = TransmissionBatch.unicast_path
+            m.setattr(
+                TransmissionBatch,
+                "unicast_path",
+                lambda self, *a, **k: walked.append(1) or unicast_path(self, *a, **k),
+            )
+            tr = CPFTracker(scenario, rng=np.random.default_rng(1))
+            res = run_tracking(
+                tr, scenario, trajectory, rng=np.random.default_rng(2), options=options
+            )
+        assert bool(walked) is not direct
+        return tr, res
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["static", "mobile"])
+    def test_direct_handoff_equals_message_path(self, drift, monkeypatch):
+        world = _paper_world(5.0, 4, drift=drift)
+        (t_direct, r_direct), (t_msg, r_msg) = (
+            self._run(*world, monkeypatch, direct=direct) for direct in (True, False)
+        )
+        assert r_direct.estimates.keys() == r_msg.estimates.keys()
+        for k in r_direct.estimates:
+            np.testing.assert_array_equal(r_direct.estimates[k], r_msg.estimates[k])
+        assert t_direct.accounting.by_phase_key == t_msg.accounting.by_phase_key
+        assert t_direct.hop_counts == t_msg.hop_counts
+        assert t_direct.snapshot()["path_cache"] == t_msg.snapshot()["path_cache"]
+
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "message"])
+    def test_mobility_loses_out_of_range_routes(self, direct, monkeypatch):
+        """Routes come from the believed deployment; once nodes drift, a
+        route with a hop out of physical range is a lost packet (not sent,
+        charged or fused) instead of a crash."""
+        tr, res = self._run(*_paper_world(5.0, 0, drift=True), monkeypatch, direct=direct)
+        dm = tr.scenario.sizes.measurement
+        assert res.total_bytes == dm * sum(tr.hop_counts)
+        assert res.total_messages == sum(tr.hop_counts)
+        assert set(res.bytes_by_category) == {"measurement"}
+
+
+class TestLossyRouting:
+    """Under ARQ a round's new routes are built up front, yet route repair
+    grows the blacklist mid-round: every route must still be the one the
+    per-packet resolution builds when that packet is sent."""
+
+    # recorded from the per-packet router (density 10, 10 iterations)
+    PINNED = {
+        "gilbert-elliott": "a9d9164a3896f1b185278520d92b618ba490c473a51afde3b4c95defdcebce0f",
+        "iid": "002d5c924e0cbe6130fb89e66b841e7efe59ab05b138f4f9fb9074949491083e",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_fingerprint_pinned_while_blacklist_grows(self, kind, monkeypatch):
+        from repro.config import run_fingerprint
+        from repro.network.links import GilbertElliottLink, IIDLossLink
+        from repro.network.reliability import ReliableUnicast
+
+        link = (
+            GilbertElliottLink(0.3, 0.4, loss_bad=0.8, seed=12)
+            if kind == "gilbert-elliott"
+            else IIDLossLink(p_loss=0.3, seed=12)
+        )
+        scenario, trajectory, _ = _paper_world(10.0, 3, link=link)
+        tr = CPFTracker(scenario, rng=np.random.default_rng(1))
+        # count the uncached routes resolved after the round's blacklist grew
+        late = []
+        send_many = ReliableUnicast.send_many
+
+        def spy(self, requests, iteration):
+            start = len(self.blacklist)
+
+            def watch(resolve, msg):
+                def call():
+                    if msg.sender not in tr._path_cache:
+                        late.append(len(self.blacklist) > start)
+                    return resolve()
+
+                return call
+
+            return send_many(self, [(watch(p, m), m) for p, m in requests], iteration)
+
+        monkeypatch.setattr(ReliableUnicast, "send_many", spy)
+        res = run_tracking(tr, scenario, trajectory, rng=np.random.default_rng(2))
+        assert sum(late) > 20
+        assert run_fingerprint(res) == self.PINNED[kind]

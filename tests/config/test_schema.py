@@ -39,6 +39,32 @@ class TestValidationNamesTheField:
         with pytest.raises(ConfigError, match=f"deployment.{name}.*finite"):
             loads_config(f"[deployment]\n{name} = inf\n")
 
+    @pytest.mark.parametrize(
+        "toml, field",
+        [
+            ("density_per_100m2 = 1e6", "density_per_100m2"),
+            ('kind = "poisson"\ndensity_per_100m2 = 251.0', "density_per_100m2"),
+            ("width = 2000.0\nheight = 2000.0", "density_per_100m2"),
+            ('kind = "grid"\nn_per_side = 317', "n_per_side"),
+            ('kind = "clustered"\nn_clusters = 1001\nnodes_per_cluster = 100', "nodes_per_cluster"),
+        ],
+        ids=["uniform", "poisson", "wide-field", "grid", "clustered"],
+    )
+    def test_world_size_is_bounded(self, toml, field):
+        """A config is untrusted input: past MAX_NODES nodes it is a
+        ConfigError naming the field, not a world build that pins a worker."""
+        with pytest.raises(ConfigError, match=f"deployment.{field}.*100000"):
+            loads_config(f"[deployment]\n{toml}\n")
+
+    def test_world_size_bound_is_inclusive(self):
+        from repro.config.schema import MAX_NODES
+
+        assert MAX_NODES == 100_000
+        DeploymentConfig(density_per_100m2=250.0)  # exactly 100 000 nodes
+        DeploymentConfig(kind="clustered", n_clusters=1000, nodes_per_cluster=100)
+        with pytest.raises(ConfigError, match="deployment.density_per_100m2"):
+            DeploymentConfig(density_per_100m2=250.01)
+
     def test_bad_grid_side(self):
         with pytest.raises(ConfigError, match="deployment.n_per_side"):
             DeploymentConfig(kind="grid", n_per_side=0)

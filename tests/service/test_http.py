@@ -340,3 +340,71 @@ class TestMalformedInput:
         got, sent = self._recv(bytes([0x81, 5]) + b"hello")
         assert got is None
         assert sent == bytes([0x88, 2]) + struct.pack(">H", 1002)
+
+    @staticmethod
+    def _close(code):
+        return bytes([0x88, 2]) + struct.pack(">H", code)
+
+    def _recv_open(self, data):
+        """ws_recv on a stream that stays open after ``data``: it must
+        answer from what it has read, not wait for more bytes."""
+
+        async def body():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            sink = self._Sink()
+            return await asyncio.wait_for(ws_recv(reader, sink), 5), sink.data
+
+        return run(body())
+
+    # a masked text frame header declaring 2^40 payload bytes
+    HUGE = bytes([0x81, 0x80 | 127]) + struct.pack(">Q", 1 << 40)
+
+    def test_oversized_frame_closes_1009_before_its_payload(self):
+        assert self._recv_open(self.HUGE) == (None, self._close(1009))
+
+    def test_fragments_past_the_cap_close_1009(self, monkeypatch):
+        from repro.service import http
+
+        monkeypatch.setattr(http, "_MAX_BODY_BYTES", 64)
+        mask = b"\x11\x22\x33\x44"
+        first = bytes([0x01, 0x80 | 40]) + mask + bytes(40)  # text, FIN clear
+        more = bytes([0x00, 0x80 | 40]) + mask  # continuation: 80 bytes in all
+        assert self._recv_open(first + more) == (None, self._close(1009))
+        # up to the cap the message still reassembles
+        last = bytes([0x80, 0x80 | 24]) + mask + bytes(24)
+        got, sent = self._recv(first + last)
+        assert sent == b"" and len(got) == 64
+
+    @pytest.mark.parametrize(
+        "head",
+        [bytes([0x89, 0x80 | 126]) + struct.pack(">H", 126), bytes([0x09, 0x80 | 4])],
+        ids=["ping-over-125-bytes", "fragmented-ping"],
+    )
+    def test_malformed_control_frame_closes_1002(self, head):
+        assert self._recv_open(head) == (None, self._close(1002))
+
+    def test_service_answers_after_an_oversized_frame(self, config_toml):
+        async def body(service):
+            h, p = service.host, service.port
+            await request(
+                h, p, "POST", "/sessions", {"config_toml": config_toml, "session_id": "s"}
+            )
+            reader, writer = await ws_connect(h, p, "/sessions/s/stream")
+            writer.write(self.HUGE)
+            await writer.drain()
+            while True:  # skip any stream frame queued before the close
+                head = await asyncio.wait_for(reader.readexactly(2), 10)
+                n = head[1] & 0x7F
+                if n >= 126:
+                    size = 2 if n == 126 else 8
+                    n = int.from_bytes(await reader.readexactly(size), "big")
+                payload = await reader.readexactly(n)
+                if head[0] & 0x0F == 0x8:
+                    break
+            writer.close()
+            return payload, await request(h, p, "GET", "/healthz")
+
+        payload, (status, health) = run(with_service(ServiceConfig(n_workers=1), body))
+        assert payload == struct.pack(">H", 1009)
+        assert status == 200 and health["status"] == "ok"
