@@ -420,17 +420,20 @@ class SDPFTracker:
         )
         # (b) every holder reports its weights (N_s * D_w bytes, one msg each);
         #     the transceiver is simulated by the harness, so the reports are
-        #     charged out of band rather than delivered to a field inbox.
-        reported: list[tuple[int, np.ndarray]] = []
-        batch = self.medium.transmission_batch(k)
-        for nid in sorted(self.holders):
-            p = self.holders[nid]
-            report = WeightReportMessage(sender=nid, iteration=k, weights=p.weights)
-            batch.charge_out_of_band(
-                report.category, report.size_bytes(self.medium.sizes), 1
+        #     charged out of band rather than delivered to a field inbox, as
+        #     one aggregated ledger row after WeightReportMessage's check
+        reported = [(nid, self.holders[nid].weights) for nid in sorted(self.holders)]
+        if reported:
+            weights = np.concatenate([w for _, w in reported])
+            if (weights < 0).any():
+                raise ValueError("weights must be non-negative")
+            sizes = self.medium.sizes
+            self.medium.charge_out_of_band(
+                k,
+                WeightReportMessage.category,
+                sizes.header * len(reported) + sizes.weight * weights.size,
+                len(reported),
             )
-            reported.append((nid, p.weights))
-        batch.flush()
         total = float(sum(w.sum() for _, w in reported))
         # (c) transceiver broadcasts the total (1 global message)
         self.medium.global_broadcast(

@@ -96,19 +96,21 @@ def bearing_log_kernel(
 
 def share_measurements(
     medium, sharers: list[int], receivers: list[int], measurements, iteration: int, *, direct: bool
-) -> list[list[tuple[int, float]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One measurement round (CDPF's likelihood phase, SDPF's share phase):
-    per receiver, the ``(sender, value)`` pairs its inbox holds, in the
-    sharers' broadcast order.  The round ends with every inbox cleared.
+    every reading a receiver's inbox holds, as ``(rows, senders, values)``
+    arrays — ``receivers[rows[k]]`` heard ``values[k]`` from ``senders[k]``.
+    Rows ascend, and each row's readings come in arrival order (the
+    sharers' broadcast order).  The round ends with every inbox cleared.
 
     ``direct`` (only when ``Medium.delivers_all``) skips message transport:
     a receiver hears each other sharer within comm radius under the medium's
     own ``d2 <= r*r`` test on its physical positions, and the round is
     charged as one aggregated ledger row.  Otherwise the round is a
-    :class:`TransmissionBatch` whose inboxes are collected, delayed stale
-    copies included.
+    :class:`TransmissionBatch` whose inboxes are read with one
+    ``Medium.collect_many``, delayed stale copies included.
     """
-    values = [(s, float(measurements[s])) for s in sharers]
+    sharer_ids = np.asarray(sharers, dtype=np.intp)
     if direct:
         if sharers:
             sizes = medium.sizes
@@ -118,27 +120,30 @@ def share_measurements(
                 (sizes.header + sizes.measurement) * len(sharers),
                 len(sharers),
             )
-        spos = medium.positions[sharers]
-        rpos = medium.positions[receivers]
+        receiver_ids = np.asarray(receivers, dtype=np.intp)
+        spos = medium.positions[sharer_ids]
+        rpos = medium.positions[receiver_ids]
         dx = rpos[:, None, 0] - spos[None, :, 0]
         dy = rpos[:, None, 1] - spos[None, :, 1]
         radius = medium.radio.comm_radius
         in_range = dx * dx + dy * dy <= radius * radius
-        in_range &= np.asarray(receivers)[:, None] != np.asarray(sharers)[None, :]
-        row, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
-        bounds = np.searchsorted(row, np.arange(len(receivers) + 1)).tolist()
-        col = col.tolist()
-        heard = [[values[j] for j in col[a:b]] for a, b in zip(bounds[:-1], bounds[1:])]
+        in_range &= receiver_ids[:, None] != sharer_ids[None, :]
+        rows, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
+        values = np.array([float(measurements[s]) for s in sharers], dtype=np.float64)
+        heard = rows, sharer_ids[col], values[col]
     else:
         batch = medium.transmission_batch(iteration)
-        for s, value in values:
+        for s in sharers:
+            value = float(measurements[s])
             batch.broadcast(s, MeasurementMessage(sender=s, iteration=iteration, value=value))
         batch.flush()
-        heard = [
-            [(m.sender, m.value) for m in medium.collect(r)
-             if isinstance(m, MeasurementMessage)]
-            for r in receivers
-        ]
+        rows, inbox = medium.collect_many(receivers)
+        keep = [k for k, m in enumerate(inbox) if isinstance(m, MeasurementMessage)]
+        heard = (
+            rows[keep],
+            np.array([inbox[k].sender for k in keep], dtype=np.intp),
+            np.array([inbox[k].value for k in keep], dtype=np.float64),
+        )
     medium.clear_inboxes()
     return heard
 
@@ -149,44 +154,66 @@ def joint_log_likelihoods(
     """Each receiver's tempered joint bearing log-likelihood at its own position.
 
     ``heard`` is :func:`share_measurements`' output for ``receivers``; a
-    detector adds its own reading, and a receiver with no measurement is
-    left out (weight unchanged).  The round is one ``(holders,
-    measurements)`` :func:`batch_likelihood` matrix whose columns are the
-    distinct pairs: a delayed channel can deliver stale copies whose value
-    differs from this iteration's reading, so columns key on the pair.
+    detector adds its own reading after what it heard, and a receiver with
+    no reading is left out (weight unchanged).  The round is one
+    ``(holders, measurements)`` :func:`batch_likelihood` matrix whose columns
+    are the distinct ``(sender, value)`` pairs in order of first appearance
+    (a delayed channel can deliver stale copies whose value differs from
+    this iteration's reading, so columns key on the pair; values compare
+    as floats, so ``-0.0`` and ``0.0`` share the first one's column).  One
+    lexicographic sort finds the columns, one fancy index gathers every
+    row's kernels, and each row takes the ``.mean()`` of its slice.
     """
+    rows, senders, values = heard
+    own = [i for i, r in enumerate(receivers) if r in detectors]
+    if own:
+        own_ids = [receivers[i] for i in own]
+        # each row's pairs: what it heard, then its own reading (a stable
+        # sort keeps the concatenation's order within a row)
+        rows = np.concatenate((rows, own))
+        by_row = np.argsort(rows, kind="stable")
+        rows = rows[by_row]
+        senders = np.concatenate((senders, own_ids))[by_row]
+        values = np.concatenate((values, [measurements[r] for r in own_ids]))[by_row]
+    if rows.size == 0:
+        return {}
+    new_row = np.ones(rows.size, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    row_start = np.flatnonzero(new_row)
+    holders = np.asarray(receivers, dtype=np.intp)[rows[row_start]]
+    # distinct (sender, value) columns: within a run of equal pairs the
+    # stable sort keeps the first appearance first
+    by_pair = np.lexsort((values, senders))
+    ps, pv = senders[by_pair], values[by_pair]
+    run_start = np.ones(by_pair.size, dtype=bool)
+    run_start[1:] = (ps[1:] != ps[:-1]) | (pv[1:] != pv[:-1])
+    first = by_pair[run_start]
+    is_first = np.zeros(by_pair.size, dtype=bool)
+    is_first[first] = True
+    col_at = np.cumsum(is_first) - 1  # column of each first appearance
+    col = np.empty(by_pair.size, dtype=np.intp)
+    col[by_pair] = col_at[first][np.cumsum(run_start) - 1]
     positions = scenario.deployment.positions
     measurement = scenario.measurement
-    rows: list[int] = []
-    pair_lists: list[list[tuple[int, float]]] = []
-    for r, pairs in zip(receivers, heard):
-        if r in detectors:
-            pairs = pairs + [(r, measurements[r])]
-        if pairs:
-            rows.append(r)
-            pair_lists.append(pairs)
-    if not rows:
-        return {}
-    distinct = dict.fromkeys(pair for pairs in pair_lists for pair in pairs)
-    col_of = {pair: j for j, pair in enumerate(distinct)}
-    senders = [s for s, _ in col_of]
     if measurement.reference == "node":
-        refs = positions[senders]
+        refs = positions[senders[is_first]]
     else:
-        refs = np.zeros((len(senders), 2))
-    zs = np.array([z for _, z in col_of], dtype=np.float64)
+        refs = np.zeros((first.size, 2))
     # discretization-aware sigma: local density from each node's degree
     lam_denom = np.pi * scenario.radio.comm_radius**2
-    neighbors.warm_degrees(rows)
-    lam = np.array([(neighbors.degree(r) + 1) / lam_denom for r in rows])
-    matrix = batch_likelihood(positions[rows], lam, refs, zs, measurement.noise_std)
+    neighbors.warm_degrees(holders)
+    lam = np.array([(neighbors.degree(r) + 1) / lam_denom for r in holders.tolist()])
+    zs = values[is_first]
+    matrix = batch_likelihood(positions[holders], lam, refs, zs, measurement.noise_std)
+    kernels = matrix[np.cumsum(new_row) - 1, col]
     # tempered fusion (mean log-kernel): the per-sensor bearings share a
     # common-mode error, so treating them as fully independent would sharpen
     # the joint likelihood far below the node-position quantization scale and
     # randomly annihilate every holder
+    bounds = [*row_start.tolist(), rows.size]
     return {
-        r: float(matrix[i, [col_of[pair] for pair in pairs]].mean())
-        for i, (r, pairs) in enumerate(zip(rows, pair_lists))
+        r: float(kernels[a:b].mean())
+        for r, a, b in zip(holders.tolist(), bounds[:-1], bounds[1:])
     }
 
 

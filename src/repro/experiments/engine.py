@@ -256,8 +256,9 @@ class StoreLoadError(RuntimeError):
 class JsonlStore:
     """Append-only JSONL persistence for completed sweep cells.
 
-    One JSON object per line.  Loading tolerates exactly one failure mode: a
-    truncated *final* line, the on-disk signature of an interrupted append.
+    One JSON object per line.  Loading tolerates exactly one failure mode: an
+    undecodable *final* line (truncated, not UTF-8, or nested too deeply to
+    parse), the on-disk signature of an interrupted append.
     Anything else that would previously have been skipped in silence now
     fails loudly — an undecodable or malformed line in the middle of the
     file means corruption (resuming would quietly recompute and re-append
@@ -370,28 +371,52 @@ class JsonlStore:
                 continue
         return checkpoints
 
-    def _records(self):
-        """``(line number, record)`` for every JSON object line of the store.
+    def lines(self):
+        """``(line number, value, error, last)`` for every non-blank line of
+        the store, in file order.
 
-        Tolerates exactly one failure mode, a truncated *final* line (an
-        interrupted append); an undecodable line anywhere else, or a line
-        that is not a JSON object, raises :class:`StoreLoadError`.
+        ``value`` is the line's decoded JSON, or None with ``error`` saying
+        why the line does not decode: bytes that are not UTF-8, malformed
+        JSON, or nesting too deep for the parser.  ``last`` marks the final
+        non-blank line, where an undecodable line is the signature of an
+        interrupted append.  Bytes are decoded line by line, so one bad byte
+        condemns its line and not the file.
         """
         if not self.path.exists():
             return
-        raw = self.path.read_text(encoding="utf-8").splitlines()
-        lines = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
+        # an undecodable byte survives as a lone surrogate on its own line
+        text = self.path.read_bytes().decode("utf-8", errors="surrogateescape")
+        lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
+        lines = [(lineno, line) for lineno, line in lines if line]
         for pos, (lineno, line) in enumerate(lines):
+            value, error = None, None
             try:
-                record = json.loads(line)
+                line.encode("utf-8")
+                value = json.loads(line)
+            except UnicodeEncodeError:
+                error = "bytes that are not UTF-8"
             except json.JSONDecodeError as exc:
-                if pos == len(lines) - 1:
+                error = exc.msg
+            except RecursionError:
+                error = "JSON nested too deeply to parse"
+            yield lineno, value, error, pos == len(lines) - 1
+
+    def _records(self):
+        """``(line number, record)`` for every JSON object line of the store.
+
+        Tolerates exactly one failure mode, an undecodable *final* line (an
+        interrupted append); an undecodable line anywhere else, or a line
+        that is not a JSON object, raises :class:`StoreLoadError`.
+        """
+        for lineno, record, error, last in self.lines():
+            if error is not None:
+                if last:
                     continue  # truncated tail from an interrupted append
                 raise StoreLoadError(
-                    f"{self.path}:{lineno}: undecodable JSON in the middle "
-                    f"of the store ({exc.msg}); this is corruption, not an "
+                    f"{self.path}:{lineno}: undecodable line in the middle "
+                    f"of the store ({error}); this is corruption, not an "
                     "interrupted append — refusing to resume from it"
-                ) from exc
+                )
             if not isinstance(record, dict):
                 raise StoreLoadError(
                     f"{self.path}:{lineno}: expected one JSON object per "

@@ -39,9 +39,16 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def wrap_angle_many(theta: np.ndarray) -> np.ndarray:
-    """Reduce angles to (-pi, pi] (same convention as models.wrap_angle)."""
-    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
+    """Reduce angles to (-pi, pi] (same convention as models.wrap_angle).
+
+    ``theta`` is an array; the steps after the first run in place, so the
+    result costs one array allocation.
+    """
+    wrapped = theta + np.pi
+    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    wrapped -= np.pi
+    wrapped[wrapped == -np.pi] = np.pi
+    return wrapped
 
 
 def batch_likelihood(
@@ -105,6 +112,11 @@ def batch_bearing_log_likelihood(
     Row ``i`` equals ``BearingMeasurement(noise_std=sigmas[i]).
     log_likelihood(states, zs[i], refs[i])`` — the centralized SIR update
     sums these rows sequentially, preserving its reduction order.
+
+    The matrix is ~1 MB at density 40 (~120 bearings x 1000 particles), above
+    the allocator's threshold for returning freed blocks to the system, so
+    every temporary would be a fresh, page-faulting mapping; the chain runs
+    in place (the same operations in the same order) over three arrays.
     """
     positions = np.asarray(positions, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
@@ -112,13 +124,14 @@ def batch_bearing_log_likelihood(
     sigmas = np.asarray(sigmas, dtype=np.float64)
     dx = positions[None, :, 0] - refs[:, 0:1]
     dy = positions[None, :, 1] - refs[:, 1:2]
-    predicted = np.arctan2(dy, dx)
-    residual = wrap_angle_many(zs[:, None] - predicted)
-    return (
-        -0.5 * (residual / sigmas[:, None]) ** 2
-        - np.log(sigmas)[:, None]
-        - 0.5 * _LOG_2PI
-    )
+    predicted = np.arctan2(dy, dx, out=dy)
+    out = wrap_angle_many(np.subtract(zs[:, None], predicted, out=predicted))
+    out /= sigmas[:, None]
+    np.square(out, out=out)
+    out *= -0.5
+    out -= np.log(sigmas)[:, None]
+    out -= 0.5 * _LOG_2PI
+    return out
 
 
 def quantize_bearings(zs: np.ndarray, bits: int) -> np.ndarray:

@@ -27,10 +27,11 @@ same code path and stay bit-identical by construction.
 
 Inboxes are likewise round-structured: a delivery appends one ``(receivers,
 message)`` entry to a shared log instead of one list append per receiver, and
-``collect`` materializes a node's inbox lazily by scanning the log from the
-node's cursor.  At paper densities a broadcast reaches >1000 receivers of
-which only the recorder set ever reads its inbox, so the log turns the
-dominant O(copies) Python cost into O(messages).
+``collect_many`` materializes several nodes' inboxes lazily in one scan of the
+log from their cursors (``collect`` is its one-node call).  At paper
+densities a broadcast reaches >1000 receivers of which only the recorder set
+ever reads its inbox, so the log turns the dominant O(copies) Python cost
+into O(messages).
 
 Unreliable channels (paper §VIII-1's future-work evaluation) are opt-in: a
 :class:`~repro.network.links.LinkModel` decides per (message, receiver)
@@ -1250,28 +1251,47 @@ class Medium:
     # -- inboxes ------------------------------------------------------------
 
     def collect(self, node_id: int) -> list[Message]:
-        """Drain and return the node's inbox (messages in arrival order).
+        """Drain and return the node's inbox (messages in arrival order): the
+        one-node call of :meth:`collect_many`."""
+        return self.collect_many([node_id])[1]
 
-        Materialized lazily from the round log: scans entries past the
-        node's cursor and advances the cursor to the log head.
+    def collect_many(self, node_ids) -> tuple[np.ndarray, list[Message]]:
+        """Drain the inboxes of several distinct nodes in one pass over the
+        round log.
+
+        Returns ``(rows, messages)``: ``messages[k]`` was in the inbox of
+        ``node_ids[rows[k]]``.  Rows ascend, and each row's messages come in
+        arrival order, so a row's slice is what :meth:`collect` returns for
+        that node.  Each log entry past the nodes' earliest cursor is tested
+        against every node with one ``searchsorted`` over its sorted
+        receivers, and a listed node with pending entries has its cursor
+        advanced to the log head.
         """
+        ids = np.asarray(node_ids, dtype=np.intp).reshape(-1)
         log = self._inbox_log
-        start = self._inbox_cursor.get(node_id, 0)
         end = len(log)
-        if start >= end:
-            return []
-        out: list[Message] = []
-        for i in range(start, end):
-            receivers, message = log[i]
-            if receivers.size == 1:
-                if receivers[0] == node_id:
-                    out.append(message)
-                continue
-            pos = np.searchsorted(receivers, node_id)
-            if pos < receivers.size and receivers[pos] == node_id:
-                out.append(message)
-        self._inbox_cursor[node_id] = end
-        return out
+        cursor = self._inbox_cursor
+        id_list = ids.tolist()
+        starts = np.fromiter(
+            (cursor.get(n, 0) for n in id_list), dtype=np.intp, count=len(id_list)
+        )
+        rows: list[np.ndarray] = []
+        entries: list[np.ndarray] = []
+        for i in range(int(starts.min()) if id_list else end, end):
+            receivers = log[i][0]
+            pos = np.minimum(np.searchsorted(receivers, ids), receivers.size - 1)
+            hit = np.flatnonzero((receivers[pos] == ids) & (starts <= i))
+            if hit.size:
+                rows.append(hit)
+                entries.append(np.full(hit.size, i))
+        for n, start in zip(id_list, starts.tolist()):
+            if start < end:
+                cursor[n] = end
+        if not rows:
+            return _EMPTY_IDS, []
+        row = np.concatenate(rows)
+        order = np.argsort(row, kind="stable")  # entries ascend within a row
+        return row[order], [log[i][1] for i in np.concatenate(entries)[order].tolist()]
 
     def peek(self, node_id: int) -> list[Message]:
         """The node's pending messages, without draining them."""

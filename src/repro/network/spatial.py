@@ -57,6 +57,7 @@ class GridIndex:
         self.positions = positions
         self.cell_size = float(cell_size)
         self._prefix: np.ndarray | None = None  # built by _column_prefix
+        self._pair_cache: tuple[np.ndarray, ...] | None = None  # built by _pair_tables
         n = positions.shape[0]
 
         if n == 0:
@@ -119,6 +120,7 @@ class GridIndex:
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         center = np.asarray(center, dtype=np.float64)
+        _require_finite(center)
         r = np.array([radius, radius])
         cand = self._candidates(center - r, center + r)
         if cand.size == 0:
@@ -133,36 +135,48 @@ class GridIndex:
 
         Returns ``(center_index, point_id)`` arrays, grouped by ascending
         center; within a center the points come in grid-cell order, the
-        order :meth:`query_disk` returns them in.  Candidate cells are
-        walked per center (a handful of slices each), and the distance
-        filter runs as ONE flat pass over all pairs.  The squared-distance
-        expression matches :meth:`query_disk` exactly, so each center's
-        members are bit-for-bit the same.
+        order :meth:`query_disk` returns them in (the cells of
+        :meth:`_cells_in_box` x-major, then ``_order`` within a cell).  One
+        vectorized pass gathers every center's candidates: the cell boxes
+        are clipped in float before the integer cast, the (center, cell)
+        pairs and their CSR point ranges are each expanded with one
+        ``repeat``/``arange``, and the distance filter runs as ONE flat pass
+        over all pairs.  The squared-distance expression matches
+        :meth:`query_disk` exactly, so each center's members are bit-for-bit
+        the same.
         """
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         centers = np.asarray(centers, dtype=np.float64)
-        empty = np.zeros(0, dtype=np.intp)
         if centers.size == 0:
             # before atleast_2d: a 1-D empty array would become shape (1, 0)
-            # and crash the per-center candidate walk with a malformed center
+            empty = np.zeros(0, dtype=np.intp)
             return empty, empty
         centers = np.atleast_2d(centers)
-        r = np.array([radius, radius])
-        cand_chunks: list[np.ndarray] = []
-        ctr_chunks: list[np.ndarray] = []
-        for i, c in enumerate(centers):
-            cand = self._candidates(c - r, c + r)
-            if cand.size:
-                cand_chunks.append(cand)
-                ctr_chunks.append(np.full(cand.size, i, dtype=np.intp))
-        if not cand_chunks:
-            return empty, empty
-        flat = np.concatenate(cand_chunks)
-        ctr = np.concatenate(ctr_chunks)
-        diff = self.positions[flat] - centers[ctr]
-        inside = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= radius * radius
-        return ctr[inside], flat[inside]
+        _require_finite(centers)
+        # each center's cell box as _cells_in_box computes it, as rows
+        # (x0, y0, x1, y1); clipping the floored floats before the cast keeps
+        # it exact for far off-field centers
+        origin, low, high, xs, ys = self._pair_tables()
+        box = (np.concatenate((centers - radius, centers + radius), axis=1) - origin)
+        box = np.minimum(np.maximum(box // self.cell_size, low), high).astype(np.intp)
+        size = np.maximum(box[:, 2:] - box[:, :2] + 1, 0)  # cells per axis
+        # the (center, cell) pairs, x-major within a center
+        n_cells = size[:, 0] * size[:, 1]
+        owner = np.repeat(np.arange(centers.shape[0]), n_cells)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        ny = self._shape[1]
+        x, y = np.divmod(k, size[owner, 1])
+        cells = (box[:, 0] * ny + box[:, 1])[owner] + x * ny + y
+        # every cell's CSR range of the point order, expanded in one gather
+        starts = self._start[cells]
+        lens = self._start[cells + 1] - starts
+        at = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        ctr = np.repeat(owner, lens)
+        dx = xs[at] - centers[:, 0][ctr]
+        dy = ys[at] - centers[:, 1][ctr]
+        inside = dx * dx + dy * dy <= radius * radius
+        return ctr[inside], self._order[at[inside]]
 
     def query_disk_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Union of ``query_disk`` over several centers, deduplicated and sorted:
@@ -187,6 +201,7 @@ class GridIndex:
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        _require_finite(centers)
         n = centers.shape[0]
         if n == 0 or self.positions.shape[0] == 0:
             return np.zeros(n, dtype=np.intp)
@@ -237,6 +252,23 @@ class GridIndex:
         inside = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= radius * radius
         return counts + np.bincount(ctr[inside], minlength=n)
 
+    def _pair_tables(self) -> tuple[np.ndarray, ...]:
+        """What :meth:`query_disk_pairs` reads besides the CSR arrays, built on
+        first use: the origin and the clip bounds of a cell box held as
+        ``(x0, y0, x1, y1)``, and the points' x and y coordinates in grid-cell
+        order, as contiguous arrays a CSR range of ``_order`` indexes."""
+        if self._pair_cache is None:
+            nx, ny = self._shape
+            ordered = self.positions[self._order]
+            self._pair_cache = (
+                np.tile(self._origin, 2),
+                np.array([0, 0, -1, -1]),
+                np.array([nx, ny, nx - 1, ny - 1]),
+                np.ascontiguousarray(ordered[:, 0]),
+                np.ascontiguousarray(ordered[:, 1]),
+            )
+        return self._pair_cache
+
     def _column_prefix(self) -> np.ndarray:
         """Per grid column, prefix sums of the cell counts over the rows:
         entry ``x * (ny + 1) + y`` counts the points in rows ``0..y-1``."""
@@ -258,6 +290,8 @@ class GridIndex:
             raise ValueError(f"radius must be non-negative, got {radius}")
         p0 = np.asarray(p0, dtype=np.float64)
         p1 = np.asarray(p1, dtype=np.float64)
+        _require_finite(p0, "segment endpoint")
+        _require_finite(p1, "segment endpoint")
         lo = np.minimum(p0, p1) - radius
         hi = np.maximum(p0, p1) + radius
         cand = self._candidates(lo, hi)
@@ -265,6 +299,15 @@ class GridIndex:
             return cand
         d = segment_distances(self.positions[cand], p0, p1)
         return cand[d <= radius]
+
+
+def _require_finite(points: np.ndarray, what: str = "center") -> None:
+    """Reject a NaN or infinite query point, which the cell arithmetic would
+    cast to a meaningless integer (the constructor rejects such positions)."""
+    if not np.isfinite(points).all():
+        rows = np.atleast_2d(points)
+        bad = rows[~np.isfinite(rows).all(axis=1)][0]
+        raise ValueError(f"query {what} {bad.tolist()} is not finite")
 
 
 def segment_distances(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:

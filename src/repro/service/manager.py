@@ -526,23 +526,25 @@ class SessionManager:
         A session whose stored config no longer loads (a store written by
         an older release with a since-removed key) is left out with a
         warning naming it, and so is a malformed record (a line that is not
-        a JSON object, a session record without a string id and config), so
-        one stale record cannot abort a restart.
+        a JSON object, a session record without a string id and config) or
+        an undecodable line before the last (bytes that are not UTF-8,
+        malformed or too deeply nested JSON), so one stale record cannot
+        abort a restart.  An undecodable final line is an interrupted
+        append and is skipped in silence.
         """
         if self.store is None or not Path(self.store.path).exists():
             return []
         path = self.store.path
         configs: dict[str, str] = {}
         latest: dict[str, dict] = {}
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
+        for lineno, rec, error, last in self.store.lines():
+            if error is not None:
+                if not last:  # a final one is an interrupted append
+                    warnings.warn(
+                        f"{path}:{lineno}: skipping an undecodable line ({error})",
+                        stacklevel=2,
+                    )
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated tail from an interrupted append
             if not isinstance(rec, dict):
                 warnings.warn(
                     f"{path}:{lineno}: skipping a {type(rec).__name__} line; "

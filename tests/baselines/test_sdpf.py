@@ -89,6 +89,35 @@ class TestAccounting:
         agg = tr.accounting.bytes_by_category()["weight_aggregation"]
         assert agg == ns * sizes.weight + 2 * sizes.weight
 
+    def test_weight_reports_charge_one_header_per_holder(
+        self, small_scenario, small_trajectory
+    ):
+        """The N_s reports cost one message and one header per holder, as a
+        report message per holder would, and a negative weight is refused
+        before anything is charged."""
+        from repro.network.messages import DataSizes
+
+        sizes = DataSizes(header=3)
+        scenario = small_scenario.with_(sizes=sizes)
+        tr = SDPFTracker(scenario, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(8)
+        tr.step(generate_step_context(scenario, small_trajectory, 0, rng))
+        n_holders, ns = len(tr.holders), tr.n_particles_total
+        assert n_holders > 1
+        # two transceiver broadcasts of one weight each, plus the reports
+        assert tr.accounting.by_phase_key[(0, "weight_aggregation", "aggregation")] == [
+            sizes.header * (n_holders + 2) + sizes.weight * (ns + 2),
+            n_holders + 2,
+        ]
+        victim = sorted(tr.holders)[-1]
+        tr.holders[victim].weights = -tr.holders[victim].weights
+        state = IterationState(generate_step_context(scenario, small_trajectory, 1, rng))
+        before = tr.accounting.total_bytes
+        with pytest.raises(ValueError, match="non-negative"):
+            tr._phase_aggregation(state)
+        query = sizes.header + sizes.weight  # the query went out first
+        assert tr.accounting.total_bytes == before + query
+
     def test_costs_exceed_cdpf(self, small_scenario, small_trajectory):
         """The headline: SDPF's aggregation + 8x particles cost far more
         than CDPF on the same world."""

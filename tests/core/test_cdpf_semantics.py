@@ -283,11 +283,16 @@ class TestShareMeasurements:
         ids=["mixed", "no-sharers", "no-receivers", "empty"],
     )
     def test_direct_handoff_equals_message_path(self, sharers, receivers):
-        direct = self._round(sharers, receivers, direct=True)
-        sent = self._round(sharers, receivers, direct=False)
-        assert direct == sent
-        heard, ledger = direct
-        assert len(heard) == len(receivers)
+        heard, ledger = self._round(sharers, receivers, direct=True)
+        sent, sent_ledger = self._round(sharers, receivers, direct=False)
+        assert ledger == sent_ledger
+        for a, b, dtype in zip(heard, sent, (np.intp, np.intp, np.float64)):
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+        rows, senders, values = heard
+        assert rows.shape == senders.shape == values.shape
+        assert np.all(np.diff(rows) >= 0)  # grouped by receiver
+        assert np.all((rows >= 0) & (rows < len(receivers)))
         if sharers:
             row = [12 * len(sharers), len(sharers)]  # (header + D_m) per sharer
             assert ledger == {(3, "measurement", "likelihood"): row}
@@ -295,8 +300,12 @@ class TestShareMeasurements:
             assert ledger == {}
 
     def test_heard_lists(self):
-        heard, _ = self._round([0, 1, 2], [0, 1, 3, 4, 5], direct=True)
+        (rows, senders, values), _ = self._round([0, 1, 2], [0, 1, 3, 4, 5], direct=True)
         v = {s: 0.25 * s - 0.5 for s in (0, 1, 2)}
+        heard = [
+            list(zip(senders[rows == i].tolist(), values[rows == i].tolist()))
+            for i in range(5)
+        ]
         assert heard == [
             [(1, v[1]), (2, v[2])],  # a sharer never hears itself
             [(0, v[0]), (2, v[2])],

@@ -322,6 +322,36 @@ class TestJsonlStore:
         with pytest.raises(StoreLoadError, match="corruption"):
             store.load_checkpoints("fp")
 
+    #: lines no decoder accepts: a byte that is not UTF-8, and a line nested
+    #: deeper than the JSON parser can recurse
+    PROBES = {
+        "non-utf8": b'{"fingerprint": "fp\xff", "schema": 2}',
+        "too-deep": b"[" * 200_000,
+    }
+
+    @pytest.mark.parametrize("probe", PROBES, ids=list(PROBES))
+    @pytest.mark.parametrize("loader", ["load", "load_checkpoints"])
+    def test_undecodable_midfile_line_raises_naming_it(self, tmp_path, loader, probe):
+        path = tmp_path / "s.jsonl"
+        store = JsonlStore(path)
+        store.append(self._checkpoint())
+        with path.open("ab") as h:
+            h.write(self.PROBES[probe] + b"\n")
+        store.append(self._record(seed=1))
+        with pytest.raises(StoreLoadError, match=r"s\.jsonl:2: undecodable.*corruption"):
+            getattr(store, loader)("fp")
+
+    @pytest.mark.parametrize("probe", PROBES, ids=list(PROBES))
+    @pytest.mark.parametrize("loader", ["load", "load_checkpoints"])
+    def test_undecodable_final_line_is_an_interrupted_append(self, tmp_path, loader, probe):
+        path = tmp_path / "s.jsonl"
+        store = JsonlStore(path)
+        store.append(self._record(seed=1))
+        with path.open("ab") as h:
+            h.write(self.PROBES[probe])
+        loaded = getattr(store, loader)("fp")
+        assert set(loaded) == (set() if loader == "load_checkpoints" else {(5.0, "CDPF", 1)})
+
     def test_checkpointed_sweep_runs_past_a_malformed_checkpoint(self, tmp_path):
         tasks = expand_tasks((5,), ("CDPF",), 2)
         kwargs = dict(

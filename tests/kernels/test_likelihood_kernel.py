@@ -93,6 +93,19 @@ class TestBatchBearingLogLikelihood:
             ).log_likelihood(positions, float(zs[i]), refs[i])
             assert np.array_equal(got[i], expected), i
 
+    def test_inputs_are_left_untouched(self):
+        """The chain runs in place over its own temporaries only."""
+        rng = np.random.default_rng(6)
+        args = [rng.uniform(0, 100, (15, 2)), rng.uniform(-np.pi, np.pi, 4),
+                rng.uniform(0, 100, (4, 2)), np.full(4, 0.05)]
+        copies = [a.copy() for a in args]
+        batch_bearing_log_likelihood(*args)
+        theta = rng.uniform(-9.0, 9.0, 30)
+        before = theta.copy()
+        wrap_angle_many(theta)
+        for a, c in zip(args + [theta], copies + [before]):
+            assert np.array_equal(a, c)
+
     def test_sequential_row_sum_matches_accumulation(self):
         """The SIR update folds rows in order; the matrix must support that."""
         rng = np.random.default_rng(5)

@@ -236,6 +236,34 @@ class TestInboxes:
         m.clear_inboxes()
         assert m.pending_nodes() == []
 
+    @staticmethod
+    def _busy_log(m):
+        m.broadcast(0, msg(0, 1.0), 0)
+        m.unicast(4, 5, msg(4, 2.0), 0)
+        m.global_broadcast(msg(-1, 3.0), 0)
+        m.broadcast(3, msg(3, 4.0), 0)
+
+    def test_collect_many_is_one_collect_per_node(self):
+        """Rows ascend, each row's messages in arrival order; nodes whose
+        cursor already moved past part of the log see only the rest, and a
+        node with an empty inbox keeps no cursor."""
+        a, b = line_medium(), line_medium()
+        for m in (a, b):
+            m.broadcast(2, msg(2, 0.5), 0)
+            assert len(m.collect(1)) == 1  # node 1's cursor moves past entry 0
+            self._busy_log(m)
+        nodes = [5, 1, 0, 2]
+        rows, got = a.collect_many(nodes)
+        want = [b.collect(n) for n in nodes]
+        assert np.all(np.diff(rows) >= 0)
+        assert [[got[k] for k in np.flatnonzero(rows == i)] for i in range(4)] == want
+        assert [len(x) for x in want] == [4, 3, 3, 3]
+        assert a._inbox_cursor == b._inbox_cursor
+        assert a.collect_many(nodes)[1] == []  # drained
+        empty = line_medium()
+        assert empty.collect_many([1, 2])[0].size == 0
+        assert empty._inbox_cursor == {}
+
 
 class TestAccounting:
     def test_breakdowns_sum_to_totals(self):

@@ -38,6 +38,30 @@ class TestConstruction:
         assert len(idx) == 17
 
 
+class TestNonFiniteCenters:
+    """A NaN or infinite center is refused with a ValueError that says so,
+    not an accidental failure of the cell arithmetic behind it."""
+
+    @pytest.mark.parametrize("bad", [[np.nan, 5.0], [np.inf, 5.0], [-np.inf, 5.0]],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda idx, c: idx.query_disk(c, 3.0),
+            lambda idx, c: idx.query_disk_pairs(np.array([[1.0, 1.0], c]), 3.0),
+            lambda idx, c: idx.count_in_disks(np.array([[1.0, 1.0], c]), 3.0),
+            lambda idx, c: idx.query_disk_many(np.array([c, [1.0, 1.0]]), 3.0),
+            lambda idx, c: idx.query_segment([1.0, 1.0], c, 3.0),
+        ],
+        ids=["query_disk", "query_disk_pairs", "count_in_disks", "query_disk_many",
+             "query_segment"],
+    )
+    def test_rejected(self, query, bad):
+        idx = GridIndex(np.random.default_rng(0).uniform(0.0, 10.0, (20, 2)), 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            query(idx, np.array(bad))
+
+
 class TestQueryDisk:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)

@@ -363,3 +363,31 @@ class TestDurableStore:
         assert result["fingerprint"] == run_fingerprint(
             run_config(small_config())
         )
+
+    @pytest.mark.parametrize(
+        "probe",
+        [b'{"kind": "checkpoint", "session": "s\xff"}', b"[" * 200_000],
+        ids=["non-utf8", "too-deep"],
+    )
+    def test_cold_restart_skips_undecodable_lines(self, config_toml, tmp_path, probe):
+        """A line that is not UTF-8 or nests deeper than the JSON parser can
+        go is skipped with a warning naming it; as the final line it is an
+        interrupted append and is skipped in silence.  Reading the store
+        starts no worker."""
+        store = tmp_path / "service.jsonl"
+        session = {"kind": "service-session", "session": "s", "config_toml": config_toml}
+        checkpoint = {"kind": "checkpoint", "session": "s", "checkpoint": {"iteration": 1}}
+        with store.open("wb") as f:
+            f.write(json.dumps(session).encode() + b"\n")
+            f.write(probe + b"\n")
+            f.write(json.dumps(checkpoint).encode() + b"\n")
+            f.write(probe)
+        manager = SessionManager(ServiceConfig(n_workers=1, store_path=store))
+        with pytest.warns(UserWarning) as caught:
+            assert manager.resume_store_sessions() == ["s"]
+        assert [str(w.message) for w in caught] == [
+            f"{store}:2: skipping an undecodable line "
+            + ("(bytes that are not UTF-8)" if b"\xff" in probe else
+               "(JSON nested too deeply to parse)")
+        ]
+        assert json.loads(manager.pending_restores[0][2]) == {"iteration": 1}
