@@ -180,10 +180,17 @@ class CPFTracker:
         when it found no route.  Blacklisting a node that is not a relay's
         chosen next hop leaves that relay's choice unchanged, so every route
         is the one a per-packet resolution would build.
+
+        Every hop link of the routes known up front, built or cached, is
+        advanced to the iteration in one batched pass before the first
+        packet; the tails of route repair and routes rebuilt at their turn
+        catch up one copy at a time.
         """
         arq = self._arq()
         fresh = self._route_new(nid for nid, _z in sent)
         routed_with = len(arq.blacklist)
+        known = (fresh.get(nid) or self._path_cache.get(nid) for nid, _z in sent)
+        arq.advance([path for path in known if path is not None], iteration)
 
         def route(nid: int) -> list[int] | None:
             if nid not in fresh:

@@ -62,7 +62,10 @@ def _coerce(value, hint, path: str):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(path, f"expected a number, got {type(value).__name__}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past float range (TOML ints are unbounded)
+            _fail(path, "integer out of float range")
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(path, f"expected an integer, got {type(value).__name__}")
@@ -192,8 +195,10 @@ class DeploymentConfig:
             _check_positive("deployment", cluster_std=self.cluster_std)
             key, n_nodes = "nodes_per_cluster", self.n_clusters * self.nodes_per_cluster
         if n_nodes > MAX_NODES:
+            # an int count past float range cannot take the float format
+            asked = f"{n_nodes:.0f}" if n_nodes < 1e300 else "over 1e300"
             _fail(f"deployment.{key}",
-                  f"asks for {n_nodes:.0f} nodes, more than the {MAX_NODES} a world may hold")
+                  f"asks for {asked} nodes, more than the {MAX_NODES} a world may hold")
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,11 @@ class SensingConfig:
             _check_positive("sensing", source_power=self.source_power,
                             threshold=self.threshold)
             _check_non_negative("sensing", noise_std=self.noise_std)
-            floor = self.source_power / self.sensing_radius**2
+            try:
+                square = self.sensing_radius**2
+            except OverflowError:  # a float radius past ~1.3e154
+                square = math.inf
+            floor = self.source_power / square
             if self.threshold < floor:
                 _fail("sensing.threshold",
                       "must be >= source_power / sensing_radius^2 "

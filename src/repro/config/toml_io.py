@@ -91,7 +91,7 @@ def loads_config(text: str) -> ScenarioConfig:
     """Parse TOML text into a validated :class:`ScenarioConfig`."""
     try:
         data = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
+    except ValueError as exc:  # TOMLDecodeError, or an int past str conversion's digit limit
         raise ConfigError(f"invalid TOML: {exc}") from exc
     return ScenarioConfig.from_dict(data)
 

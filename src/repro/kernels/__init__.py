@@ -28,7 +28,8 @@ Modules
 :mod:`~repro.kernels.delivery`
     Vectorized keyed uniform draws — a bit-exact numpy replica of
     ``SeedSequence -> PCG64 -> random()`` — so the medium fans one send out
-    to all in-range receivers without per-copy Python RNG construction.
+    to all in-range receivers without per-copy Python RNG construction;
+    ``link_uniform`` is the same replay for one copy, in Python ints.
 
 Grouped calls
 -------------
@@ -48,7 +49,7 @@ the simulator may call into them without cycles.
 
 from . import contributions, delivery, likelihood, propagation
 from .contributions import batch_contributions
-from .delivery import batch_deliver, link_uniform_many
+from .delivery import batch_deliver, link_uniform, link_uniform_many
 from .likelihood import batch_likelihood
 from .propagation import batch_propagate
 
@@ -61,5 +62,6 @@ __all__ = [
     "batch_deliver",
     "batch_likelihood",
     "batch_propagate",
+    "link_uniform",
     "link_uniform_many",
 ]

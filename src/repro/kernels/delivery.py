@@ -33,12 +33,15 @@ Key words (tag, sender, receiver, iteration, nonce) are single 32-bit words:
 values in ``[0, 2^32)``, which every node id, iteration and nonce of the
 simulator is.  The seed may be any non-negative int.
 
-``link_uniform_many(seed, tag, sender, receivers, iteration, nonces)`` is
-bit-exact against the scalar ``_link_uniform`` for every key
+:func:`link_uniform` is the one-copy form: the same prefix, then the four
+key words, ``generate_state`` and the PCG64 steps in Python ints (the state
+as one 128-bit int), which beats a ``(4, 1)`` array pass and builds no
+``SeedSequence``.  Both forms are bit-exact against numpy's own
+``SeedSequence -> PCG64 -> random()`` chain for every key
 (``tests/kernels/test_delivery_kernel.py`` and
-``tests/fuzz/test_link_draws.py`` pin this property), which is what lets the
-medium vectorize loss draws without changing a single delivery outcome
-anywhere.
+``tests/fuzz/test_link_draws.py`` keep that chain as their reference), which
+is what lets the link models draw without changing a single delivery
+outcome anywhere.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "OUTCOME_DELIVER",
     "OUTCOME_DROP",
     "OUTCOME_DELAY",
+    "link_uniform",
     "link_uniform_many",
     "batch_deliver",
 ]
@@ -60,6 +64,8 @@ __all__ = [
 OUTCOME_DELIVER, OUTCOME_DROP, OUTCOME_DELAY = 0, 1, 2
 
 _M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -74,6 +80,9 @@ _POOL_SIZE = 4
 _PCG_MULT_HI = 2549297995355413924
 _PCG_MULT_LO = 4865540595714422341
 _PCG_MULT_LO_HI, _PCG_MULT_LO_LO = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _M32
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+#: ``Generator.random()``'s scaling of a 53-bit mantissa
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 
 def _hash_keys(hash_const: int, mult: int):
@@ -124,10 +133,11 @@ _STATE_MULT = _column([m for _, m in _STATE_KEYS])
 
 @lru_cache(maxsize=256)
 def _prefix(seed: int, tag: int):
-    """The pool after the seed's words, their zero padding and the tag, as a
-    ``(4, 1)`` uint32 column, plus the hash constants of the four key words
-    that follow (sender, receiver, iteration, nonce): for each, the four
-    (xor, multiply) pairs as Python ints and as ``(4, 1)`` uint32 columns."""
+    """The pool after the seed's words, their zero padding and the tag, as
+    four Python ints and as a ``(4, 1)`` uint32 column, plus the hash
+    constants of the four key words that follow (sender, receiver,
+    iteration, nonce): for each, the four (xor, multiply) pairs as Python
+    ints and as ``(4, 1)`` uint32 columns."""
     words = _words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     words += _words(tag)
@@ -146,7 +156,7 @@ def _prefix(seed: int, tag: int):
         word_keys.append(
             (pairs, _column([x for x, _ in pairs]), _column([m for _, m in pairs]))
         )
-    return _column(pool), tuple(word_keys)
+    return tuple(pool), _column(pool), tuple(word_keys)
 
 
 def _mix_word(pool: np.ndarray, word, keys) -> np.ndarray:
@@ -202,7 +212,55 @@ def _pcg64_first_double(state: np.ndarray) -> np.ndarray:
     rot = hi >> 58
     # "& 63" keeps the left shift in range: rot == 0 yields x | x == x
     out = (xored >> rot) | (xored << ((64 - rot) & 63))
-    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return (out >> 11).astype(np.float64) * _DOUBLE_SCALE
+
+
+def link_uniform(
+    seed: int, tag: int, sender: int, receiver: int, iteration: int, nonce: int
+) -> float:
+    """One keyed uniform: the one-copy :func:`link_uniform_many`.
+
+    Equals ``np.random.default_rng(SeedSequence(seed, spawn_key=(tag,
+    sender, receiver, iteration, nonce))).random()`` bit for bit.  The
+    hashmix and mix steps are written out on the pool's four ints: at one
+    copy the interpreter's call overhead is most of the cost.
+    """
+    pool, _pool_column, word_keys = _prefix(int(seed), int(tag))
+    p0, p1, p2, p3 = pool
+    words = (sender, receiver, iteration, nonce)
+    for w, (((x0, m0), (x1, m1), (x2, m2), (x3, m3)), _x, _m) in zip(words, word_keys):
+        w = int(w)
+        h = (w ^ x0) * m0 & _M32
+        r = (p0 * _MIX_MULT_L - (h ^ h >> _XSHIFT) * _MIX_MULT_R) & _M32
+        p0 = r ^ r >> _XSHIFT
+        h = (w ^ x1) * m1 & _M32
+        r = (p1 * _MIX_MULT_L - (h ^ h >> _XSHIFT) * _MIX_MULT_R) & _M32
+        p1 = r ^ r >> _XSHIFT
+        h = (w ^ x2) * m2 & _M32
+        r = (p2 * _MIX_MULT_L - (h ^ h >> _XSHIFT) * _MIX_MULT_R) & _M32
+        p2 = r ^ r >> _XSHIFT
+        h = (w ^ x3) * m3 & _M32
+        r = (p3 * _MIX_MULT_L - (h ^ h >> _XSHIFT) * _MIX_MULT_R) & _M32
+        p3 = r ^ r >> _XSHIFT
+    # generate_state(4, uint64): eight hashmix words over the pool, twice round
+    s = [
+        h ^ h >> _XSHIFT
+        for h in [
+            (p ^ x) * m & _M32
+            for p, (x, m) in zip((p0, p1, p2, p3, p0, p1, p2, p3), _STATE_KEYS)
+        ]
+    ]
+    # its uint64 words are little-endian uint32 pairs; the first two seed
+    # the 128-bit state and the last two the increment, high word first
+    init = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
+    inc = (s[5] << 96 | s[4] << 64 | s[7] << 32 | s[6]) << 1 & _M128 | 1
+    # the srandom steps from state 0 (leaving inc), then next64's step
+    state = (init + inc) * _PCG_MULT + inc & _M128
+    state = state * _PCG_MULT + inc & _M128
+    hi, lo = state >> 64, state & _M64
+    xored, rot = hi ^ lo, hi >> 58
+    out = (xored >> rot | xored << (64 - rot)) & _M64
+    return (out >> 11) * _DOUBLE_SCALE
 
 
 def _take(value, sel: np.ndarray):
@@ -219,7 +277,7 @@ def link_uniform_many(
 ) -> np.ndarray:
     """One keyed uniform per receiver, bit-exact to the scalar draw.
 
-    Equals ``[_link_uniform(seed, tag, sender, r, iteration, nc) for r, nc
+    Equals ``[link_uniform(seed, tag, sender, r, iteration, nc) for r, nc
     in zip(receivers, nonces)]`` — the draw depends only on the key, never
     on batch shape or call order.  ``nonces`` may be a scalar applied to
     every receiver; ``sender``, ``iteration`` and ``seed`` may each be a
@@ -240,7 +298,7 @@ def link_uniform_many(
                 _take(iteration, sel), _take(nonces, sel),
             )
         return out
-    pool, word_keys = _prefix(int(seed), int(tag))
+    _pool, pool, word_keys = _prefix(int(seed), int(tag))
     for word, keys in zip((sender, receivers, iteration, nonces), word_keys):
         pool = _mix_word(pool, word, keys)
     return _pcg64_first_double(_generate_state(pool))

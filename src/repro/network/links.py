@@ -10,12 +10,15 @@ iteration.
 
 Design constraints, all load-bearing for the test tier:
 
-* **Determinism** — every random draw derives from a
-  :class:`numpy.random.SeedSequence` keyed on ``(seed, sender, receiver,
-  iteration, nonce)``, so the same seed reproduces the same drop pattern
-  bit-for-bit regardless of how many unrelated draws happened in between.
-  The ``nonce`` distinguishes multiple messages on the same link within one
-  iteration (they would otherwise share one fate).
+* **Determinism** — every random draw is the first ``random()`` of a
+  generator seeded by a :class:`numpy.random.SeedSequence` keyed on
+  ``(seed, sender, receiver, iteration, nonce)``, so the same seed
+  reproduces the same drop pattern bit-for-bit regardless of how many
+  unrelated draws happened in between.  The ``nonce`` distinguishes
+  multiple messages on the same link within one iteration (they would
+  otherwise share one fate).  :mod:`repro.kernels.delivery` replays that
+  chain without building the objects: ``link_uniform`` for one copy,
+  ``link_uniform_many`` for a batch.
 * **Zero-loss transparency** — a model configured for zero loss must make the
   medium byte-for-byte identical to no model at all; the differential tests
   in ``tests/core/test_cdpf_lossy.py`` pin this.
@@ -51,6 +54,7 @@ from ..kernels.delivery import (
     OUTCOME_DELAY,
     OUTCOME_DELIVER,
     OUTCOME_DROP,
+    link_uniform,
     link_uniform_many,
 )
 
@@ -70,16 +74,6 @@ class LinkOutcome(enum.Enum):
     DELIVER = "deliver"
     DROP = "drop"
     DELAY = "delay"  # delivered at the start of the next iteration
-
-
-def _link_uniform(seed: int, *key: int) -> float:
-    """One deterministic uniform draw keyed on (seed, *key).
-
-    Order-independent: the draw depends only on the key, never on how many
-    other draws were made before it.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
-    return float(np.random.default_rng(ss).random())
 
 
 def _check_seed(seed: int) -> None:
@@ -224,6 +218,16 @@ class LinkModel:
             ]
         return out
 
+    def advance(self, senders, receivers, iteration: int) -> None:
+        """Bring the per-link state of these directed links to ``iteration``
+        ahead of their copies' ``classify`` calls, in one batched pass.
+
+        Outcomes never depend on it: a link's state at an iteration is a
+        pure function of the seed, the link and the iteration, so this only
+        moves the catch-up draws out of the one-copy path.  A model that
+        keeps no per-link state does nothing.
+        """
+
     def delivery_probability(self, distance: float) -> float:
         """Marginal delivery probability at the given distance (for docs/tests)."""
         return 1.0
@@ -266,7 +270,7 @@ class IIDLossLink(LinkModel):
             return LinkOutcome.DELIVER  # no draw: zero-loss is transparent
         if self.p_loss >= 1.0:
             return LinkOutcome.DROP
-        u = _link_uniform(self.seed, 1, sender, receiver, iteration, nonce)
+        u = link_uniform(self.seed, 1, sender, receiver, iteration, nonce)
         return LinkOutcome.DROP if u < self.p_loss else LinkOutcome.DELIVER
 
     def classify_many(self, sender, receivers, distances, iteration, nonces):
@@ -324,7 +328,7 @@ class DistanceFadingLink(LinkModel):
         p = self.delivery_probability(distance)
         if p >= 1.0:
             return LinkOutcome.DELIVER
-        u = _link_uniform(self.seed, 2, sender, receiver, iteration, nonce)
+        u = link_uniform(self.seed, 2, sender, receiver, iteration, nonce)
         return LinkOutcome.DELIVER if u < p else LinkOutcome.DROP
 
     def classify_many(self, sender, receivers, distances, iteration, nonces):
@@ -407,7 +411,7 @@ class GilbertElliottLink(LinkModel):
             # so recomputation gives the identical path
             bad, at = False, -1
         for k in range(at + 1, iteration + 1):
-            u = _link_uniform(self.seed, 3, sender, receiver, k, 0)
+            u = link_uniform(self.seed, 3, sender, receiver, k, 0)
             bad = (u < self.p_good_to_bad) if not bad else (u >= self.p_bad_to_good)
         self._state.set(key, (iteration + 1) << 1 | bad)
         return bad
@@ -419,13 +423,24 @@ class GilbertElliottLink(LinkModel):
             return LinkOutcome.DELIVER
         if p >= 1.0:
             return LinkOutcome.DROP
-        u = _link_uniform(self.seed, 4, sender, receiver, iteration, nonce)
+        u = link_uniform(self.seed, 4, sender, receiver, iteration, nonce)
         return LinkOutcome.DROP if u < p else LinkOutcome.DELIVER
 
-    def classify_many(self, sender, receivers, distances, iteration, nonces):
+    def advance(self, senders, receivers, iteration: int) -> np.ndarray:
+        """Advance each directed link's chain to ``iteration``; returns
+        whether each is in the bad state there, aligned with ``receivers``.
+
+        ``senders`` is a scalar or a per-link array.  The chains move in
+        lockstep, one ``link_uniform_many`` call per step over the links
+        still behind at that step; the per-step draws are keyed on (link,
+        step), so batching them changes nothing about the paths the scalar
+        replay would take, and a link repeated in one call redoes identical
+        draws and agrees.  A link whose memo stands past ``iteration`` is
+        replayed from the chain's origin.
+        """
         receivers = np.asarray(receivers)
         n = receivers.shape[0]
-        senders = np.broadcast_to(np.asarray(sender), receivers.shape)
+        senders = np.broadcast_to(np.asarray(senders), receivers.shape)
         keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
         packed = self._state.get_many(keys)
         at = (packed >> 1) - 1
@@ -433,16 +448,18 @@ class GilbertElliottLink(LinkModel):
         stale = at > iteration  # replay those from the chain's origin
         at[stale] = -1
         bad[stale] = False
-        # advance every directed link's chain to ``iteration`` in lockstep;
-        # the per-step draws are keyed on (link, step), so batching them
-        # changes nothing about the paths the scalar replay would take —
-        # duplicate links in one round redo identical draws and agree
         for k in range(int(at.min()) + 1 if n else iteration + 1, iteration + 1):
             step = at < k
             u = link_uniform_many(self.seed, 3, senders[step], receivers[step], k, 0)
             b = bad[step]
             bad[step] = np.where(b, u >= self.p_bad_to_good, u < self.p_good_to_bad)
         self._state.set_many(keys, bad + ((iteration + 1) << 1))
+        return bad
+
+    def classify_many(self, sender, receivers, distances, iteration, nonces):
+        receivers = np.asarray(receivers)
+        senders = np.broadcast_to(np.asarray(sender), receivers.shape)
+        bad = self.advance(senders, receivers, iteration)
         p = np.where(bad, self.loss_bad, self.loss_good)
         out = np.where(p >= 1.0, OUTCOME_DROP, OUTCOME_DELIVER).astype(np.int8)
         drawn = (p > 0.0) & (p < 1.0)
@@ -495,6 +512,9 @@ class DelayingLink(LinkModel):
     def reset(self) -> None:
         self.inner.reset()
 
+    def advance(self, senders, receivers, iteration: int) -> None:
+        self.inner.advance(senders, receivers, iteration)
+
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["inner"] = self.inner.snapshot()
@@ -511,7 +531,7 @@ class DelayingLink(LinkModel):
         outcome = self.inner.classify(sender, receiver, distance, iteration, nonce)
         if outcome is not LinkOutcome.DELIVER or self.p_delay <= 0.0:
             return outcome
-        u = _link_uniform(self.seed, 5, sender, receiver, iteration, nonce)
+        u = link_uniform(self.seed, 5, sender, receiver, iteration, nonce)
         return LinkOutcome.DELAY if u < self.p_delay else LinkOutcome.DELIVER
 
     def classify_many(self, sender, receivers, distances, iteration, nonces):

@@ -799,6 +799,15 @@ class Medium:
             self._nonce_iteration = iteration
         return self._nonces
 
+    def advance_links(self, senders, receivers, iteration: int) -> None:
+        """Advance the base model's and the override's per-link state of
+        these directed links to ``iteration`` in one batched pass, ahead of
+        a round that classifies their copies one at a time (see
+        :meth:`LinkModel.advance`; outcomes do not change)."""
+        for model in (self.link_model, self._link_override):
+            if model is not None:
+                model.advance(senders, receivers, iteration)
+
     def _copy_outcome(self, sender: int, receiver: int, iteration: int) -> LinkOutcome:
         """Fate of one message copy on the directed link sender -> receiver."""
         if self._partition is not None and bool(

@@ -27,10 +27,18 @@ Mechanics per hop ``a -> b``:
 
 A crashed *sender* cannot retransmit: its send is recorded as dropped by the
 medium and the packet dies where it stands.
+
+Stop-and-wait sends one copy at a time, and under a Gilbert-Elliott link
+each copy would first catch its link's chain up to the round's iteration,
+one scalar draw per missed iteration.  :meth:`ReliableUnicast.advance`
+moves that catch-up ahead of the round: one batched pass over every data
+and ack link of the routes the caller already knows.
 """
 
 from __future__ import annotations
 
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +64,10 @@ class ReliabilityConfig:
     max_route_repairs: int = 2  # repairs per packet
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.max_route_repairs < 0:
-            raise ValueError(
-                f"max_route_repairs must be >= 0, got {self.max_route_repairs}"
-            )
+        for name in ("max_retries", "max_route_repairs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 class ReliableUnicast:
@@ -93,22 +99,40 @@ class ReliableUnicast:
         #: next hops declared dead by timeout (kept across packets: a crashed
         #: node stays crashed; a congested one costs only a detour)
         self.blacklist: set[int] = set()
-        self._delivered_keys: set[tuple] = set()
+        #: messages filed at their destination, by ``dedupe_key``; an entry
+        #: lives only as long as its message, so a later message that
+        #: reuses a freed message's ``id()`` is never taken for a duplicate
+        self._delivered = weakref.WeakValueDictionary()
 
     # -- checkpoint protocol -------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The timeout blacklist; ``_delivered_keys`` is not carried because
-        its entries embed ``id(message)`` — they suppress duplicates within
-        one convergecast round only, and a checkpoint boundary is never
-        inside a round."""
+        """The timeout blacklist; the filed-message record is not carried
+        because its keys embed ``id(message)`` — it suppresses duplicates
+        within one convergecast round only, and a checkpoint boundary is
+        never inside a round."""
         return {"blacklist": sorted(self.blacklist)}
 
     def restore(self, state: dict) -> None:
         self.blacklist = set(int(i) for i in state["blacklist"])
-        self._delivered_keys = set()
+        self._delivered.clear()
 
     # ------------------------------------------------------------------
+
+    def advance(self, routes, iteration: int) -> None:
+        """Advance the link state of every hop of ``routes`` to ``iteration``
+        in one batched call: data ``a -> b``, plus ack ``b -> a`` when acks
+        are on.  Call it before a round over those routes; outcomes do not
+        change (:meth:`~repro.network.medium.Medium.advance_links`)."""
+        senders = [a for path in routes for a in path[:-1]]
+        receivers = [b for path in routes for b in path[1:]]
+        if not senders:
+            return
+        if self.config.ack:
+            senders, receivers = senders + receivers, receivers + senders
+        self.medium.advance_links(
+            np.array(senders, dtype=np.int64), np.array(receivers, dtype=np.int64), iteration
+        )
 
     def send_many(self, requests, iteration: int) -> list[Delivery | None]:
         """Send a round of path transmissions; returns one result per request.
@@ -124,8 +148,10 @@ class ReliableUnicast:
         transmission, so the packets themselves run sequentially (the batched
         fan-out lives a layer down, in the medium's broadcast rounds); this
         is the enqueue+flush *shape* for callers, not a vectorized kernel.
-        Returns ``None`` for requests whose path resolved to ``None``.
+        Returns ``None`` for requests whose path resolved to ``None``.  A
+        message sent twice in one round is filed at its destination once.
         """
+        self._delivered.clear()  # duplicates are suppressed within a round
         out: list[Delivery | None] = []
         for path, message in requests:
             if callable(path):
@@ -134,6 +160,7 @@ class ReliableUnicast:
                 out.append(None)
                 continue
             out.append(self.send_path(path, message, iteration))
+        self._delivered.clear()
         return out
 
     def send_path(self, path: list[int], message: Message, iteration: int) -> Delivery:
@@ -215,7 +242,7 @@ class ReliableUnicast:
             deliver_to_inbox = (
                 is_dest
                 and not data_delivered
-                and message.dedupe_key() not in self._delivered_keys
+                and message.dedupe_key() not in self._delivered
             )
             try:
                 d = self.medium.unicast(
@@ -238,7 +265,7 @@ class ReliableUnicast:
             elif d.receivers.size:
                 data_delivered = True
                 if is_dest:
-                    self._delivered_keys.add(message.dedupe_key())
+                    self._delivered[message.dedupe_key()] = message
             if not data_delivered:
                 continue  # data copy lost: retransmit
             if not self.config.ack:

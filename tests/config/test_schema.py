@@ -1,6 +1,9 @@
 """ScenarioConfig schema: validation messages and round-trip fidelity."""
 
 import dataclasses
+import re
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from repro.network.links import (
     GilbertElliottLink,
     IIDLossLink,
 )
+
+CORPUS = Path(__file__).resolve().parents[1] / "fuzz" / "corpus"
 
 
 class TestValidationNamesTheField:
@@ -81,6 +86,21 @@ class TestValidationNamesTheField:
         with pytest.raises(ConfigError, match="sensing.threshold"):
             SensingConfig(model="energy", threshold=0.5, source_power=100.0,
                           sensing_radius=10.0)
+
+    def test_energy_floor_of_a_huge_radius_fails_closed(self):
+        # radius^2 overflows a float past ~1.3e154: the floor reads 0, and
+        # the R_s <= R_c / 2 check names the field
+        text = (CORPUS / "dpf-quantized-energy-delaying.toml").read_text()
+        data = tomllib.loads(text)
+        data["sensing"]["sensing_radius"] = 1e200
+        with pytest.raises(ConfigError, match="sensing.sensing_radius"):
+            ScenarioConfig.from_dict(data)
+        assert SensingConfig(model="energy", sensing_radius=1e200).sensing_radius == 1e200
+
+    def test_energy_floor_unchanged_while_the_square_is_finite(self):
+        floor = 1e308 / 1e150**2
+        with pytest.raises(ConfigError, match=re.escape(f"(= {floor:g})")):
+            SensingConfig(model="energy", sensing_radius=1e150, source_power=1e308)
 
     def test_bad_link_kind(self):
         with pytest.raises(ConfigError, match="link.kind"):

@@ -1,13 +1,18 @@
-"""Properties of the vectorized link layer against its scalar references.
+"""Properties of the link layer's draws against their references.
 
-* ``link_uniform_many`` must equal ``_link_uniform`` — numpy's own
-  ``SeedSequence -> PCG64 -> random()`` chain — for every key: seeds of any
-  size (multi-word seeds past 2^32, 2^64 and 2^128 included), every tag,
-  scalar or per-copy seed/sender/iteration/nonce, and empty batches.
+* ``link_uniform_many`` and the scalar replay ``link_uniform`` must equal
+  numpy's own ``SeedSequence -> PCG64 -> random()`` chain (kept here as the
+  reference) for every key: seeds of any size (multi-word seeds past 2^32,
+  2^64 and 2^128 included), every tag, scalar or per-copy
+  seed/sender/iteration/nonce, and empty batches.
 * ``GilbertElliottLink.classify_many`` must equal the scalar ``classify``
   loop, with duplicate links in one round, iteration gaps (multi-step
   chain advance), and an earlier iteration asked after a later one (replay
   from the chain's origin); the packed chain memos must agree too.
+* ``advance`` ahead of scalar ``classify`` calls must change nothing: the
+  same outcomes, and the same memo entry for every link a round classified,
+  bare or under a ``DelayingLink``, with repeated links, links advanced but
+  never used, and an advance to an iteration before a link's memo.
 * A medium with a Gilbert-Elliott link snapshotted at an iteration
   boundary, restored into a fresh medium and continued must match the
   medium that never stopped, copy for copy.
@@ -16,16 +21,17 @@
 import json
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.kernels.delivery import (
     OUTCOME_DELAY,
     OUTCOME_DELIVER,
     OUTCOME_DROP,
+    link_uniform,
     link_uniform_many,
 )
-from repro.network.links import GilbertElliottLink, LinkOutcome, _link_uniform
+from repro.network.links import DelayingLink, GilbertElliottLink, LinkOutcome
 from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage
 from repro.network.radio import RadioModel
@@ -35,6 +41,13 @@ _CODE = {
     LinkOutcome.DROP: OUTCOME_DROP,
     LinkOutcome.DELAY: OUTCOME_DELAY,
 }
+
+
+def _link_uniform(seed: int, *key: int) -> float:
+    """The reference draw: numpy's own SeedSequence -> PCG64 -> random()."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    return float(np.random.default_rng(ss).random())
+
 
 _words = st.integers(0, 2**32 - 1)
 _seeds = st.one_of(
@@ -74,6 +87,19 @@ def test_link_uniform_many_equals_seed_sequence(keys):
     ]
     assert got.shape == (len(receivers),)
     assert got.tolist() == expected
+
+
+@given(
+    seed=_seeds,
+    tag=st.integers(1, 5),
+    sender=_words,
+    receiver=_words,
+    iteration=_words,
+    nonce=_words,
+)
+def test_link_uniform_equals_seed_sequence(seed, tag, sender, receiver, iteration, nonce):
+    got = link_uniform(seed, tag, sender, receiver, iteration, nonce)
+    assert got == _link_uniform(seed, tag, sender, receiver, iteration, nonce)
 
 
 _probabilities = st.one_of(
@@ -128,6 +154,49 @@ def test_gilbert_elliott_batched_equals_scalar(params, rounds):
         assert got.tolist() == expected
     assert batched._state == scalar._state
     assert batched.snapshot() == scalar.snapshot()
+
+
+@st.composite
+def _advance_rounds(draw):
+    """Rounds over three nodes: each advances a list of links (repeats and
+    links no copy uses included), then classifies copies one at a time.
+    The iterations come in any order and the last round asks the first
+    one's again, so some advances go back past a link's memo."""
+    links = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    copies = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
+
+    def one_round(iteration):
+        return iteration, draw(st.lists(links, max_size=10)), draw(st.lists(copies, max_size=8))
+
+    iterations = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    return [one_round(k) for k in iterations + iterations[:1]]
+
+
+@given(params=_ge_params(), delaying=st.booleans(), rounds=_advance_rounds())
+@example(  # link 0 -> 1 is bad at 5 and good at 2: going back must replay
+    params=dict(p_good_to_bad=0.5, p_bad_to_good=0.5, loss_good=0.0, loss_bad=0.9, seed=2),
+    delaying=False,
+    rounds=[(5, [(0, 1)], [(0, 1, 0)]), (2, [(0, 1), (0, 1)], [(0, 1, 1)])],
+)
+def test_advance_then_scalar_classify_equals_scalar_classify(params, delaying, rounds):
+    def make():
+        chain = GilbertElliottLink(**params)
+        return (DelayingLink(chain, p_delay=0.3, seed=5) if delaying else chain), chain
+
+    advanced, advanced_chain = make()
+    scalar, scalar_chain = make()
+    for iteration, links, copies in rounds:
+        senders = np.array([a for a, _b in links], dtype=np.int64)
+        receivers = np.array([b for _a, b in links], dtype=np.int64)
+        advanced.advance(senders, receivers, iteration)
+        got = [advanced.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
+        expected = [scalar.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
+        assert got == expected
+        # the advanced side may hold more links, or links it advanced but
+        # did not use at another position; every link used must agree
+        for a, b, _nc in copies:
+            key = a << 32 | b
+            assert advanced_chain._state.get(key) == scalar_chain._state.get(key)
 
 
 _RADIO = RadioModel(comm_radius=12.0)

@@ -1,5 +1,5 @@
 """The vectorized delivery draw and classify paths, pinned against the
-scalar ``_link_uniform`` / ``classify`` references bit for bit.
+SeedSequence reference and the scalar ``classify`` bit for bit.
 
 This is the file ``kernels/delivery.py``'s docstring promises: the keyed
 uniform replay must match numpy's own SeedSequence -> PCG64 -> random()
@@ -24,7 +24,6 @@ from repro.network.links import (
     IIDLossLink,
     LinkModel,
     LinkOutcome,
-    _link_uniform,
 )
 
 _CODE = {
@@ -32,6 +31,12 @@ _CODE = {
     LinkOutcome.DROP: OUTCOME_DROP,
     LinkOutcome.DELAY: OUTCOME_DELAY,
 }
+
+
+def _link_uniform(seed: int, *key: int) -> float:
+    """The reference draw: numpy's own SeedSequence -> PCG64 -> random()."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    return float(np.random.default_rng(ss).random())
 
 
 def _scalar_classify(model, sender, receivers, distances, iteration, nonces):

@@ -112,3 +112,66 @@ class TestRouteRepair:
         assert d.receivers.size == 0
         assert m.accounting.total_messages == 0  # nothing went on the air
         assert m.accounting.total_dropped_messages >= 1
+
+
+class TestDedupe:
+    def test_distinct_messages_reusing_a_freed_id_are_all_filed(self):
+        # each message is freed once its inbox is cleared, so CPython hands
+        # its id() to the next one; a new message is a new packet, never a
+        # retransmitted duplicate
+        m = line_medium(IIDLossLink(p_loss=1e-4, seed=0))
+        arq = ReliableUnicast(m)
+        filed = 0
+        for value in range(12):
+            message = MeasurementMessage(sender=0, iteration=0, value=float(value))
+            d = arq.send_path([0, 1, 2], message, 0)
+            assert d.receivers.tolist() == [2]
+            filed += len(m.collect(2))
+            m.clear_inboxes()
+            del message, d
+        assert filed == 12
+
+    def test_retransmit_of_one_message_is_filed_once(self):
+        m = line_medium()
+        arq = ReliableUnicast(m)
+        message = msg()
+        first = arq.send_path([0, 1, 2], message, 0)
+        again = arq.send_path([0, 1, 2], message, 0)
+        assert first.receivers.tolist() == again.receivers.tolist() == [2]
+        assert m.collect(2) == [message]
+
+    def test_duplicates_are_suppressed_within_one_round(self):
+        m = line_medium()
+        arq = ReliableUnicast(m)
+        message = msg()
+        out = arq.send_many([([0, 1, 2], message), ([0, 1, 2], message)], 0)
+        assert [d.receivers.tolist() for d in out] == [[2], [2]]
+        assert m.collect(2) == [message]
+        # the record is scoped to the round: a later round files it again
+        arq.send_many([([0, 1, 2], message)], 0)
+        assert m.collect(2) == [message]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_retries", 1.5),
+            ("max_retries", True),
+            ("max_retries", "2"),
+            ("max_retries", -1),
+            ("max_route_repairs", float("nan")),
+            ("max_route_repairs", 1.5),
+            ("max_route_repairs", False),
+            ("max_route_repairs", "2"),
+            ("max_route_repairs", -1),
+        ],
+    )
+    def test_counts_must_be_non_negative_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReliabilityConfig(**{field: value})
+
+    def test_integer_counts_accepted(self):
+        config = ReliabilityConfig(max_retries=np.int64(0), max_route_repairs=5)
+        arq = ReliableUnicast(line_medium(), config)
+        assert arq.send_path([0, 1, 2], msg(), 0).receivers.tolist() == [2]

@@ -11,6 +11,8 @@ import base64
 import json
 import os
 import struct
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +301,20 @@ class TestMalformedInput:
             assert head.split()[1] == b"400", raw
             assert "Content-Length" in json.loads(payload)["error"]
         assert status == 200 and health["status"] == "ok"
+
+    def test_energy_config_with_a_huge_radius_is_400(self):
+        # source_power / sensing_radius**2 overflowed past a radius of ~1.3e154
+        corpus = Path(__file__).resolve().parents[1] / "fuzz" / "corpus"
+        config = tomllib.loads((corpus / "dpf-quantized-energy-delaying.toml").read_text())
+        config["sensing"]["sensing_radius"] = 1e200
+
+        async def body(service):
+            return await request(service.host, service.port, "POST", "/sessions",
+                                 {"config": config})
+
+        status, reply = run(with_service(ServiceConfig(n_workers=1), body))
+        assert (status, reply["code"]) == (400, "bad_request")
+        assert "sensing.sensing_radius" in reply["error"]
 
     class _Sink:
         """The writer half ws_recv answers on."""
