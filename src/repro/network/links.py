@@ -376,11 +376,24 @@ class GilbertElliottLink(LinkModel):
 
     The chain is advanced lazily and deterministically: the state at iteration
     ``k`` is a pure function of the seed, the link, and ``k``, so replaying a
-    run reproduces every burst.  The memo of where each chain stands is one
-    :class:`LinkTable` of packed ints, key ``sender << 32 | receiver`` and
-    value ``(at + 1) << 1 | bad`` (so a missing link reads as 0: good,
-    before iteration 0); a batched round reads it with one ``get_many`` and
-    writes it back with one ``set_many``.
+    run reproduces every burst.  Step ``k`` draws ``u_k`` (tag 3) and moves
+    good -> bad iff ``u_k < p_good_to_bad`` and bad -> good iff ``u_k <
+    p_bad_to_good``.  With ``lo``/``hi`` the smaller/larger of the two, a
+    draw ``u < lo`` flips the state, ``u >= hi`` keeps it, and ``lo <= u <
+    hi`` sets it to ``p_good_to_bad > p_bad_to_good`` whatever it was (a
+    coupling step).  So the state at ``k`` is the state the last coupling
+    step set, XOR the parity of the flips after it, and a catch-up walks
+    back from ``k``, drawing ``u_k, u_{k-1}, ...``, until a coupling draw or
+    the memo's step (whose state then stands in for the coupling): at most
+    ``k - at`` draws, the forward replay's count, and ``1 / (hi - lo)``
+    expected (2.86 at the defaults); with equal probabilities nothing
+    couples and the walk draws every step.
+
+    The memo of where each chain stands is one :class:`LinkTable` of packed
+    ints, key ``sender << 32 | receiver`` and value ``(at + 1) << 1 | bad``
+    (so a missing link reads as 0: good, before iteration 0); a batched
+    round reads it with one ``get_many`` and writes it back with one
+    ``set_many``.
     """
 
     p_good_to_bad: float = 0.05
@@ -401,8 +414,16 @@ class GilbertElliottLink(LinkModel):
     def reset(self) -> None:
         self._state.clear()
 
+    def _coupling(self) -> tuple[float, float, bool]:
+        """``(lo, hi, coupled)``: a step's draw ``u < lo`` flips the state,
+        ``u >= hi`` keeps it, and ``lo <= u < hi`` sets it to ``coupled``
+        whatever it was."""
+        g2b, b2g = self.p_good_to_bad, self.p_bad_to_good
+        return min(g2b, b2g), max(g2b, b2g), g2b > b2g
+
     def _state_at(self, sender: int, receiver: int, iteration: int) -> bool:
-        """True iff the directed link is in the bad state at ``iteration``."""
+        """True iff the directed link is in the bad state at ``iteration``:
+        the one-link walk of :meth:`advance`."""
         key = int(sender) << 32 | int(receiver)
         packed = self._state.get(key)
         at, bad = (packed >> 1) - 1, bool(packed & 1)
@@ -410,9 +431,16 @@ class GilbertElliottLink(LinkModel):
             # replay from the chain's origin: the per-step draws are keyed,
             # so recomputation gives the identical path
             bad, at = False, -1
-        for k in range(at + 1, iteration + 1):
+        lo, hi, coupled = self._coupling()
+        flip = False
+        for k in range(iteration, at, -1):
             u = link_uniform(self.seed, 3, sender, receiver, k, 0)
-            bad = (u < self.p_good_to_bad) if not bad else (u >= self.p_bad_to_good)
+            if u < lo:
+                flip = not flip
+            elif u < hi:
+                bad = coupled
+                break
+        bad = bad != flip
         self._state.set(key, (iteration + 1) << 1 | bad)
         return bad
 
@@ -430,29 +458,37 @@ class GilbertElliottLink(LinkModel):
         """Advance each directed link's chain to ``iteration``; returns
         whether each is in the bad state there, aligned with ``receivers``.
 
-        ``senders`` is a scalar or a per-link array.  The chains move in
+        ``senders`` is a scalar or a per-link array.  Each chain walks back
+        from ``iteration`` over its keyed step draws (see the class
+        docstring) until a coupling draw or its memo; the walks move in
         lockstep, one ``link_uniform_many`` call per step over the links
-        still behind at that step; the per-step draws are keyed on (link,
-        step), so batching them changes nothing about the paths the scalar
-        replay would take, and a link repeated in one call redoes identical
-        draws and agrees.  A link whose memo stands past ``iteration`` is
-        replayed from the chain's origin.
+        still walking.  The draws are keyed on (link, step), so batching
+        them changes nothing about the state the scalar walk finds, and a
+        link repeated in one call redoes identical draws and agrees.  A
+        link whose memo stands past ``iteration`` walks back to the chain's
+        origin.
         """
         receivers = np.asarray(receivers)
-        n = receivers.shape[0]
         senders = np.broadcast_to(np.asarray(senders), receivers.shape)
         keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
         packed = self._state.get_many(keys)
         at = (packed >> 1) - 1
         bad = (packed & 1).astype(bool)
-        stale = at > iteration  # replay those from the chain's origin
+        stale = at > iteration  # walk those back to the chain's origin
         at[stale] = -1
         bad[stale] = False
-        for k in range(int(at.min()) + 1 if n else iteration + 1, iteration + 1):
-            step = at < k
-            u = link_uniform_many(self.seed, 3, senders[step], receivers[step], k, 0)
-            b = bad[step]
-            bad[step] = np.where(b, u >= self.p_bad_to_good, u < self.p_good_to_bad)
+        lo, hi, coupled = self._coupling()
+        flip = np.zeros(receivers.shape[0], dtype=bool)
+        walking = np.flatnonzero(at < iteration)
+        k = iteration
+        while walking.size:
+            u = link_uniform_many(self.seed, 3, senders[walking], receivers[walking], k, 0)
+            flip[walking] ^= u < lo
+            set_here = (u >= lo) & (u < hi)
+            bad[walking[set_here]] = coupled
+            k -= 1
+            walking = walking[~set_here & (at[walking] < k)]
+        bad ^= flip
         self._state.set_many(keys, bad + ((iteration + 1) << 1))
         return bad
 

@@ -16,7 +16,9 @@ Semantics follow the paper's round-based simulation:
 The plane is organized around **rounds, not messages**: senders enqueue their
 transmissions into a :class:`TransmissionBatch` and one ``flush()`` resolves
 the whole round — receiver sets come from one
-:meth:`~repro.network.spatial.GridIndex.query_disk_many` gather over a shared
+:meth:`~repro.network.spatial.GridIndex.box_candidates` gather of the grid
+cells the senders' query boxes overlap, cut to each sender's disk by one
+distance mask, on the index of a shared
 :class:`~repro.network.neighborhood.NeighborhoodCache` (with per-sender
 results cached until availability or positions change), loss/delay outcomes
 come from one :func:`~repro.kernels.delivery.batch_deliver` kernel call over
@@ -506,8 +508,9 @@ class TransmissionBatch:
     resolves them **in enqueue order** (ordering is what keeps the per-link
     nonces, and therefore every loss draw, identical to sending the same
     messages one by one).  Consecutive broadcasts are resolved as one
-    vectorized round: receiver sets from the shared neighborhood cache (one
-    ``query_disk_many`` gather for the cache misses), one ``batch_deliver``
+    vectorized round: receiver sets from the medium's offered-receiver
+    overlay (one ``box_candidates`` gather and one distance mask for the
+    senders it misses), one ``batch_deliver``
     kernel call over every open copy, one availability mask, and batched
     ledger appends.  Unicast and path entries run the scalar hop machinery
     (they are data-dependent: ARQ and routing decide the next send from the
@@ -891,27 +894,30 @@ class Medium:
     def _offered_misses(self, senders) -> None:
         """Fill the offered-receiver overlay for every sender missing from it.
 
-        One ``query_disk_many`` gather over all miss centers, one ``(senders,
-        union)`` squared-distance mask (bitwise the ``query_disk`` compare),
-        one availability mask — then per-sender slices of the sorted union.
+        The candidates are every node in a grid cell some miss sender's
+        query box overlaps (one ``GridIndex.box_candidates`` gather, sorted
+        by id), a superset of each sender's disk; one ``(senders,
+        candidates)`` squared-distance mask (bitwise the ``query_disk``
+        compare) and one availability mask cut it down, then each sender
+        takes its row of the sorted candidates.
         """
         miss = [s for s in senders if s not in self._offered]
         if not miss:
             return
         radius = self.radio.comm_radius
         centers = self.positions[miss]
-        union = self._neighborhood.index.query_disk_many(centers, radius)
-        if union.size == 0:
+        cand = self._neighborhood.index.box_candidates(centers, radius)
+        if cand.size == 0:
             for s in miss:
                 self._offered[s] = _EMPTY_IDS
             return
-        upos = self.positions[union]
-        avail = self._available[union]
-        dx = upos[None, :, 0] - centers[:, 0:1]
-        dy = upos[None, :, 1] - centers[:, 1:2]
+        cpos = self.positions[cand]
+        avail = self._available[cand]
+        dx = cpos[None, :, 0] - centers[:, 0:1]
+        dy = cpos[None, :, 1] - centers[:, 1:2]
         keep = (dx * dx + dy * dy <= radius * radius) & avail[None, :]
         for row, s in enumerate(miss):
-            offered = union[keep[row]]
+            offered = cand[keep[row]]
             self._offered[s] = offered[offered != s].astype(np.intp, copy=False)
 
     def _flush_broadcasts(self, entries, iteration: int) -> list[Delivery]:

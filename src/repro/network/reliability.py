@@ -122,7 +122,8 @@ class ReliableUnicast:
     def advance(self, routes, iteration: int) -> None:
         """Advance the link state of every hop of ``routes`` to ``iteration``
         in one batched call: data ``a -> b``, plus ack ``b -> a`` when acks
-        are on.  Call it before a round over those routes; outcomes do not
+        are on, each distinct link once (routes share their hops near the
+        sink).  Call it before a round over those routes; outcomes do not
         change (:meth:`~repro.network.medium.Medium.advance_links`)."""
         senders = [a for path in routes for a in path[:-1]]
         receivers = [b for path in routes for b in path[1:]]
@@ -130,9 +131,10 @@ class ReliableUnicast:
             return
         if self.config.ack:
             senders, receivers = senders + receivers, receivers + senders
-        self.medium.advance_links(
-            np.array(senders, dtype=np.int64), np.array(receivers, dtype=np.int64), iteration
+        links = np.unique(
+            np.array(senders, dtype=np.int64) << 32 | np.array(receivers, dtype=np.int64)
         )
+        self.medium.advance_links(links >> 32, links & 0xFFFFFFFF, iteration)
 
     def send_many(self, requests, iteration: int) -> list[Delivery | None]:
         """Send a round of path transmissions; returns one result per request.

@@ -154,29 +154,55 @@ class GridIndex:
             return empty, empty
         centers = np.atleast_2d(centers)
         _require_finite(centers)
-        # each center's cell box as _cells_in_box computes it, as rows
-        # (x0, y0, x1, y1); clipping the floored floats before the cast keeps
-        # it exact for far off-field centers
-        origin, low, high, xs, ys = self._pair_tables()
-        box = (np.concatenate((centers - radius, centers + radius), axis=1) - origin)
-        box = np.minimum(np.maximum(box // self.cell_size, low), high).astype(np.intp)
-        size = np.maximum(box[:, 2:] - box[:, :2] + 1, 0)  # cells per axis
-        # the (center, cell) pairs, x-major within a center
-        n_cells = size[:, 0] * size[:, 1]
-        owner = np.repeat(np.arange(centers.shape[0]), n_cells)
-        k = np.arange(owner.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
-        ny = self._shape[1]
-        x, y = np.divmod(k, size[owner, 1])
-        cells = (box[:, 0] * ny + box[:, 1])[owner] + x * ny + y
-        # every cell's CSR range of the point order, expanded in one gather
-        starts = self._start[cells]
-        lens = self._start[cells + 1] - starts
-        at = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        owner, cells = self._box_cells(centers, radius)
+        lens, at = self._cell_points(cells)
+        _origin, _low, _high, xs, ys = self._pair_tables()
         ctr = np.repeat(owner, lens)
         dx = xs[at] - centers[:, 0][ctr]
         dy = ys[at] - centers[:, 1][ctr]
         inside = dx * dx + dy * dy <= radius * radius
         return ctr[inside], self._order[at[inside]]
+
+    def box_candidates(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Sorted ids of every point in a grid cell that some center's query
+        box ``[c - radius, c + radius]`` overlaps.
+
+        A superset of :meth:`query_disk_many`'s union with no distance test:
+        the same cell boxes, each distinct cell gathered once.
+        """
+        if radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        _require_finite(centers)
+        _owner, cells = self._box_cells(centers, radius)
+        ids = self._order[self._cell_points(np.unique(cells))[1]]
+        ids.sort()
+        return ids
+
+    def _box_cells(self, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(center, cell)`` pair of the centers' query boxes, as
+        :meth:`_cells_in_box` computes each box: grouped by ascending center,
+        x-major within a center.  Each box is clipped in float before the
+        integer cast, which keeps it exact for far off-field centers, and the
+        pairs are expanded with one ``repeat``/``arange``."""
+        origin, low, high, _xs, _ys = self._pair_tables()
+        box = (np.concatenate((centers - radius, centers + radius), axis=1) - origin)
+        box = np.minimum(np.maximum(box // self.cell_size, low), high).astype(np.intp)
+        size = np.maximum(box[:, 2:] - box[:, :2] + 1, 0)  # cells per axis
+        n_cells = size[:, 0] * size[:, 1]
+        owner = np.repeat(np.arange(centers.shape[0]), n_cells)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        ny = self._shape[1]
+        x, y = np.divmod(k, size[owner, 1])
+        return owner, (box[:, 0] * ny + box[:, 1])[owner] + x * ny + y
+
+    def _cell_points(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's point count, and the positions in ``_order`` of all
+        their points, cell after cell: the CSR ranges expanded in one gather."""
+        starts = self._start[cells]
+        lens = self._start[cells + 1] - starts
+        at = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return lens, at
 
     def query_disk_many(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Union of ``query_disk`` over several centers, deduplicated and sorted:

@@ -75,6 +75,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
+    except ValueError:
+        # readline re-raises a line past the stream's limit (64 KiB on the
+        # server) as ValueError
+        raise HttpError(414, "request line too long")
     if not request_line:
         return None
     try:
@@ -86,7 +90,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     headers: dict[str, str] = {}
     total = len(request_line)
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise HttpError(431, "request header line too long")
         total += len(line)
         if total > _MAX_HEADER_BYTES:
             raise HttpError(431, "request headers too large")
@@ -103,6 +110,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         # underscores and non-ASCII digits
         if not (length.isascii() and length.isdigit()):
             raise HttpError(400, f"bad Content-Length {length!r}")
+        # more digits than the cap has is over it; int() refuses a string
+        # past 4300 digits with ValueError
+        if len(length.lstrip("0")) > len(str(_MAX_BODY_BYTES)):
+            raise HttpError(413, "request body too large")
         n = int(length)
         if n > _MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")

@@ -10,12 +10,22 @@ point order within a cell.  The draws cover uniform, clustered and
 integer-lattice worlds, cell sizes from ``R / 4`` to ``2 R``, radius 0,
 centers on cell edges, on lattice points and far off the field (±1e12 and
 ±1e300), duplicate centers, no centers, and an empty index.
+
+The medium's offered-receiver overlay gathers its candidates from the
+senders' cell boxes (``GridIndex.box_candidates``, checked against one
+``_cells_in_box`` walk per center), a superset of their disks; each
+sender's offered set must be its ``query_disk`` cut to available nodes
+other than itself, sorted, for clustered and scattered senders, with
+sleeping and crashed nodes, and on lattices whose nodes sit on cell edges
+and exactly R apart.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.network.medium import Medium
+from repro.network.radio import RadioModel
 from repro.network.spatial import GridIndex
 
 R = 10.0
@@ -130,3 +140,62 @@ def test_empty_index_and_no_centers():
             for g, w in zip(got, want):
                 assert g.dtype == np.intp
                 np.testing.assert_array_equal(g, w)
+
+
+def _box_candidates_reference(index: GridIndex, centers: np.ndarray, radius: float) -> np.ndarray:
+    """Every point of every center's ``_cells_in_box`` cells, once, sorted."""
+    r = np.array([radius, radius])
+    cells = [index._cells_in_box(c - r, c + r) for c in np.asarray(centers).reshape(-1, 2)]
+    cells = np.unique(np.concatenate(cells)) if cells else np.zeros(0, dtype=np.intp)
+    chunks = [index._order[index._start[c] : index._start[c + 1]] for c in cells]
+    return np.sort(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.intp)
+
+
+@given(_queries())
+def test_box_candidates_match_per_center_cells(query):
+    index, centers, radius = query
+    got = index.box_candidates(centers, radius)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, _box_candidates_reference(index, centers, radius))
+
+
+@st.composite
+def _overlays(draw):
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice"]))
+    positions = _positions(draw, kind)
+    n = positions.shape[0]
+    medium = Medium(positions, RadioModel(comm_radius=R))
+    if n == 0:
+        return medium, []
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    off = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+    asleep = rng.random(n) < 0.5
+    medium.set_asleep(np.flatnonzero(off & asleep))
+    medium.fail_nodes(np.flatnonzero(off & ~asleep))
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # clustered: every sender within 2 R of one node
+        hub = positions[rng.integers(0, n)]
+        pool = medium._index.query_disk(hub, 2.0 * R)
+    else:
+        pool = np.arange(n)
+    senders = rng.choice(pool, k).tolist()
+    # a second round: some senders cached, some new
+    again = rng.choice(np.arange(n), draw(st.integers(0, 6))).tolist()
+    return medium, [senders, senders[: k // 2] + again]
+
+
+def _offered_reference(medium: Medium, sender: int) -> np.ndarray:
+    ids = medium._index.query_disk(medium.positions[sender], medium.radio.comm_radius)
+    return np.sort(ids[medium._available[ids] & (ids != sender)])
+
+
+@given(_overlays())
+def test_offered_overlay_is_query_disk_of_available_nodes(overlay):
+    medium, rounds = overlay
+    for senders in rounds:
+        medium._offered_misses(senders)
+        for s in senders:
+            got = medium._offered[s]
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, _offered_reference(medium, s))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.links import IIDLossLink
+from repro.network.links import GilbertElliottLink, IIDLossLink
 from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage
 from repro.network.radio import RadioModel
@@ -150,6 +150,62 @@ class TestDedupe:
         # the record is scoped to the round: a later round files it again
         arq.send_many([([0, 1, 2], message)], 0)
         assert m.collect(2) == [message]
+
+
+class TestAdvance:
+    """``advance`` catches each distinct hop link up once, however many of
+    the round's routes share it, and changes no outcome."""
+
+    # routes that meet at the sink's end of the line: hops 2 -> 3 and 3 -> 4
+    # (and their acks) appear in every route
+    ROUTES = [[0, 1, 2, 3, 4], [1, 2, 3, 4], [2, 3, 4], [5, 3, 4]]
+
+    def medium(self):
+        pos = np.array(
+            [[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0], [80.0, 0.0], [60.0, 20.0]]
+        )
+        model = GilbertElliottLink(p_good_to_bad=0.3, p_bad_to_good=0.3, loss_bad=0.7, seed=4)
+        return Medium(pos, RadioModel(comm_radius=25.0), link_model=model)
+
+    def play(self, medium, arq, advance):
+        seen = []
+        for iteration in (0, 3, 11, 12, 40):
+            advance(iteration)
+            requests = [(path, msg(path[0], iteration)) for path in self.ROUTES]
+            out = arq.send_many(requests, iteration)
+            seen.append([(d.receivers.tolist(), d.dropped.tolist()) for d in out])
+        return seen
+
+    def test_shared_hops_advance_once_with_identical_outcomes(self):
+        deduped = self.medium()
+        model = deduped.link_model
+        calls = []
+        advance = model.advance
+
+        def spy(senders, receivers, iteration):
+            calls.append(list(zip(np.asarray(senders).tolist(), np.asarray(receivers).tolist())))
+            return advance(senders, receivers, iteration)
+
+        model.advance = spy
+        arq = ReliableUnicast(deduped)
+        got = self.play(deduped, arq, lambda k: arq.advance(self.ROUTES, k))
+
+        hops = [(a, b) for path in self.ROUTES for a, b in zip(path, path[1:])]
+        links = hops + [(b, a) for a, b in hops]
+        assert len(set(links)) < len(links)
+        assert calls and all(sorted(c) == sorted(set(links)) for c in calls)
+
+        # every hop with its repeats, as one undeduplicated advance
+        repeated = self.medium()
+        senders = np.array([a for a, _b in links], dtype=np.int64)
+        receivers = np.array([b for _a, b in links], dtype=np.int64)
+        want = self.play(
+            repeated, ReliableUnicast(repeated),
+            lambda k: repeated.advance_links(senders, receivers, k),
+        )
+        assert got == want
+        assert model._state == repeated.link_model._state
+        assert model.snapshot() == repeated.link_model.snapshot()
 
 
 class TestConfigValidation:

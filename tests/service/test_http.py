@@ -302,6 +302,39 @@ class TestMalformedInput:
             assert "Content-Length" in json.loads(payload)["error"]
         assert status == 200 and health["status"] == "ok"
 
+    @staticmethod
+    def _raw_reply(head: bytes):
+        """Send ``head`` on its own connection; the raw reply, then what
+        ``/healthz`` answers afterwards."""
+
+        async def body(service):
+            reader, writer = await asyncio.open_connection(service.host, service.port)
+            writer.write(head)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return raw, await request(service.host, service.port, "GET", "/healthz")
+
+        raw, (status, health) = run(with_service(ServiceConfig(n_workers=1), body))
+        assert status == 200 and health["status"] == "ok"
+        return raw
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            # lines past asyncio's 64 KiB stream limit, which readline
+            # raises as ValueError
+            (b"GET /" + b"a" * 69_984 + b" HTTP/1.1\r\nHost: t\r\n\r\n", 414),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 69_990 + b"\r\n\r\n", 431),
+            # past int()'s 4300-digit limit, and far under the header cap
+            (b"POST /sessions HTTP/1.1\r\nContent-Length: " + b"7" * 5000 + b"\r\n\r\n", 413),
+        ],
+        ids=["request-line", "header-line", "content-length-digits"],
+    )
+    def test_over_long_input_fails_closed(self, head, status):
+        raw = self._raw_reply(head)
+        assert raw.partition(b"\r\n\r\n")[0].split()[1] == str(status).encode(), raw[:200]
+
     def test_energy_config_with_a_huge_radius_is_400(self):
         # source_power / sensing_radius**2 overflowed past a radius of ~1.3e154
         corpus = Path(__file__).resolve().parents[1] / "fuzz" / "corpus"
