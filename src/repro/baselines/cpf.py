@@ -181,16 +181,16 @@ class CPFTracker:
         chosen next hop leaves that relay's choice unchanged, so every route
         is the one a per-packet resolution would build.
 
-        Every hop link of the routes known up front, built or cached, is
-        advanced to the iteration in one batched pass before the first
-        packet; the tails of route repair and routes rebuilt at their turn
-        catch up one copy at a time.
+        The routes known up front, built or cached, are handed to the ARQ
+        round, which draws the copy fates of all their links in one batched
+        call before the first packet; repair tails and routes rebuilt at
+        their turn draw theirs when they appear.
         """
         arq = self._arq()
         fresh = self._route_new(nid for nid, _z in sent)
         routed_with = len(arq.blacklist)
         known = (fresh.get(nid) or self._path_cache.get(nid) for nid, _z in sent)
-        arq.advance([path for path in known if path is not None], iteration)
+        known = [path for path in known if path is not None]
 
         def route(nid: int) -> list[int] | None:
             if nid not in fresh:
@@ -215,7 +215,7 @@ class CPFTracker:
             for nid, z in sent
         ]
         arrived: dict[int, bool] = {}
-        for (nid, _z), delivery in zip(sent, arq.send_many(requests, iteration)):
+        for (nid, _z), delivery in zip(sent, arq.send_many(requests, iteration, known)):
             if delivery is None:
                 continue  # disconnected detector: measurement lost
             if delivery.receivers.size == 0:

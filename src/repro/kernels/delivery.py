@@ -221,13 +221,17 @@ def link_uniform(
     """One keyed uniform: the one-copy :func:`link_uniform_many`.
 
     Equals ``np.random.default_rng(SeedSequence(seed, spawn_key=(tag,
-    sender, receiver, iteration, nonce))).random()`` bit for bit.  The
-    hashmix and mix steps are written out on the pool's four ints: at one
-    copy the interpreter's call overhead is most of the cost.
+    sender, receiver, iteration, nonce))).random()`` bit for bit.
     """
     pool, _pool_column, word_keys = _prefix(int(seed), int(tag))
+    return _replay(pool, word_keys, (sender, receiver, iteration, nonce))
+
+
+def _replay(pool, word_keys, words) -> float:
+    """The draw of one key from its ``_prefix``, in Python ints.  The
+    hashmix and mix steps are written out on the pool's four ints: at one
+    copy the interpreter's call overhead is most of the cost."""
     p0, p1, p2, p3 = pool
-    words = (sender, receiver, iteration, nonce)
     for w, (((x0, m0), (x1, m1), (x2, m2), (x3, m3)), _x, _m) in zip(words, word_keys):
         w = int(w)
         h = (w ^ x0) * m0 & _M32
@@ -261,6 +265,12 @@ def link_uniform(
     xored, rot = hi ^ lo, hi >> 58
     out = (xored >> rot | xored << (64 - rot)) & _M64
     return (out >> 11) * _DOUBLE_SCALE
+
+
+#: batches up to this size replay each key in Python ints: below it the
+#: array pass's fixed cost (~80 array operations on (4, n) words) is more
+#: than the keys' replays
+_SMALL_BATCH = 8
 
 
 def _take(value, sel: np.ndarray):
@@ -298,7 +308,14 @@ def link_uniform_many(
                 _take(iteration, sel), _take(nonces, sel),
             )
         return out
-    _pool, pool, word_keys = _prefix(int(seed), int(tag))
+    pool_ints, pool, word_keys = _prefix(int(seed), int(tag))
+    n = receivers.shape[0]
+    if n <= _SMALL_BATCH:
+        words = [
+            [int(w)] * n if np.ndim(w) == 0 else np.asarray(w).tolist()
+            for w in (sender, receivers, iteration, nonces)
+        ]
+        return np.array([_replay(pool_ints, word_keys, key) for key in zip(*words)])
     for word, keys in zip((sender, receivers, iteration, nonces), word_keys):
         pool = _mix_word(pool, word, keys)
     return _pcg64_first_double(_generate_state(pool))

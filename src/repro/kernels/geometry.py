@@ -23,12 +23,26 @@ import numpy as np
 __all__ = ["fma_many", "norm2d_many"]
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitting constant for float64
+#: at most this many elements, fma_many runs its steps on Python floats:
+#: the same IEEE double operations in the same order, so the same bits,
+#: without the fixed cost of ~25 array operations
+_FEW = 8
 
 
 def fma_many(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Correctly rounded ``a * b + c``, elementwise (emulated FMA)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 1 and a.size <= _FEW and a.shape == b.shape == np.shape(c):
+        return np.array(
+            [
+                _fma(x, y, z)
+                for x, y, z in zip(
+                    a.tolist(), b.tolist(), np.asarray(c, dtype=np.float64).tolist()
+                )
+            ],
+            dtype=np.float64,
+        )
     p = a * b
     t = a * _SPLIT
     a_hi = t - (t - a)
@@ -53,3 +67,19 @@ def norm2d_many(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     arbitrary batch shapes.
     """
     return np.sqrt(fma_many(dy, dy, dx * dx))
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """:func:`fma_many`'s steps on one element, in Python floats."""
+    p = a * b
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = b * _SPLIT
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    s = p + c
+    bb = s - p
+    err_s = (p - (s - bb)) + (c - bb)
+    return s + (err_s + e)

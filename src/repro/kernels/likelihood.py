@@ -38,14 +38,43 @@ __all__ = [
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+#: below this many angles one ``np.mod`` pass is cheaper than the bounded
+#: wrap's range check and passes
+_BOUNDED_WRAP_MIN = 1024
+#: angles per pass of the bounded wrap: its temporaries stay cache-sized
+_WRAP_CHUNK = 8192
+_TWO_PI = 2.0 * np.pi
+
+
 def wrap_angle_many(theta: np.ndarray) -> np.ndarray:
     """Reduce angles to (-pi, pi] (same convention as models.wrap_angle).
 
     ``theta`` is an array; the steps after the first run in place, so the
     result costs one array allocation.
+
+    A bearing residual (a wrapped bearing minus an ``arctan2``) lies in
+    [-2 pi, 2 pi], so ``w = theta + pi`` lies in [-pi, 3 pi].  There
+    ``np.mod(w, 2 pi)`` is ``w - 2 pi`` where ``w >= 2 pi`` (exact, by
+    Sterbenz's lemma) and ``w + 2 pi`` where ``w < 0`` (the addition of
+    ``np.mod``'s sign fix-up), so two in-place steps give its bits without
+    its division.  Elsewhere they subtract or add 0.0, which keeps every
+    ``w`` in that range (``w`` is never -0.0 there).  They run over chunks,
+    whose temporaries stay cache-sized.  Small arrays, and inputs outside
+    that range (NaN included), take ``np.mod``.
     """
     wrapped = theta + np.pi
-    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    if (
+        wrapped.size >= _BOUNDED_WRAP_MIN
+        and -np.pi <= wrapped.min()
+        and wrapped.max() <= 3.0 * np.pi
+    ):
+        flat = wrapped.reshape(-1)
+        for start in range(0, flat.size, _WRAP_CHUNK):
+            part = flat[start : start + _WRAP_CHUNK]
+            part -= _TWO_PI * (part >= _TWO_PI)
+            part += _TWO_PI * (part < 0.0)
+    else:
+        np.mod(wrapped, _TWO_PI, out=wrapped)
     wrapped -= np.pi
     wrapped[wrapped == -np.pi] = np.pi
     return wrapped

@@ -156,8 +156,10 @@ class LinkTable:
             )
 
     def _write(self, keys: np.ndarray, values: np.ndarray) -> None:
-        keys, last = np.unique(keys[::-1], return_index=True)
-        values = np.asarray(values, dtype=np.int64)[::-1][last]
+        values = np.asarray(values, dtype=np.int64)
+        if not (keys[1:] > keys[:-1]).all():  # else already sorted and distinct
+            keys, last = np.unique(keys[::-1], return_index=True)
+            values = values[::-1][last]
         pos, hit = self._find(keys)
         self._values[pos[hit]] = values[hit]
         miss = ~hit
@@ -174,13 +176,37 @@ _OUTCOME_CODE = {
 }
 
 
+#: up to this many copies (repeated links counted), the Gilbert-Elliott
+#: catch-up and classify keep their bookkeeping in Python: below it, their
+#: ~40 array operations cost more than the draws
+_FEW_LINKS = 64
+
+
+def _distinct(keys: np.ndarray):
+    """``(distinct sorted keys, inverse)``, with ``inverse`` None when the
+    keys already ascend strictly (a broadcast round's copies do)."""
+    if (keys[1:] > keys[:-1]).all():
+        return keys, None
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 class LinkModel:
     """Base class: always deliver.  Subclasses override :meth:`classify`.
 
     ``classify`` receives the directed link, the sender-receiver distance and
     the iteration; the medium calls it once per (message, receiver) pair and
     passes a ``nonce`` that increments across messages on the same link within
-    one iteration.
+    one iteration.  A copy's fate depends on nothing else, so a caller may
+    classify a link's copies ahead of sending them (an ARQ round draws them
+    in batches).  Per-link state, such as a Gilbert-Elliott chain, is the
+    model's own: its classify calls catch it up, and no caller advances it.
     """
 
     def classify(
@@ -217,16 +243,6 @@ class LinkModel:
                 self.classify(int(s), int(r), float(d), iteration, int(nc))
             ]
         return out
-
-    def advance(self, senders, receivers, iteration: int) -> None:
-        """Bring the per-link state of these directed links to ``iteration``
-        ahead of their copies' ``classify`` calls, in one batched pass.
-
-        Outcomes never depend on it: a link's state at an iteration is a
-        pure function of the seed, the link and the iteration, so this only
-        moves the catch-up draws out of the one-copy path.  A model that
-        keeps no per-link state does nothing.
-        """
 
     def delivery_probability(self, distance: float) -> float:
         """Marginal delivery probability at the given distance (for docs/tests)."""
@@ -393,7 +409,8 @@ class GilbertElliottLink(LinkModel):
     ints, key ``sender << 32 | receiver`` and value ``(at + 1) << 1 | bad``
     (so a missing link reads as 0: good, before iteration 0); a batched
     round reads it with one ``get_many`` and writes it back with one
-    ``set_many``.
+    ``set_many``, and a call of a few copies uses the one-key ``get`` and
+    ``set``.
     """
 
     p_good_to_bad: float = 0.05
@@ -463,14 +480,18 @@ class GilbertElliottLink(LinkModel):
         docstring) until a coupling draw or its memo; the walks move in
         lockstep, one ``link_uniform_many`` call per step over the links
         still walking.  The draws are keyed on (link, step), so batching
-        them changes nothing about the state the scalar walk finds, and a
-        link repeated in one call redoes identical draws and agrees.  A
-        link whose memo stands past ``iteration`` walks back to the chain's
-        origin.
+        them changes nothing about the state the scalar walk finds; a link
+        repeated in one call walks once.  A link whose memo stands past
+        ``iteration`` walks back to the chain's origin.
         """
         receivers = np.asarray(receivers)
         senders = np.broadcast_to(np.asarray(senders), receivers.shape)
-        keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
+        if receivers.shape[0] <= _FEW_LINKS:
+            return np.array(
+                self._advance_few(senders.tolist(), receivers.tolist(), iteration), dtype=bool
+            )
+        keys, inverse = _distinct((senders.astype(np.int64) << 32) | receivers.astype(np.int64))
+        senders, receivers = keys >> 32, keys & 0xFFFFFFFF
         packed = self._state.get_many(keys)
         at = (packed >> 1) - 1
         bad = (packed & 1).astype(bool)
@@ -490,11 +511,51 @@ class GilbertElliottLink(LinkModel):
             walking = walking[~set_here & (at[walking] < k)]
         bad ^= flip
         self._state.set_many(keys, bad + ((iteration + 1) << 1))
-        return bad
+        return bad if inverse is None else bad[inverse]
+
+    def _advance_few(self, senders: list, receivers: list, iteration: int) -> list[bool]:
+        """:meth:`advance` for a handful of links: the same lockstep walk,
+        with the memo read and written through the table's one-key path
+        and the walk's bookkeeping in Python, where array operations on a
+        few elements cost more than the draws."""
+        lo, hi, coupled = self._coupling()
+        chains: dict[int, list] = {}  # key -> [sender, receiver, at, bad, flip]
+        for s, r in zip(senders, receivers):
+            key = s << 32 | r
+            if key not in chains:
+                packed = self._state.get(key)
+                at, bad = (packed >> 1) - 1, bool(packed & 1)
+                if at > iteration:
+                    at, bad = -1, False
+                chains[key] = [s, r, at, bad, False]
+        walking = [chain for chain in chains.values() if chain[2] < iteration]
+        k = iteration
+        while walking:
+            u = link_uniform_many(
+                self.seed, 3, np.array([c[0] for c in walking]),
+                np.array([c[1] for c in walking]), k, 0,
+            )
+            k -= 1
+            still = []
+            for chain, uk in zip(walking, u.tolist()):
+                if uk < lo:
+                    chain[4] = not chain[4]
+                elif uk < hi:
+                    chain[3] = coupled
+                    continue
+                if chain[2] < k:
+                    still.append(chain)
+            walking = still
+        for key, chain in chains.items():
+            chain[3] = chain[3] != chain[4]
+            self._state.set(key, (iteration + 1) << 1 | chain[3])
+        return [chains[s << 32 | r][3] for s, r in zip(senders, receivers)]
 
     def classify_many(self, sender, receivers, distances, iteration, nonces):
         receivers = np.asarray(receivers)
         senders = np.broadcast_to(np.asarray(sender), receivers.shape)
+        if receivers.shape[0] <= _FEW_LINKS:
+            return self._classify_few(senders.tolist(), receivers.tolist(), iteration, nonces)
         bad = self.advance(senders, receivers, iteration)
         p = np.where(bad, self.loss_bad, self.loss_good)
         out = np.where(p >= 1.0, OUTCOME_DROP, OUTCOME_DELIVER).astype(np.int8)
@@ -506,6 +567,31 @@ class GilbertElliottLink(LinkModel):
             )
             out[drawn] = np.where(u < p[drawn], OUTCOME_DROP, OUTCOME_DELIVER)
         return out
+
+    def _classify_few(self, senders: list, receivers: list, iteration: int, nonces) -> np.ndarray:
+        """:meth:`classify_many` for a handful of copies, the same draws
+        with Python bookkeeping."""
+        nonces = np.broadcast_to(np.asarray(nonces), (len(receivers),)).tolist()
+        out = []
+        drawn = []
+        for i, bad in enumerate(self._advance_few(senders, receivers, iteration)):
+            p = self.loss_bad if bad else self.loss_good
+            if p <= 0.0:
+                out.append(OUTCOME_DELIVER)
+            elif p >= 1.0:
+                out.append(OUTCOME_DROP)
+            else:
+                out.append(p)
+                drawn.append(i)
+        if drawn:
+            u = link_uniform_many(
+                self.seed, 4, np.array([senders[i] for i in drawn]),
+                np.array([receivers[i] for i in drawn]), iteration,
+                np.array([nonces[i] for i in drawn]),
+            )
+            for i, ui in zip(drawn, u.tolist()):
+                out[i] = OUTCOME_DROP if ui < out[i] else OUTCOME_DELIVER
+        return np.array(out, dtype=np.int8)
 
     def delivery_probability(self, distance: float) -> float:
         denom = self.p_good_to_bad + self.p_bad_to_good
@@ -547,9 +633,6 @@ class DelayingLink(LinkModel):
 
     def reset(self) -> None:
         self.inner.reset()
-
-    def advance(self, senders, receivers, iteration: int) -> None:
-        self.inner.advance(senders, receivers, iteration)
 
     def snapshot(self) -> dict:
         state = super().snapshot()

@@ -25,7 +25,11 @@ come from one :func:`~repro.kernels.delivery.batch_deliver` kernel call over
 every open copy in the round, and the ledger takes one append per message.
 The per-message ``broadcast`` / ``unicast`` / ``unicast_path`` entry points
 are thin wrappers over a one-element batch, so the two call shapes are the
-same code path and stay bit-identical by construction.
+same code path and stay bit-identical by construction.  Stop-and-wait ARQ,
+whose next copy depends on the last one's outcome, runs on a
+:class:`UnicastRound` instead: each link's copy fates drawn ahead in
+batches, each copy resolved by integer bookkeeping, the round committed
+to the ledger, nonce counters and inboxes at its end.
 
 Inboxes are likewise round-structured: a delivery appends one ``(receivers,
 message)`` entry to a shared log instead of one list append per receiver, and
@@ -56,7 +60,7 @@ their inbox, which is what "completely distributed" means operationally.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -74,7 +78,16 @@ from .messages import DataSizes, Message
 from .neighborhood import NeighborhoodCache
 from .radio import RadioModel
 
-__all__ = ["CommAccounting", "Medium", "Delivery", "TransmissionBatch"]
+__all__ = [
+    "COPY_LOST",
+    "COPY_REFUSED",
+    "COPY_SENDER_DEAD",
+    "CommAccounting",
+    "Medium",
+    "Delivery",
+    "TransmissionBatch",
+    "UnicastRound",
+]
 
 _EMPTY_IDS = np.array([], dtype=np.intp)
 
@@ -512,9 +525,10 @@ class TransmissionBatch:
     overlay (one ``box_candidates`` gather and one distance mask for the
     senders it misses), one ``batch_deliver``
     kernel call over every open copy, one availability mask, and batched
-    ledger appends.  Unicast and path entries run the scalar hop machinery
-    (they are data-dependent: ARQ and routing decide the next send from the
-    previous outcome).
+    ledger appends.  Unicast and path entries are resolved one at a time
+    (single sends and DPF's multi-hop paths); stop-and-wait ARQ, whose next
+    copy depends on the previous outcome, runs on a :class:`UnicastRound`
+    instead.
 
     ``flush`` returns one :class:`Delivery` per enqueued transmission, in
     enqueue order (out-of-band charges produce no delivery).  A batch is
@@ -599,6 +613,269 @@ class TransmissionBatch:
                 [m for _c, _b, m in self._charges],
             )
         return deliveries
+
+
+#: what became of one copy sent through a :class:`UnicastRound`, beyond the
+#: link fates ``OUTCOME_DELIVER`` / ``OUTCOME_DROP`` / ``OUTCOME_DELAY``
+COPY_LOST = 3  # charged, but the receiver sleeps or has crashed
+COPY_REFUSED = 4  # neither sent nor charged: the sender sleeps or the hop is out of range
+COPY_SENDER_DEAD = 5  # the sender has crashed: logged as dropped, nothing on the air
+
+# a round's link states, in the reverse of the order ``_unicast_inner``
+# tests them: a copy is charged iff its link's state is at most
+# _RECEIVER_DOWN, and only _FATES links consume nonces
+(
+    _FATES,  # the next fate of the link's drawn stream
+    _CLEAR,  # no link model: delivered, no nonce
+    _CROSSING,  # across the partition: dropped, no nonce
+    _RECEIVER_DOWN,
+    _OUT_OF_RANGE,
+    _BAD_RECEIVER,
+    _ASLEEP,
+    _CRASHED,
+    _BAD_SENDER,
+) = range(9)
+
+
+class UnicastRound:
+    """A round of single-hop unicast copies over pre-drawn link fates.
+
+    A copy's fate is a pure function of the seed, the directed link, the
+    iteration and the copy's nonce (GE chain state included), and a link's
+    copies in one iteration take consecutive nonces from the link's counter
+    in send order.  So each link's fates form a fixed stream, whichever
+    message ends up using them, and stop-and-wait ARQ — whose next copy
+    depends on the last one's outcome — can run as integer bookkeeping:
+
+    * :meth:`draw` classifies the links it has not seen yet — crashed or
+      sleeping sender, receiver down, hop out of range (``in_range_many``),
+      partition crossing — and draws ``depth`` fates per occurrence of every
+      link that needs them, all in one ``batch_deliver`` call (nonces from
+      each link's counter, distances from ``norm2d_many``, override on the
+      base model's nonce, as a broadcast round does).  Drawing consumes no
+      nonce; a stream that runs out is extended from where it stopped.
+    * :meth:`send` resolves one copy from its link's state and a cursor into
+      the link's stream, making :meth:`Medium.unicast`'s checks in its
+      order, and returns an ``OUTCOME_*`` or ``COPY_*`` code.
+    * :meth:`commit` writes what the round did: each used link's nonce
+      counter (one ``set_many``), one charged and one dropped ledger row per
+      category, and the inbox entries and parked copies in send order.
+
+    Built by :meth:`Medium.unicast_round`; the medium must not change
+    (positions, faults, link models) while a round is open, and only one
+    round is open at a time.
+    """
+
+    def __init__(self, medium: "Medium", iteration: int, depth: int) -> None:
+        self.medium = medium
+        self.iteration = int(iteration)
+        self._depth = max(int(depth), 1)
+        #: (sender, receiver) -> [state, fates (bytes of OUTCOME_* codes),
+        #: fates used, the link's nonce counter at the round's start]
+        self._links: dict[tuple[int, int], list] = {}
+        self._charged: dict[str, list[int]] = {}  # category -> [bytes, messages]
+        self._dropped: dict[str, list[int]] = {}
+        self._inbox: list[tuple[int, Message]] = []
+        self._parked: list[tuple[int, Message]] = []
+        self._started = False
+        self._committed = False
+
+    # -- the draw ----------------------------------------------------------
+
+    def draw(self, senders, receivers) -> None:
+        """Reserve ``depth`` fates for each occurrence of a link ``senders[i]
+        -> receivers[i]``: links this round has not seen are classified and
+        drawn, open streams are extended, all in one ``batch_deliver``."""
+        counts = Counter(zip(map(int, senders), map(int, receivers)))
+        if not counts:
+            return
+        medium = self.medium
+        n = medium.n_nodes
+        links = self._links
+        valid = []
+        extend = []
+        for key in counts:
+            link = links.get(key)
+            if link is not None:
+                if link[0] == _FATES:
+                    extend.append(key)
+                continue
+            s, r = key
+            if not 0 <= s < n:
+                links[key] = [_BAD_SENDER]
+            elif s in medium._failed:
+                links[key] = [_CRASHED]
+            elif s in medium._asleep:
+                links[key] = [_ASLEEP]
+            elif not 0 <= r < n:
+                links[key] = [_BAD_RECEIVER]
+            else:
+                valid.append(key)
+        opened = []
+        if valid:
+            pairs = np.array(valid, dtype=np.int64)
+            s, r = pairs[:, 0], pairs[:, 1]
+            pos = medium.positions
+            state = np.full(s.size, _FATES, dtype=np.int64)
+            if medium._partition is not None:
+                state[medium._partition[s] != medium._partition[r]] = _CROSSING
+            if medium.link_model is None and medium._link_override is None:
+                state[state == _FATES] = _CLEAR
+            state[~medium._available[r]] = _RECEIVER_DOWN
+            state[~medium.radio.in_range_many(pos[s], pos[r])] = _OUT_OF_RANGE
+            for key, st in zip(valid, state.tolist()):
+                if st == _FATES:
+                    opened.append(key)
+                else:
+                    links[key] = [st]
+            if opened:
+                bases = self._nonce_bases(opened)
+                for key, base in zip(opened, bases.tolist()):
+                    links[key] = [_FATES, b"", 0, base]
+        todo = extend + opened
+        if todo:
+            streams = self._fates(
+                todo,
+                [links[key][3] + len(links[key][1]) for key in todo],
+                [self._depth * counts[key] for key in todo],
+            )
+            for key, stream in zip(todo, streams):
+                links[key][1] += stream
+
+    def _nonce_bases(self, links: list[tuple[int, int]]) -> np.ndarray:
+        """The links' nonce counters at the round's iteration, read without
+        opening a new store (a round that consumes no nonce leaves the
+        medium's store as it found it)."""
+        medium = self.medium
+        if medium._nonce_iteration != self.iteration:
+            return np.zeros(len(links), dtype=np.int64)
+        return medium._nonces.get_many(
+            np.fromiter((s << 32 | r for s, r in links), dtype=np.int64, count=len(links))
+        )
+
+    def _fates(self, links, starts, counts) -> list[bytes]:
+        """``counts[i]`` fates of link ``links[i]`` from nonce ``starts[i]``
+        on, for every link in one ``batch_deliver`` call."""
+        medium = self.medium
+        pairs = np.array(links, dtype=np.int64)
+        sp = medium.positions[pairs[:, 0]]
+        rp = medium.positions[pairs[:, 1]]
+        distances = norm2d_many(sp[:, 0] - rp[:, 0], sp[:, 1] - rp[:, 1]).tolist()
+        senders: list[int] = []
+        receivers: list[int] = []
+        spans: list[float] = []
+        nonces: list[int] = []
+        for (s, r), d, start, count in zip(links, distances, starts, counts):
+            senders += [s] * count
+            receivers += [r] * count
+            spans += [d] * count
+            nonces += range(start, start + count)
+        codes = batch_deliver(
+            medium.link_model,
+            medium._link_override,
+            np.array(senders, dtype=np.int64),
+            np.array(receivers, dtype=np.int64),
+            np.array(spans),
+            self.iteration,
+            np.array(nonces, dtype=np.int64),
+        ).tobytes()
+        out = []
+        at = 0
+        for count in counts:
+            out.append(codes[at : at + count])
+            at += count
+        return out
+
+    # -- the bookkeeping ---------------------------------------------------
+
+    def send(self, sender: int, receiver: int, message: Message, to_inbox: bool) -> int:
+        """One copy ``sender -> receiver``, as :meth:`Medium.unicast` with
+        ``deliver_to_inbox=to_inbox`` resolves it; returns its code."""
+        if not self._started:
+            # what the first copy's TransmissionBatch.flush would deliver;
+            # copies parked this round are due next iteration
+            self._started = True
+            self.medium.flush_delayed(self.iteration)
+        link = self._links.get((sender, receiver))
+        if link is None or link[0] == _FATES and link[2] == len(link[1]):
+            # a copy no draw reserved a fate for
+            self.draw((sender,), (receiver,))
+            link = self._links[(sender, receiver)]
+        state = link[0]
+        category = message.category
+        n_bytes = message.size_bytes(self.medium.sizes)
+        if state > _RECEIVER_DOWN:
+            if state == _OUT_OF_RANGE or state == _ASLEEP:
+                return COPY_REFUSED
+            if state == _CRASHED:
+                self._tally(self._dropped, category, n_bytes)
+                return COPY_SENDER_DEAD
+            if state == _BAD_SENDER:
+                raise ValueError(
+                    f"sender id {sender} out of range [0, {self.medium.n_nodes})"
+                )
+            raise ValueError(f"receiver id {receiver} out of range")
+        self._tally(self._charged, category, n_bytes)
+        if state == _FATES:
+            used = link[2]
+            code = link[1][used]
+            link[2] = used + 1
+        elif state == _CLEAR:
+            code = OUTCOME_DELIVER
+        elif state == _CROSSING:
+            code = OUTCOME_DROP
+        else:
+            return COPY_LOST
+        if code == OUTCOME_DROP:
+            self._tally(self._dropped, category, n_bytes)
+        elif to_inbox:
+            (self._inbox if code == OUTCOME_DELIVER else self._parked).append(
+                (receiver, message)
+            )
+        return code
+
+    def _tally(self, ledger: dict, category: str, n_bytes: int) -> None:
+        entry = ledger.get(category)
+        if entry is None:
+            ledger[category] = [n_bytes, 1]
+        else:
+            entry[0] += n_bytes
+            entry[1] += 1
+
+    def commit(self) -> None:
+        """Write the round's nonce counters, ledger rows, inbox entries and
+        parked copies to the medium; a round commits once."""
+        if self._committed:
+            raise RuntimeError("UnicastRound already committed")
+        self._committed = True
+        medium = self.medium
+        iteration = self.iteration
+        used = [
+            (s << 32 | r, link[3] + link[2])
+            for (s, r), link in self._links.items()
+            if link[0] == _FATES and link[2]
+        ]
+        if used:
+            keys, values = zip(*used)
+            medium._nonce_store(iteration).set_many(
+                np.array(keys, dtype=np.int64), np.array(values, dtype=np.int64)
+            )
+        acc = medium.accounting
+        for ledger, record in (
+            (self._charged, acc.record_rows),
+            (self._dropped, acc.record_dropped_rows),
+        ):
+            if ledger:
+                record(
+                    iteration,
+                    list(ledger),
+                    [b for b, _m in ledger.values()],
+                    [m for _b, m in ledger.values()],
+                )
+        medium._inbox_log.extend(
+            (np.array([r], dtype=np.intp), message) for r, message in self._inbox
+        )
+        medium._delayed.extend((iteration + 1, r, message) for r, message in self._parked)
 
 
 class Medium:
@@ -802,15 +1079,6 @@ class Medium:
             self._nonce_iteration = iteration
         return self._nonces
 
-    def advance_links(self, senders, receivers, iteration: int) -> None:
-        """Advance the base model's and the override's per-link state of
-        these directed links to ``iteration`` in one batched pass, ahead of
-        a round that classifies their copies one at a time (see
-        :meth:`LinkModel.advance`; outcomes do not change)."""
-        for model in (self.link_model, self._link_override):
-            if model is not None:
-                model.advance(senders, receivers, iteration)
-
     def _copy_outcome(self, sender: int, receiver: int, iteration: int) -> LinkOutcome:
         """Fate of one message copy on the directed link sender -> receiver."""
         if self._partition is not None and bool(
@@ -879,6 +1147,12 @@ class Medium:
     def transmission_batch(self, iteration: int) -> TransmissionBatch:
         """Open a :class:`TransmissionBatch` for one round at ``iteration``."""
         return TransmissionBatch(self, iteration)
+
+    def unicast_round(self, iteration: int, depth: int = 1) -> UnicastRound:
+        """Open a :class:`UnicastRound` at ``iteration`` that draws
+        ``depth`` fates per occurrence of a link (a stop-and-wait sender's
+        attempts per hop)."""
+        return UnicastRound(self, iteration, depth)
 
     def _check_sender(self, sender: int) -> bool:
         """Validate the sender; returns False when the send must be silently

@@ -28,22 +28,29 @@ Mechanics per hop ``a -> b``:
 A crashed *sender* cannot retransmit: its send is recorded as dropped by the
 medium and the packet dies where it stands.
 
-Stop-and-wait sends one copy at a time, and under a Gilbert-Elliott link
-each copy would first catch its link's chain up to the round's iteration,
-one scalar draw per missed iteration.  :meth:`ReliableUnicast.advance`
-moves that catch-up ahead of the round: one batched pass over every data
-and ack link of the routes the caller already knows.
+A round's copies run over pre-drawn fates.  A copy's fate is a pure
+function of the seed, its directed link, the iteration and the link's nonce,
+and a link's copies take consecutive nonces in send order, so each link's
+fates form a fixed stream whichever packet consumes them.  A round
+(:meth:`ReliableUnicast.send_many`) draws the streams of every data and ack
+link of the routes it knows in one batched call, then runs stop-and-wait as
+integer bookkeeping over them on a :class:`~repro.network.medium.UnicastRound`,
+which charges the round as one ledger row per category: the outcomes,
+nonces and ledger totals of sending every copy through
+:meth:`~repro.network.medium.Medium.unicast` one at a time.
 """
 
 from __future__ import annotations
 
 import numbers
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import Delivery, Medium
+from ..kernels.delivery import OUTCOME_DELAY, OUTCOME_DELIVER
+from .medium import COPY_REFUSED, COPY_SENDER_DEAD, Delivery, Medium, UnicastRound
 from .messages import AckMessage, Message
 from .radio import RadioModel
 from .routing import RoutingError, greedy_path
@@ -117,26 +124,10 @@ class ReliableUnicast:
         self.blacklist = set(int(i) for i in state["blacklist"])
         self._delivered.clear()
 
+
     # ------------------------------------------------------------------
 
-    def advance(self, routes, iteration: int) -> None:
-        """Advance the link state of every hop of ``routes`` to ``iteration``
-        in one batched call: data ``a -> b``, plus ack ``b -> a`` when acks
-        are on, each distinct link once (routes share their hops near the
-        sink).  Call it before a round over those routes; outcomes do not
-        change (:meth:`~repro.network.medium.Medium.advance_links`)."""
-        senders = [a for path in routes for a in path[:-1]]
-        receivers = [b for path in routes for b in path[1:]]
-        if not senders:
-            return
-        if self.config.ack:
-            senders, receivers = senders + receivers, receivers + senders
-        links = np.unique(
-            np.array(senders, dtype=np.int64) << 32 | np.array(receivers, dtype=np.int64)
-        )
-        self.medium.advance_links(links >> 32, links & 0xFFFFFFFF, iteration)
-
-    def send_many(self, requests, iteration: int) -> list[Delivery | None]:
+    def send_many(self, requests, iteration: int, known=()) -> list[Delivery | None]:
         """Send a round of path transmissions; returns one result per request.
 
         ``requests`` is a sequence of ``(path, message)`` pairs where ``path``
@@ -146,31 +137,87 @@ class ReliableUnicast:
         earlier packets in the round — the timeout blacklist grown by route
         repair — feeds later routes exactly as in a sequential send loop.
 
-        ARQ is stop-and-wait: each packet's hop outcomes decide its next
-        transmission, so the packets themselves run sequentially (the batched
-        fan-out lives a layer down, in the medium's broadcast rounds); this
-        is the enqueue+flush *shape* for callers, not a vectorized kernel.
+        ``known`` lists the routes the caller knows before the round (built
+        up front or cached): the fates of every data link ``a -> b`` on them,
+        and of each ack link ``b -> a`` when acks are on, are drawn in one
+        call before the first packet (a :class:`~repro.network.medium.
+        UnicastRound`).  Each packet's path and each repair tail take spare
+        crossings of those draws and draw the rest in one call when they
+        appear.  The packets then run sequentially, stop-and-wait as
+        bookkeeping over those fates, in the order a per-copy loop would
+        send them, so every outcome, nonce and ledger total is that loop's.
+
         Returns ``None`` for requests whose path resolved to ``None``.  A
         message sent twice in one round is filed at its destination once.
         """
         self._delivered.clear()  # duplicates are suppressed within a round
-        out: list[Delivery | None] = []
-        for path, message in requests:
-            if callable(path):
-                path = path()
-            if path is None:
-                out.append(None)
-                continue
-            out.append(self.send_path(path, message, iteration))
-        self._delivered.clear()
-        return out
+        try:
+            return self._send_round(requests, iteration, known)
+        finally:
+            self._delivered.clear()
 
     def send_path(self, path: list[int], message: Message, iteration: int) -> Delivery:
         """Send ``message`` along ``path`` with per-hop ARQ; returns the
-        aggregate delivery (receivers == [dest] on success)."""
-        if len(path) < 2:
-            raise ValueError("a path needs at least a sender and a receiver")
-        current = [int(p) for p in path]
+        aggregate delivery (receivers == [dest] on success).  The one-request
+        round of :meth:`send_many`, without resetting the dedupe record."""
+        return self._send_round([(path, message)], iteration, [path])[0]
+
+    # ------------------------------------------------------------------
+
+    def _hop_links(self, paths) -> tuple[list[int], list[int]]:
+        """Senders and receivers of every copy link on ``paths``: the data
+        hops, then their acks' reverse links when acks are on."""
+        senders = [a for path in paths for a in path[:-1]]
+        receivers = [b for path in paths for b in path[1:]]
+        if self.config.ack:
+            return senders + receivers, receivers + senders
+        return senders, receivers
+
+    def _send_round(self, requests, iteration: int, known) -> list[Delivery | None]:
+        """The round engine: before a packet walks a path, every link
+        crossing on it holds ``1 + max_retries`` fates of its own, as many as
+        its stop-and-wait can use, so no stream runs out.  The known routes'
+        crossings are drawn up front; a packet's path and a repair tail take
+        spare crossings of those and draw the rest when they appear."""
+        rnd = self.medium.unicast_round(iteration, 1 + self.config.max_retries)
+        spare: Counter = Counter()
+        out: list[Delivery | None] = []
+        try:
+            links = self._hop_links([[int(p) for p in path] for path in known])
+            rnd.draw(*links)
+            spare.update(zip(*links))
+            for path, message in requests:
+                if callable(path):
+                    path = path()
+                if path is None:
+                    out.append(None)
+                    continue
+                if len(path) < 2:
+                    raise ValueError("a path needs at least a sender and a receiver")
+                out.append(self._send_packet(rnd, spare, [int(p) for p in path], message))
+        finally:
+            rnd.commit()
+        return out
+
+    def _reserve(self, rnd: UnicastRound, spare: Counter, path: list[int]) -> None:
+        """Give each link crossing on ``path`` its fates: a spare crossing
+        the round already drew, or new fates, drawn in one call."""
+        senders: list[int] = []
+        receivers: list[int] = []
+        for link in zip(*self._hop_links([path])):
+            if spare[link]:
+                spare[link] -= 1
+            else:
+                senders.append(link[0])
+                receivers.append(link[1])
+        rnd.draw(senders, receivers)
+
+    def _send_packet(
+        self, rnd: UnicastRound, spare: Counter, current: list[int], message: Message
+    ) -> Delivery:
+        """One packet along the hop list ``current``: stop-and-wait per hop,
+        route repair around a dead next hop."""
+        self._reserve(rnd, spare, current)
         dest = current[-1]
         total_bytes = 0
         total_messages = 0
@@ -178,9 +225,7 @@ class ReliableUnicast:
         i = 0
         while i < len(current) - 1:
             a, b = current[i], current[i + 1]
-            status, hop_bytes, hop_messages = self._send_hop(
-                a, b, message, iteration, is_dest=(b == dest)
-            )
+            status, hop_bytes, hop_messages = self._hop(rnd, a, b, message, is_dest=(b == dest))
             total_bytes += hop_bytes
             total_messages += hop_messages
             if status == "ok":
@@ -198,8 +243,7 @@ class ReliableUnicast:
                 break
             # hop timed out: try to route around the dead next hop
             if (
-                status == "hop_dead"
-                and self.config.reroute
+                self.config.reroute
                 and repairs < self.config.max_route_repairs
                 and self._index is not None
                 and self._radio is not None
@@ -212,6 +256,7 @@ class ReliableUnicast:
                     )
                 except (RoutingError, ValueError):
                     break
+                self._reserve(rnd, spare, tail)
                 current = current[:i] + tail  # tail starts at a
                 repairs += 1
                 continue
@@ -230,58 +275,53 @@ class ReliableUnicast:
             dropped=np.array([dest], dtype=np.intp),
         )
 
-    # ------------------------------------------------------------------
-
-    def _send_hop(
-        self, a: int, b: int, message: Message, iteration: int, *, is_dest: bool
+    def _hop(
+        self, rnd: UnicastRound, a: int, b: int, message: Message, *, is_dest: bool
     ) -> tuple[str, int, int]:
-        """One stop-and-wait hop.  Returns (status, bytes, messages) where
-        status is 'ok' | 'delayed' | 'hop_dead' | 'sender_dead'."""
+        """One stop-and-wait hop over the round's copy codes.  Returns
+        (status, bytes, messages) where status is 'ok' | 'delayed' |
+        'hop_dead' | 'sender_dead'; bytes and messages count the copies the
+        medium charged."""
         n_bytes = 0
         n_messages = 0
+        data_bytes = message.size_bytes(self.medium.sizes)
+        key = message.dedupe_key() if is_dest else None
+        ack = None
         data_delivered = False
         for _attempt in range(1 + self.config.max_retries):
-            deliver_to_inbox = (
-                is_dest
-                and not data_delivered
-                and message.dedupe_key() not in self._delivered
-            )
-            try:
-                d = self.medium.unicast(
-                    a, b, message, iteration, deliver_to_inbox=deliver_to_inbox
-                )
-            except RuntimeError:
-                # asleep sender / geometry: not recoverable by retrying
+            to_inbox = is_dest and not data_delivered and key not in self._delivered
+            code = rnd.send(a, b, message, to_inbox)
+            if code == COPY_REFUSED:
+                # asleep sender / hop out of range: retrying cannot help
                 return ("hop_dead", n_bytes, n_messages)
-            n_bytes += d.n_bytes
-            n_messages += d.n_messages
-            if d.n_messages == 0:
+            if code == COPY_SENDER_DEAD:
                 # crashed sender: the medium recorded the silent drop
                 return ("sender_dead", n_bytes, n_messages)
-            if d.delayed.size:
+            n_bytes += data_bytes
+            n_messages += 1
+            if code == OUTCOME_DELAY:
                 if is_dest:
                     # parked for next iteration: arrives, but late
                     return ("delayed", n_bytes, n_messages)
                 # relay-side MAC delay: forwarding continues next slot
                 data_delivered = True
-            elif d.receivers.size:
+            elif code == OUTCOME_DELIVER:
                 data_delivered = True
                 if is_dest:
-                    self._delivered[message.dedupe_key()] = message
+                    self._delivered[key] = message
             if not data_delivered:
                 continue  # data copy lost: retransmit
             if not self.config.ack:
                 return ("ok", n_bytes, n_messages)
-            ack = AckMessage(sender=b, iteration=iteration)
-            try:
-                ad = self.medium.unicast(
-                    b, a, ack, iteration, deliver_to_inbox=False
-                )
-            except RuntimeError:
+            if ack is None:
+                ack = AckMessage(sender=b, iteration=rnd.iteration)
+            code = rnd.send(b, a, ack, False)
+            if code == COPY_REFUSED:
                 return ("hop_dead", n_bytes, n_messages)
-            n_bytes += ad.n_bytes
-            n_messages += ad.n_messages
-            if ad.receivers.size or ad.delayed.size:
+            if code != COPY_SENDER_DEAD:
+                n_bytes += ack.size_bytes(self.medium.sizes)
+                n_messages += 1
+            if code == OUTCOME_DELIVER or code == OUTCOME_DELAY:
                 return ("ok", n_bytes, n_messages)
             # ack lost: the sender times out and retransmits a duplicate,
             # which the receiver's dedupe_key suppression discards

@@ -201,6 +201,10 @@ def _unmask(payload: bytes, mask: bytes) -> bytes:
     return (int.from_bytes(payload, "big") ^ int.from_bytes(key, "big")).to_bytes(n, "big")
 
 
+#: continuation, text, binary, close, ping, pong (RFC 6455 §5.2)
+_WS_OPCODES = frozenset({0x0, 0x1, 0x2, 0x8, 0x9, 0xA})
+
+
 async def ws_recv(
     reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> str | None:
@@ -210,12 +214,17 @@ async def ws_recv(
     with a close echo.  Client frames must be masked per the RFC: an
     unmasked frame is answered with close code 1002 (protocol error), as is
     a control frame that is fragmented or carries more than 125 bytes
-    (RFC 6455 §5.5), and a text message that is not valid UTF-8 with 1007
-    (invalid payload).  A data frame whose declared length would take the
-    message past the request-body cap is answered with 1009 (message too
-    big) before any of its payload is read.
+    (RFC 6455 §5.5), a frame with an RSV bit set (no extension is
+    negotiated) or a reserved opcode (§5.2), and a data frame out of
+    sequence — a continuation with no message started, or a new text or
+    binary frame inside a fragmented message (§5.4); a text message that
+    is not valid UTF-8 is answered with 1007 (invalid payload).  A data
+    frame whose declared length would take the message past the
+    request-body cap is answered with 1009 (message too big) before any of
+    its payload is read.
     """
     buffer = b""
+    started = False  # a fragmented message is in progress
     while True:
         try:
             head = await reader.readexactly(2)
@@ -224,7 +233,12 @@ async def ws_recv(
         fin = bool(head[0] & 0x80)
         opcode = head[0] & 0x0F
         n = head[1] & 0x7F
-        if not head[1] & 0x80:
+        if (
+            not head[1] & 0x80
+            or head[0] & 0x70
+            or opcode not in _WS_OPCODES
+            or (opcode < 0x8 and (opcode == 0x0) != started)
+        ):
             await _ws_close_quietly(writer, 1002)
             return None
         try:
@@ -258,6 +272,7 @@ async def ws_recv(
             continue
         buffer += payload
         if not fin:
+            started = True
             continue
         try:
             return buffer.decode("utf-8")

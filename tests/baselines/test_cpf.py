@@ -190,7 +190,7 @@ class TestLossyRouting:
         late = []
         send_many = ReliableUnicast.send_many
 
-        def spy(self, requests, iteration):
+        def spy(self, requests, iteration, known=()):
             start = len(self.blacklist)
 
             def watch(resolve, msg):
@@ -201,7 +201,7 @@ class TestLossyRouting:
 
                 return call
 
-            return send_many(self, [(watch(p, m), m) for p, m in requests], iteration)
+            return send_many(self, [(watch(p, m), m) for p, m in requests], iteration, known)
 
         monkeypatch.setattr(ReliableUnicast, "send_many", spy)
         res = run_tracking(tr, scenario, trajectory, rng=np.random.default_rng(2))

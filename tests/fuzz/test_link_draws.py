@@ -9,10 +9,11 @@
   loop, with duplicate links in one round, iteration gaps (multi-step
   chain advance), and an earlier iteration asked after a later one (replay
   from the chain's origin); the packed chain memos must agree too.
-* ``advance`` ahead of scalar ``classify`` calls must change nothing: the
-  same outcomes, and the same memo entry for every link a round classified,
-  bare or under a ``DelayingLink``, with repeated links, links advanced but
-  never used, and an advance to an iteration before a link's memo.
+* The chain's ``advance`` ahead of scalar ``classify`` calls must change
+  nothing: the same outcomes, and the same memo entry for every link a
+  round classified, bare or under a ``DelayingLink``, with repeated links,
+  links advanced but never used, and an advance to an iteration before a
+  link's memo.
 * The Gilbert-Elliott catch-up walks back from the asked iteration to the
   last coupling step; it must equal the forward replay, step by step from
   the memo or the origin (kept here as ``_forward_state_at`` /
@@ -32,6 +33,7 @@ import types
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -200,7 +202,7 @@ def test_advance_then_scalar_classify_equals_scalar_classify(params, delaying, r
     for iteration, links, copies in rounds:
         senders = np.array([a for a, _b in links], dtype=np.int64)
         receivers = np.array([b for _a, b in links], dtype=np.int64)
-        advanced.advance(senders, receivers, iteration)
+        advanced_chain.advance(senders, receivers, iteration)
         got = [advanced.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
         expected = [scalar.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
         assert got == expected
@@ -469,3 +471,21 @@ def test_snapshot_restore_continue_matches_uninterrupted(params, schedule_cut):
     assert head + tail == reference
     assert resumed.link_model.snapshot() == straight.link_model.snapshot()
     assert resumed.accounting.dropped_by_key == straight.accounting.dropped_by_key
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        test_gilbert_elliott_batched_equals_scalar,
+        test_advance_then_scalar_classify_equals_scalar_classify,
+        test_walk_equals_forward_replay,
+        test_walk_never_draws_more_than_forward_replay,
+    ],
+    ids=lambda prop: prop.__name__,
+)
+def test_properties_hold_on_the_array_pass(prop, monkeypatch):
+    """The Gilbert-Elliott properties above draw rounds of a few links,
+    which ``advance`` and ``classify_many`` walk with Python bookkeeping;
+    the same properties must hold with every call on the array pass."""
+    monkeypatch.setattr(links, "_FEW_LINKS", -1)
+    prop()

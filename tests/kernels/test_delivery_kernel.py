@@ -77,6 +77,28 @@ class TestLinkUniformMany:
         )
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_small_batches_bit_exact(self, n):
+        """Batches up to ``_SMALL_BATCH`` keys replay each key in Python
+        ints; on either side of that size the draws are SeedSequence's."""
+        rng = np.random.default_rng(100 + n)
+        senders = rng.integers(0, 2**32, size=n)
+        receivers = rng.integers(0, 2**32, size=n)
+        iterations = rng.integers(0, 50, size=n)
+        for sender, iteration, nonces in [(senders, iterations, 0), (9, 3, np.arange(n))]:
+            got = link_uniform_many(2**70 + 5, 4, sender, receivers, iteration, nonces)
+            expected = [
+                _link_uniform(
+                    2**70 + 5, 4,
+                    int(np.broadcast_to(sender, (n,))[i]), int(r),
+                    int(np.broadcast_to(iteration, (n,))[i]),
+                    int(np.broadcast_to(nonces, (n,))[i]),
+                )
+                for i, r in enumerate(receivers)
+            ]
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tolist() == expected
+
     def test_edge_keys(self):
         """Zeros everywhere, and seeds at every word-count boundary.
 

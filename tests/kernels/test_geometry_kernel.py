@@ -82,3 +82,19 @@ class TestFmaMany:
         a = np.array([1.0 + 2.0**-30])
         err = fma_many(a, a, -(a * a))
         assert err[0] != 0.0
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_few_elements_equal_the_array_pass(self, n, monkeypatch):
+        """Up to ``_FEW`` elements the steps run on Python floats; the
+        result must be the array pass's bit for bit, at every magnitude."""
+        from repro.kernels import geometry
+
+        rng = np.random.default_rng(n)
+        a, b, c = (rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n) for _ in range(3))
+        squares = rng.uniform(-150.0, 150.0, size=n)
+        cases = [(a, b, c), (squares, squares, squares * squares), (np.zeros(n), -np.zeros(n), -np.zeros(n))]
+        got = [fma_many(x, y, z) for x, y, z in cases]
+        monkeypatch.setattr(geometry, "_FEW", -1)
+        for (x, y, z), few in zip(cases, got):
+            assert few.dtype == np.float64 and few.shape == (n,)
+            assert few.tobytes() == fma_many(x, y, z).tobytes()

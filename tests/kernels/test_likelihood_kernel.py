@@ -29,6 +29,61 @@ class TestWrapAngleMany:
         assert np.array_equal(got, wrap_angle(edges))
         assert got[0] == np.pi
 
+    @staticmethod
+    def _mod_reference(theta):
+        """The unbounded form: one ``np.mod`` over every angle."""
+        wrapped = theta + np.pi
+        np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+        wrapped -= np.pi
+        wrapped[wrapped == -np.pi] = np.pi
+        return wrapped
+
+    @staticmethod
+    def _ulps_around(center, n=2000):
+        """``center`` and the ``n`` floats on either side of it."""
+        up = [center]
+        down = [center]
+        for _ in range(n):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+        return np.array(down[::-1] + up[1:])
+
+    @pytest.mark.parametrize(
+        "center",
+        [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1.5 * np.pi, -1.5 * np.pi],
+        ids=["0", "pi/2", "-pi/2", "pi", "-pi", "3pi/2", "-3pi/2"],
+    )
+    def test_bounded_residuals_match_mod_bitwise(self, center):
+        theta = self._ulps_around(center)
+        assert wrap_angle_many(theta).tobytes() == self._mod_reference(theta).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["2pi", "-2pi"])
+    def test_range_ends_match_mod_bitwise(self, sign):
+        # up to +-2 pi the residual stays in range; past it, np.mod takes over
+        theta = self._ulps_around(sign * 2.0 * np.pi)
+        assert wrap_angle_many(theta).tobytes() == self._mod_reference(theta).tobytes()
+
+    def test_random_residuals_match_mod_bitwise(self):
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(120, 1000))
+        assert wrap_angle_many(theta).tobytes() == self._mod_reference(theta).tobytes()
+
+    @pytest.mark.parametrize(
+        "stray",
+        [7.0, -7.0, 2.0 * np.pi + 1e-9, 1e300, np.inf, np.nan],
+        ids=["above", "below", "just-above", "huge", "inf", "nan"],
+    )
+    @pytest.mark.parametrize("size", [3, 5000], ids=["small", "large"])
+    def test_out_of_range_and_nan_take_the_mod_fallback(self, stray, size):
+        # one stray angle among bounded residuals sends the whole array to
+        # np.mod, whose bits it then has, as small arrays always do
+        rng = np.random.default_rng(size)
+        theta = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=size)
+        theta[size // 2] = stray
+        got = wrap_angle_many(theta)
+        assert got.tobytes() == self._mod_reference(theta).tobytes()
+        assert np.array_equal(got, wrap_angle(theta), equal_nan=True)
+
 
 class TestBatchLikelihood:
     def _scalar_entry(self, holder, lam_i, sensor, z, noise_std):

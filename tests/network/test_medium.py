@@ -307,3 +307,68 @@ class TestAccounting:
         m = Medium(pos, RadioModel(comm_radius=30), DataSizes(measurement=10, header=2))
         m.broadcast(0, msg(), 0)
         assert m.accounting.total_bytes == 12
+
+
+class TestUnicastRound:
+    """Copies sent through a ``UnicastRound`` resolve as ``Medium.unicast``
+    resolves them one at a time, whether or not a draw reserved their
+    fates first; a stream that runs out is extended."""
+
+    def media(self):
+        from repro.network.links import GilbertElliottLink
+
+        pos = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
+        return [
+            Medium(pos, RadioModel(comm_radius=15.0),
+                   link_model=GilbertElliottLink(0.4, 0.3, loss_bad=0.7, seed=3))
+            for _ in range(2)
+        ]
+
+    # (sender, receiver): in range, repeated past any stream, reverse,
+    # out of range, to a crashed node, from a crashed node
+    COPIES = [(0, 1)] * 7 + [(1, 0), (1, 2), (0, 3), (2, 3)] + [(1, 2)] * 3 + [(3, 2)]
+
+    @pytest.mark.parametrize("reserve", [0, 1], ids=["undrawn", "drawn-once"])
+    def test_copies_resolve_as_unicast(self, reserve):
+        from repro.kernels.delivery import OUTCOME_DELAY, OUTCOME_DELIVER, OUTCOME_DROP
+        from repro.network.medium import COPY_LOST, COPY_REFUSED, COPY_SENDER_DEAD
+
+        rounds, single = self.media()
+        for medium in (rounds, single):
+            medium.fail_nodes([3])
+        rnd = rounds.unicast_round(5, depth=2)
+        if reserve:
+            rnd.draw([0, 1], [1, 2])
+        got = [rnd.send(a, b, msg(a), True) for a, b in self.COPIES]
+        rnd.commit()
+        want = []
+        for a, b in self.COPIES:
+            try:
+                d = single.unicast(a, b, msg(a), 5)
+            except RuntimeError:
+                want.append(COPY_REFUSED)
+                continue
+            if d.n_messages == 0:
+                want.append(COPY_SENDER_DEAD)
+            elif d.receivers.size:
+                want.append(OUTCOME_DELIVER)
+            elif d.dropped.size:
+                want.append(OUTCOME_DROP)
+            elif d.delayed.size:
+                want.append(OUTCOME_DELAY)
+            else:
+                want.append(COPY_LOST)
+        assert got == want
+        assert {COPY_REFUSED, COPY_SENDER_DEAD, COPY_LOST, OUTCOME_DROP} <= set(got)
+        ra, sa = rounds.accounting, single.accounting
+        assert ra.by_key == sa.by_key and ra.dropped_by_key == sa.dropped_by_key
+        assert rounds._nonces.items() == single._nonces.items()
+        assert [r.tolist() for r, _m in rounds._inbox_log] == [
+            r.tolist() for r, _m in single._inbox_log
+        ]
+
+    def test_a_round_commits_once(self):
+        rnd = self.media()[0].unicast_round(0)
+        rnd.commit()
+        with pytest.raises(RuntimeError):
+            rnd.commit()

@@ -152,9 +152,9 @@ class TestDedupe:
         assert m.collect(2) == [message]
 
 
-class TestAdvance:
-    """``advance`` catches each distinct hop link up once, however many of
-    the round's routes share it, and changes no outcome."""
+class TestFateStreams:
+    """A round draws one fate stream per distinct link, however many of its
+    known routes share it, and the streams change no outcome."""
 
     # routes that meet at the sink's end of the line: hops 2 -> 3 and 3 -> 4
     # (and their acks) appear in every route
@@ -167,45 +167,49 @@ class TestAdvance:
         model = GilbertElliottLink(p_good_to_bad=0.3, p_bad_to_good=0.3, loss_bad=0.7, seed=4)
         return Medium(pos, RadioModel(comm_radius=25.0), link_model=model)
 
-    def play(self, medium, arq, advance):
+    def play(self, arq, known):
         seen = []
         for iteration in (0, 3, 11, 12, 40):
-            advance(iteration)
             requests = [(path, msg(path[0], iteration)) for path in self.ROUTES]
-            out = arq.send_many(requests, iteration)
-            seen.append([(d.receivers.tolist(), d.dropped.tolist()) for d in out])
+            out = arq.send_many(requests, iteration, self.ROUTES if known else ())
+            seen.append([(d.receivers.tolist(), d.dropped.tolist(), d.n_messages) for d in out])
         return seen
 
-    def test_shared_hops_advance_once_with_identical_outcomes(self):
-        deduped = self.medium()
-        model = deduped.link_model
+    def test_shared_hops_draw_one_stream_with_identical_outcomes(self):
+        drawn = self.medium()
+        model = drawn.link_model
         calls = []
-        advance = model.advance
+        classify_many = model.classify_many
 
-        def spy(senders, receivers, iteration):
-            calls.append(list(zip(np.asarray(senders).tolist(), np.asarray(receivers).tolist())))
-            return advance(senders, receivers, iteration)
+        def spy(sender, receivers, distances, iteration, nonces):
+            calls.append(
+                list(zip(np.asarray(sender).tolist(), np.asarray(receivers).tolist(),
+                         np.asarray(nonces).tolist()))
+            )
+            return classify_many(sender, receivers, distances, iteration, nonces)
 
-        model.advance = spy
-        arq = ReliableUnicast(deduped)
-        got = self.play(deduped, arq, lambda k: arq.advance(self.ROUTES, k))
+        model.classify_many = spy
+        got = self.play(ReliableUnicast(drawn), known=True)
 
         hops = [(a, b) for path in self.ROUTES for a, b in zip(path, path[1:])]
         links = hops + [(b, a) for a, b in hops]
         assert len(set(links)) < len(links)
-        assert calls and all(sorted(c) == sorted(set(links)) for c in calls)
+        # every route is known: one draw per round, and in it each distinct
+        # link's fates are one run of nonces from its counter (0 here),
+        # 1 + max_retries of them per route crossing it
+        depth = 1 + ReliabilityConfig().max_retries
+        assert len(calls) == 5
+        for call in calls:
+            streams = {}
+            for s, r, nonce in call:
+                streams.setdefault((s, r), []).append(nonce)
+            assert sorted(streams) == sorted(set(links))
+            for link, nonces in streams.items():
+                assert nonces == list(range(depth * links.count(link)))
 
-        # every hop with its repeats, as one undeduplicated advance
-        repeated = self.medium()
-        senders = np.array([a for a, _b in links], dtype=np.int64)
-        receivers = np.array([b for _a, b in links], dtype=np.int64)
-        want = self.play(
-            repeated, ReliableUnicast(repeated),
-            lambda k: repeated.advance_links(senders, receivers, k),
-        )
-        assert got == want
-        assert model._state == repeated.link_model._state
-        assert model.snapshot() == repeated.link_model.snapshot()
+        # the same rounds with each route drawn at its packet's turn
+        fresh = self.medium()
+        assert got == self.play(ReliableUnicast(fresh), known=False)
 
 
 class TestConfigValidation:

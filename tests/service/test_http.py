@@ -433,6 +433,34 @@ class TestMalformedInput:
     def test_malformed_control_frame_closes_1002(self, head):
         assert self._recv_open(head) == (None, self._close(1002))
 
+    @staticmethod
+    def _frame(first_byte, payload=b"hi"):
+        """A masked client frame with the given FIN/RSV/opcode byte."""
+        mask = b"\x11\x22\x33\x44"
+        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        return bytes([first_byte, 0x80 | len(payload)]) + mask + masked
+
+    @pytest.mark.parametrize("opcode", [0x3, 0xB], ids=["data-0x3", "control-0xB"])
+    def test_reserved_opcode_closes_1002(self, opcode):
+        assert self._recv_open(self._frame(0x80 | opcode)) == (None, self._close(1002))
+
+    def test_rsv1_frame_closes_1002(self):
+        # no extension is negotiated, so no RSV bit may be set
+        assert self._recv_open(self._frame(0x80 | 0x40 | 0x1)) == (None, self._close(1002))
+
+    def test_text_frame_inside_a_fragmented_message_closes_1002(self):
+        first = self._frame(0x01, b"par")  # text, FIN clear
+        assert self._recv_open(first + self._frame(0x81, b"new")) == (None, self._close(1002))
+
+    def test_continuation_with_no_message_started_closes_1002(self):
+        assert self._recv_open(self._frame(0x80, b"tail")) == (None, self._close(1002))
+
+    def test_ping_between_fragments_is_answered_and_the_message_completes(self):
+        data = self._frame(0x01, b"he") + self._frame(0x89, b"p") + self._frame(0x80, b"llo")
+        got, sent = self._recv(data)
+        assert got == "hello"
+        assert sent == bytes([0x8A, 1]) + b"p"
+
     def test_service_answers_after_an_oversized_frame(self, config_toml):
         async def body(service):
             h, p = service.host, service.port
