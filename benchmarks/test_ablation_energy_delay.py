@@ -112,8 +112,8 @@ def test_convergecast_delay(report_sink, benchmark):
             if paths:
                 cpf_slots.append(convergecast_slots(paths, positions, scenario.radio))
             # CDPF: schedule the holders' broadcast round, then step
-            holders = sorted(cdpf.holders)
-            if holders:
+            holders = np.sort(cdpf.holders.ids)
+            if holders.size:
                 cdpf_slots.append(
                     broadcast_round_slots(positions[holders], scenario.radio)
                 )

@@ -51,7 +51,7 @@ def main() -> None:
                 scenario.deployment.index, predicted, asleep
             )
             if to_wake.size and tracker.holders:
-                beacon_sender = min(tracker.holders)
+                beacon_sender = int(tracker.holders.ids.min())
                 if medium.is_available(beacon_sender):
                     medium.broadcast(
                         beacon_sender,

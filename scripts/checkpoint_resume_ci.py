@@ -7,7 +7,9 @@ store appends), this drives the real failure mode end to end:
 1. spawn a child process running a checkpointed `density_sweep` into a
    JSONL store;
 2. watch the store file grow and SIGTERM the child after N lines — mid
-   sweep, usually mid cell, with checkpoints already on disk;
+   sweep, mid cell, with checkpoints already on disk.  The child stops
+   right after writing its N-th record and waits for the signal, so the
+   kill lands at the same record however fast the host runs the sweep;
 3. resume the sweep in *this* process from the same store;
 4. run the identical sweep uninterrupted (no store) and diff a digest over
    every per-cell value of both results.
@@ -44,12 +46,29 @@ SWEEP = dict(
 CHECKPOINT_EVERY = 2
 
 CHILD_CODE = """
-import json, sys
+import json, signal, sys
+from repro.experiments import engine
 from repro.experiments.sweep import default_tracker_factories, density_sweep
 
 spec = json.loads(sys.argv[1])
 spec["densities"] = tuple(spec["densities"])
 spec["trajectory_kwargs"]["start"] = tuple(spec["trajectory_kwargs"]["start"])
+stop_after = int(sys.argv[4])
+append = engine.JsonlStore.append
+written = 0
+
+
+def append_then_wait(store, record):
+    # write the record, and after the stop_after-th one wait for the
+    # parent's SIGTERM: the sweep is interrupted at a fixed record
+    global written
+    append(store, record)
+    written += 1
+    while written == stop_after:
+        signal.pause()
+
+
+engine.JsonlStore.append = append_then_wait
 density_sweep(
     factories={"CDPF": default_tracker_factories()["CDPF"]},
     store=sys.argv[2],
@@ -88,7 +107,7 @@ def interrupt_child(store_path, kill_after_lines, timeout=300.0):
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     child = subprocess.Popen(
         [sys.executable, "-c", CHILD_CODE,
-         json.dumps(SWEEP), str(store_path), str(CHECKPOINT_EVERY)],
+         json.dumps(SWEEP), str(store_path), str(CHECKPOINT_EVERY), str(kill_after_lines)],
         env=env, cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     deadline = time.monotonic() + timeout
@@ -117,9 +136,10 @@ def interrupt_child(store_path, kill_after_lines, timeout=300.0):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--kill-after-lines", type=int, default=5,
-        help="SIGTERM the child once the JSONL store has this many records "
-             "(checkpoints + results; default 5 of the 20 this sweep writes)",
+        "--kill-after-lines", type=int, default=7,
+        help="the child stops after writing this many JSONL records "
+             "(checkpoints + results) and is SIGTERMed there; default 7 of "
+             "the 20 this sweep writes, mid-way through its second cell",
     )
     args = parser.parse_args()
 

@@ -400,11 +400,11 @@ class SDPFTracker:
         (tempered) likelihood of its own position."""
         if state.birth:
             return
-        log_liks = joint_log_likelihoods(
+        ids, log_liks = joint_log_likelihoods(
             self.scenario, self.neighbors, state.receivers, state.heard,
             state.detectors, state.ctx.measurements,
         )
-        for r, log_lik in log_liks.items():
+        for r, log_lik in zip(ids.tolist(), log_liks.tolist()):
             p = self.holders[r]
             p.weights = p.weights * float(np.exp(log_lik))
 

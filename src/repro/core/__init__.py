@@ -10,7 +10,7 @@ from .contributions import (
     pairwise_ratio_consistent,
 )
 from .propagation import (
-    HeldParticle,
+    HolderSet,
     PropagationConfig,
     combine_shares,
     division_shares,
@@ -23,6 +23,6 @@ __all__ = [
     "MultiTargetCDPF", "Track",
     "contribution_of", "estimated_contributions", "is_normalized",
     "linear_probability", "pairwise_ratio_consistent",
-    "HeldParticle", "PropagationConfig", "combine_shares", "division_shares",
+    "HolderSet", "PropagationConfig", "combine_shares", "division_shares",
     "implied_velocity", "select_recorders",
 ]

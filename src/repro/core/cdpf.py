@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.contributions import batch_contributions
+from ..kernels.contributions import batch_contributions, group_means
 from ..kernels.geometry import norm2d_many
 from ..kernels.likelihood import batch_likelihood
 from ..kernels.propagation import batch_implied_velocities, batch_propagate
@@ -43,7 +43,7 @@ from ..models.measurement import wrap_angle
 from ..network.messages import MeasurementMessage, ParticleMessage
 from ..runtime import IterationState, Phase, PhasePipeline, TrackerStats
 from ..scenario import Scenario, StepContext
-from .propagation import HeldParticle, PropagationConfig, combine_shares_grouped
+from .propagation import HolderSet, PropagationConfig, combine_shares_grouped
 
 __all__ = ["CDPFTracker", "CDPFStats", "bearing_log_kernel"]
 
@@ -149,38 +149,45 @@ def share_measurements(
 
 
 def joint_log_likelihoods(
-    scenario: Scenario, neighbors, receivers: list[int], heard, detectors: set[int], measurements
-) -> dict[int, float]:
+    scenario: Scenario, neighbors, receivers, heard, detectors, measurements
+) -> tuple[np.ndarray, np.ndarray]:
     """Each receiver's tempered joint bearing log-likelihood at its own position.
 
     ``heard`` is :func:`share_measurements`' output for ``receivers``; a
-    detector adds its own reading after what it heard, and a receiver with
-    no reading is left out (weight unchanged).  The round is one
-    ``(holders, measurements)`` :func:`batch_likelihood` matrix whose columns
-    are the distinct ``(sender, value)`` pairs in order of first appearance
-    (a delayed channel can deliver stale copies whose value differs from
-    this iteration's reading, so columns key on the pair; values compare
-    as floats, so ``-0.0`` and ``0.0`` share the first one's column).  One
-    lexicographic sort finds the columns, one fancy index gathers every
-    row's kernels, and each row takes the ``.mean()`` of its slice.
+    detector (``detectors``: any collection of ids) adds its own reading
+    after what it heard, and a receiver with no reading is left out (weight
+    unchanged).  Returns ``(ids, log_liks)``: the receivers that have a
+    reading, in ``receivers`` order, and their log-likelihoods.
+
+    The round is one ``(holders, measurements)`` :func:`batch_likelihood`
+    matrix whose columns are the distinct ``(sender, value)`` pairs in
+    order of first appearance (a delayed channel can deliver stale copies
+    whose value differs from this iteration's reading, so columns key on
+    the pair; values compare as floats, so ``-0.0`` and ``0.0`` share the
+    first one's column).  One lexicographic sort finds the columns, one
+    fancy index gathers every row's kernels, and
+    :func:`~repro.kernels.contributions.group_means` takes each row's
+    ``.mean()`` (one pass per distinct row length).
     """
     rows, senders, values = heard
-    own = [i for i, r in enumerate(receivers) if r in detectors]
-    if own:
-        own_ids = [receivers[i] for i in own]
+    receivers = np.asarray(receivers, dtype=np.intp)
+    det = np.sort(np.fromiter(detectors, dtype=np.intp, count=len(detectors)))
+    own = np.flatnonzero(_in_sorted(receivers, det))
+    if own.size:
+        own_ids = receivers[own]
         # each row's pairs: what it heard, then its own reading (a stable
         # sort keeps the concatenation's order within a row)
         rows = np.concatenate((rows, own))
         by_row = np.argsort(rows, kind="stable")
         rows = rows[by_row]
         senders = np.concatenate((senders, own_ids))[by_row]
-        values = np.concatenate((values, [measurements[r] for r in own_ids]))[by_row]
+        values = np.concatenate((values, [measurements[r] for r in own_ids.tolist()]))[by_row]
     if rows.size == 0:
-        return {}
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
     new_row = np.ones(rows.size, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
     row_start = np.flatnonzero(new_row)
-    holders = np.asarray(receivers, dtype=np.intp)[rows[row_start]]
+    holders = receivers[rows[row_start]]
     # distinct (sender, value) columns: within a run of equal pairs the
     # stable sort keeps the first appearance first
     by_pair = np.lexsort((values, senders))
@@ -200,9 +207,7 @@ def joint_log_likelihoods(
     else:
         refs = np.zeros((first.size, 2))
     # discretization-aware sigma: local density from each node's degree
-    lam_denom = np.pi * scenario.radio.comm_radius**2
-    neighbors.warm_degrees(holders)
-    lam = np.array([(neighbors.degree(r) + 1) / lam_denom for r in holders.tolist()])
+    lam = (neighbors.warm_degrees(holders) + 1) / (np.pi * scenario.radio.comm_radius**2)
     zs = values[is_first]
     matrix = batch_likelihood(positions[holders], lam, refs, zs, measurement.noise_std)
     kernels = matrix[np.cumsum(new_row) - 1, col]
@@ -210,11 +215,29 @@ def joint_log_likelihoods(
     # common-mode error, so treating them as fully independent would sharpen
     # the joint likelihood far below the node-position quantization scale and
     # randomly annihilate every holder
-    bounds = [*row_start.tolist(), rows.size]
-    return {
-        r: float(kernels[a:b].mean())
-        for r, a, b in zip(holders.tolist(), bounds[:-1], bounds[1:])
-    }
+    return holders, group_means(kernels, np.append(row_start, rows.size))
+
+
+def _in_sorted(ids: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
+    """Mask of the ``ids`` that occur in the ascending ``sorted_ids``."""
+    if sorted_ids.size == 0:
+        return np.zeros(ids.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_ids, ids), sorted_ids.size - 1)
+    return sorted_ids[at] == ids
+
+
+def _lost_weight(ids: np.ndarray, lost: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Per recorder of the ascending ``ids``, the total weight of the
+    broadcasts whose copy it lost (``lost[b]`` lost broadcast ``b``, of
+    weight ``weights[b]``), summed in broadcast order: ``np.add.at`` applies
+    its additions in index order, as a running per-recorder sum would."""
+    lost_ids = np.concatenate(lost)
+    lost_of = np.repeat(weights, [a.size for a in lost])
+    at = np.minimum(np.searchsorted(ids, lost_ids), ids.size - 1)
+    hit = ids[at] == lost_ids
+    out = np.zeros(ids.size)
+    np.add.at(out, at[hit], lost_of[hit])
+    return out
 
 
 def broadcast_particles(
@@ -275,7 +298,10 @@ def record_shares(
     and the round is evaluated once instead of once per receiver.  The
     candidates are (row, id) pairs from one grid walk over the rows'
     predicted areas; ``shared_prediction`` (track mode's consensus area)
-    makes that one ``query_disk`` for every row.  A pair is dropped when the
+    makes that one ``query_disk`` for every row, over the disk that can hold
+    a recorder — the recording radius, padded so that
+    :func:`batch_propagate`'s own probability test decides.  A pair is
+    dropped when the
     candidate is out of the row's sender's comm radius, not anticipated
     available (``anticipate``: a pure ``ids -> bool mask`` hook), or lost
     the sender's copy.  Off the direct path, an anticipated recorder that is
@@ -290,9 +316,12 @@ def record_shares(
     sender_pos = states[:, :2]
     if shared_prediction is not None:
         preds = np.broadcast_to(shared_prediction, (n_rows, 2))
-        cand = index.query_disk(shared_prediction, radius)
+        # a candidate records only while its linear probability exceeds the
+        # threshold, i.e. strictly inside the recording radius
+        reach = radius * (1.0 - max(config.record_threshold, 0.0)) * (1.0 + 1e-9)
+        cand = index.query_disk(shared_prediction, reach)
         rows = np.repeat(np.arange(n_rows), cand.size)
-        ids = np.tile(cand, n_rows)
+        ids = np.repeat(cand[None, :], n_rows, axis=0).ravel()
     else:
         preds = sender_pos + states[:, 2:] * dt
         rows, ids = index.query_disk_pairs(preds, radius)
@@ -324,6 +353,48 @@ def record_shares(
         )
         rids, shares, velocities = rids[up], shares[up], velocities[up]
     return rids, shares, velocities
+
+
+def drop_and_normalize(
+    combined: HolderSet,
+    drop_threshold: float,
+    total: float,
+    lost: list[np.ndarray] | None = None,
+    broadcast_weights: np.ndarray | None = None,
+) -> tuple[HolderSet, int, bool]:
+    """The correction round's drop rule and normalization over the combined
+    particles (ascending ids): ``(kept holders, dropped count, short)``.
+
+    Drop rule (the correction step's "resampling"): discard recorded
+    particles whose share is below ``drop_threshold`` times the largest
+    recorded share.  Every recorder can evaluate this locally: shares are
+    deterministic functions of the overheard broadcasts and static positions
+    (the same shared data Theorem 2 relies on), so each node can
+    reconstruct every other recorder's share without communication.
+    Relative-to-max pruning is scale-free in the weights, so it cannot go
+    extinct and the surviving holder count is set by geometry — growing
+    with deployment density exactly as §III-A describes.
+
+    Each kept particle is then divided by the total weight its recorder
+    overheard: ``total``, less the ``broadcast_weights`` of the broadcasts
+    whose copy it lost (``lost``, one id array per broadcast; None when no
+    copy was lost), or ``total`` again if nothing would remain.  ``short``
+    is True when some kept recorder renormalized against a smaller total.
+    """
+    max_share = float(combined.weights.max()) if combined else 0.0
+    kept = combined.take(~(combined.weights < drop_threshold * max_share))
+    denom: float | np.ndarray = total
+    short = False
+    if lost is not None and kept:
+        lost_w = _lost_weight(kept.ids, lost, broadcast_weights)
+        missed = lost_w > 0.0
+        short = bool(missed.any())
+        if short:
+            rest = total - lost_w[missed]
+            denom = np.full(len(kept), total)
+            denom[missed] = np.where(rest <= 0.0, total, rest)
+    kept.weights = kept.weights / denom
+    return kept, len(combined) - len(kept), short
 
 
 @dataclass
@@ -414,8 +485,8 @@ class CDPFTracker:
         self.report_to_sink = report_to_sink
         self._sink = scenario.sink_node() if report_to_sink else None
 
-        #: node id -> the single (combined) particle it maintains
-        self.holders: dict[int, HeldParticle] = {}
+        #: the single (combined) particle each holder node maintains
+        self.holders = HolderSet()
         self.stats = CDPFStats()
         #: anticipated availability hook: callable(ids) -> bool mask, or None
         self.anticipate_available = None
@@ -466,10 +537,13 @@ class CDPFTracker:
         (scenario, config, phase list) is rebuilt from the spec on restore."""
         from ..runtime.checkpoint import snapshot_rng
 
+        holders = self.holders.take(np.argsort(self.holders.ids))
         return {
             "holders": [
-                [int(nid), p.velocity.copy(), float(p.weight)]
-                for nid, p in sorted(self.holders.items())
+                [nid, velocity.copy(), weight]
+                for nid, velocity, weight in zip(
+                    holders.ids.tolist(), holders.velocities, holders.weights.tolist()
+                )
             ],
             "estimate": None if self._estimate is None else self._estimate.copy(),
             "estimate_iter": self._estimate_iter,
@@ -493,12 +567,12 @@ class CDPFTracker:
     def restore(self, state: dict) -> None:
         from ..runtime.checkpoint import restore_rng
 
-        self.holders = {
-            int(nid): HeldParticle(
-                velocity=np.asarray(velocity, dtype=np.float64), weight=float(weight)
-            )
-            for nid, velocity, weight in state["holders"]
-        }
+        rows = state["holders"]
+        self.holders = HolderSet(
+            [int(nid) for nid, _, _ in rows],
+            [float(weight) for _, _, weight in rows],
+            [np.asarray(velocity, dtype=np.float64).reshape(2) for _, velocity, _ in rows],
+        )
         est = state["estimate"]
         self._estimate = None if est is None else np.asarray(est, dtype=np.float64).copy()
         self._estimate_iter = (
@@ -523,14 +597,15 @@ class CDPFTracker:
     # initialization (paper §III-B: first detectors get unit-weight particles)
     # ------------------------------------------------------------------
 
-    def _initialize(self, ctx: StepContext, detectors: set[int]) -> None:
-        if not detectors:
+    def _initialize(self, ctx: StepContext, detectors: np.ndarray) -> None:
+        if not detectors.size:
             return
         v0 = np.asarray(self.scenario.prior_velocity, dtype=np.float64)
-        for nid in sorted(detectors):
-            self.holders[nid] = HeldParticle(velocity=v0.copy(), weight=self.initial_weight)
+        self.holders = HolderSet(
+            detectors, np.full(detectors.size, self.initial_weight), np.tile(v0, (detectors.size, 1))
+        )
         self.stats.holders_per_iteration.append(len(self.holders))
-        self.stats.creators_per_iteration.append(len(detectors))
+        self.stats.creators_per_iteration.append(detectors.size)
 
     # ------------------------------------------------------------------
     # steps 1 + 2: propagation, overheard total, correction
@@ -571,7 +646,8 @@ class CDPFTracker:
         handoff, where nothing is lost).
         """
         ctx = state.ctx
-        state.detectors = set(np.asarray(ctx.detectors, dtype=np.intp).ravel().tolist())
+        #: this iteration's detector ids, ascending
+        state.detectors = np.unique(np.asarray(ctx.detectors, dtype=np.intp))
         if not self.holders:
             self._initialize(ctx, state.detectors)
             state.finish(None)
@@ -581,27 +657,20 @@ class CDPFTracker:
         # Under an unreliable channel each broadcast's per-recipient loss
         # record is kept: a node that lost a copy can neither record a share
         # from it nor count its weight in the overheard total.
-        senders = [nid for nid in sorted(self.holders) if self.medium.is_available(nid)]
-        particles = [self.holders[nid] for nid in senders]
-        states = np.concatenate(
-            [
-                self.scenario.deployment.positions[senders],
-                np.array([p.velocity for p in particles]).reshape(-1, 2),
-            ],
-            axis=1,
-        )
-        weights = np.array([p.weight for p in particles], dtype=np.float64)
+        by_id = np.argsort(self.holders.ids)
+        senders = self.holders.take(by_id[self.medium.available_mask(self.holders.ids[by_id])])
+        states = senders.states(self.scenario.deployment.positions)
         state.lost = broadcast_particles(
-            self.medium, senders, [1] * len(senders), states, weights, state.iteration,
-            direct=self._direct_handoff(),
+            self.medium, senders.ids.tolist(), [1] * len(senders), states, senders.weights,
+            state.iteration, direct=self._direct_handoff(),
         )
         if not senders:
             # the whole population became unavailable: the track is lost and
             # detection-driven creation must rebuild it
-            self.holders = {}
+            self.holders = HolderSet()
             state.broadcast = None
             return
-        state.broadcast = (states, weights)
+        state.broadcast = (states, senders.weights)
 
     def _phase_correction(self, state: IterationState) -> None:
         """Steps 1b + 2: overheard total, record/divide/combine, normalize, drop."""
@@ -674,17 +743,8 @@ class CDPFTracker:
             shared_prediction=consensus_pred,
             anticipate=self.anticipate_available,
         )
-        combined = combine_shares_grouped(rids, shares, velocities)
-
-        # Drop rule (the correction step's "resampling"): discard recorded
-        # particles whose share is below drop_threshold times the largest
-        # recorded share.  Every recorder can evaluate this locally: shares
-        # are deterministic functions of the overheard broadcasts and static
-        # positions (the same shared data Theorem 2 relies on), so each node
-        # can reconstruct every other recorder's share without communication.
-        # Relative-to-max pruning is scale-free in the weights, so it cannot
-        # go extinct and the surviving holder count is set by geometry —
-        # growing with deployment density exactly as §III-A describes.
+        # one validity check for the whole round's particles
+        combined = HolderSet(*combine_shares_grouped(rids, shares, velocities))
         any_lost = lost is not None and any(lost_ids.size for lost_ids in lost)
         if not combined and any_lost:
             # Graceful degradation: the correction round lost quorum — every
@@ -694,54 +754,25 @@ class CDPFTracker:
             # single deep fade does not erase the whole posterior.
             self.stats.degraded_iterations += 1
             self.stats.dropped_per_iteration.append(0)
-            self.holders = {
-                nid: p for nid, p in self.holders.items() if self.medium.is_available(nid)
-            }
+            self.holders = self.holders.take(self.medium.available_mask(self.holders.ids))
             if self.check_consistency:
                 self._record_consistency()
             self.medium.clear_inboxes()
             state.estimate = estimate
             return
 
-        # Per-recorder overheard totals: a recorder that lost copies saw a
-        # *smaller* total weight than the full round carried.  It renormalizes
-        # by what it actually overheard (the locally correct denominator) —
-        # on a reliable medium this is exactly the shared total.
-        lost_weight_at: dict[int, float] = {}
-        if any_lost:
-            for bi, lost_ids in enumerate(lost):
-                w_bi = float(w_eff[bi])
-                for r in lost_ids.tolist():
-                    lost_weight_at[r] = lost_weight_at.get(r, 0.0) + w_bi
-
-        max_share = max((p.weight for p in combined.values()), default=0.0)
-        threshold = cfg.drop_threshold * max_share
-        new_holders: dict[int, HeldParticle] = {}
-        dropped = 0
-        degraded = False
-        for rid, particle in combined.items():
-            if particle.weight < threshold:
-                dropped += 1
-                continue
-            lost_w = lost_weight_at.get(rid, 0.0)
-            if lost_w > 0.0:
-                degraded = True
-                denom = total_eff - lost_w
-                if denom <= 0.0:
-                    denom = total_eff
-            else:
-                denom = total_eff
-            particle.weight = particle.weight / denom
-            new_holders[rid] = particle
-        if degraded:
+        kept, dropped, short = drop_and_normalize(
+            combined, cfg.drop_threshold, total_eff, lost if any_lost else None, w_eff
+        )
+        if short:
             self.stats.degraded_iterations += 1
 
         if self.check_consistency:
             self._record_consistency()
 
-        self.holders = new_holders
+        self.holders = kept
         self.stats.dropped_per_iteration.append(dropped)
-        if self.report_to_sink and new_holders:
+        if self.report_to_sink and kept:
             self._send_estimate_report(estimate, k)
         self.medium.clear_inboxes()
         state.estimate = estimate
@@ -751,7 +782,7 @@ class CDPFTracker:
         from ..network.messages import EstimateReportMessage
         from ..network.routing import RoutingError, greedy_path
 
-        reporter = max(self.holders, key=lambda nid: self.holders[nid].weight)
+        reporter = int(self.holders.ids[np.argmax(self.holders.weights)])
         msg = EstimateReportMessage(sender=reporter, iteration=k, estimate=estimate)
         if reporter == self._sink:
             return
@@ -796,14 +827,15 @@ class CDPFTracker:
     # new-particle creation (§III-B: detectors that heard no propagation)
     # ------------------------------------------------------------------
 
-    def _create_new_particles(self, ctx: StepContext, detectors: set[int]) -> set[int]:
+    def _create_new_particles(self, ctx: StepContext, detectors: np.ndarray) -> np.ndarray:
         """§III-B: a detector outside every overheard predicted area (or out of
         earshot entirely) creates a particle "as in the initialization step".
 
         Created particles keep the initialization weight this iteration (no
         likelihood/NE multiplier — initialization assigns a constant weight),
         which is the channel that re-anchors a drifting track to physical
-        detections.  Returns the created node ids.
+        detections.  They are appended after the existing holders; returns
+        their node ids, ascending.
 
         Each candidate's hearing and slack tests are one row of a
         (candidates, senders) matrix op; the rate limit's draws are one
@@ -813,17 +845,13 @@ class CDPFTracker:
         positions = self.scenario.deployment.positions
         holders = self.holders
         if holders:
-            base_weight = float(np.mean([p.weight for p in holders.values()]))
+            base_weight = float(np.mean(holders.weights))  # over the rows' order
         else:
             base_weight = self.initial_weight
-        created: set[int] = set()
-        cand = [
-            nid
-            for nid in sorted(detectors)
-            if nid not in holders and self.medium.is_available(nid)
-        ]
-        if not cand:
-            return created
+        cand = detectors[~_in_sorted(detectors, np.sort(holders.ids))]
+        cand = cand[self.medium.available_mask(cand)]
+        if not cand.size:
+            return cand
         sender_pos = self._last_sender_positions
         predictions = self._last_predictions
         if sender_pos is not None and sender_pos.size:
@@ -844,35 +872,32 @@ class CDPFTracker:
                 within &= heard
             inside = within.any(axis=1) & heard_any
         else:
-            heard_any = inside = np.zeros(len(cand), dtype=bool)
+            heard_any = inside = np.zeros(cand.size, dtype=bool)
         # Local creation rate limit for the outside-area case: keep the
         # expected creator count at ~creation_limit network-wide.  Detectors
         # out of earshot entirely skip the limit — they are the re-anchoring
         # channel and behave like initialization.
-        gated = heard_any & ~inside if holders else np.zeros(len(cand), dtype=bool)
-        gated_ids = [nid for nid, g in zip(cand, gated.tolist()) if g]
-        if gated_ids:
-            self.neighbors.warm_degrees(gated_ids)
-            draws = iter(self.rng.uniform(size=len(gated_ids)).tolist())
-        area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
-        v0 = np.asarray(self.scenario.prior_velocity, dtype=np.float64)
-        for nid, skip, gate in zip(cand, inside.tolist(), gated.tolist()):
-            if skip:
-                continue
-            if gate:
-                n_codetectors = max(1.0, (self.neighbors.degree(nid) + 1) * area_ratio)
-                if next(draws) >= min(1.0, self.config.creation_limit / n_codetectors):
-                    continue
-            if self._estimate is not None:
-                # The creator detects the target *now*, so the displacement
-                # from the last consensus estimate to its own position is a
-                # direct (locally computable) velocity observation — the
-                # channel through which the track velocity re-learns turns.
-                velocity = (positions[nid] - self._estimate) / self.scenario.dynamics.dt
-            else:
-                velocity = v0.copy()
-            holders[nid] = HeldParticle(velocity=velocity, weight=base_weight)
-            created.add(nid)
+        create = ~inside
+        gated = heard_any & create if holders else np.zeros(cand.size, dtype=bool)
+        if gated.any():
+            area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
+            degrees = self.neighbors.warm_degrees(cand[gated])
+            n_codetectors = np.maximum(1.0, (degrees + 1) * area_ratio)
+            draws = self.rng.uniform(size=degrees.size)
+            create[gated] = draws < np.minimum(1.0, self.config.creation_limit / n_codetectors)
+        created = cand[create]
+        if not created.size:
+            return created
+        if self._estimate is not None:
+            # The creator detects the target *now*, so the displacement
+            # from the last consensus estimate to its own position is a
+            # direct (locally computable) velocity observation — the
+            # channel through which the track velocity re-learns turns.
+            velocities = (positions[created] - self._estimate) / self.scenario.dynamics.dt
+        else:
+            v0 = np.asarray(self.scenario.prior_velocity, dtype=np.float64)
+            velocities = np.tile(v0, (created.size, 1))
+        self.holders = holders.append(created, np.full(created.size, base_weight), velocities)
         return created
 
     # ------------------------------------------------------------------
@@ -891,26 +916,30 @@ class CDPFTracker:
         (:func:`share_measurements` + :func:`joint_log_likelihoods`, the same
         round SDPF runs in its share and likelihood phases).
 
-        Only computes the per-holder log-likelihood (into ``state.log_liks``);
-        the weight multiplication is the assign_weight phase.  The kernels
-        read only prior-weight-independent data (states, measurements), so
-        deferring the multiply is bit-identical to the fused loop.
+        Only computes the per-holder log-likelihoods (into ``state.log_liks``
+        as ``(holder rows, log-likelihoods)``); the weight multiplication is
+        the assign_weight phase.  The kernels read only
+        prior-weight-independent data (states, measurements), so deferring
+        the multiply is bit-identical to the fused loop.
         """
-        measurements = state.ctx.measurements
-        sharers = sorted(
-            nid
-            for nid in self.holders
-            if nid in state.detectors and self.medium.is_available(nid)
-        )
-        # holders created this iteration keep their initialization weight
-        receivers = [r for r in sorted(self.holders) if r not in state.created]
+        holders = self.holders
+        by_id = np.argsort(holders.ids)
+        ids = holders.ids[by_id]
+        sharers = ids[_in_sorted(ids, state.detectors)]
+        sharers = sharers[self.medium.available_mask(sharers)]
+        # holders created this iteration keep their initialization weight;
+        # creation appended them after the holders that recorded shares
+        old = by_id[by_id < len(holders) - len(state.created)]
+        receivers = holders.ids[old]
         heard = share_measurements(
-            self.medium, sharers, receivers, measurements, state.iteration,
-            direct=self._direct_handoff(),
+            self.medium, sharers.tolist(), receivers.tolist(), state.ctx.measurements,
+            state.iteration, direct=self._direct_handoff(),
         )
-        state.log_liks = joint_log_likelihoods(
-            self.scenario, self.neighbors, receivers, heard, state.detectors, measurements
+        lik_ids, log_liks = joint_log_likelihoods(
+            self.scenario, self.neighbors, receivers, heard, state.detectors,
+            state.ctx.measurements,
         )
+        state.log_liks = (old[np.searchsorted(receivers, lik_ids)], log_liks)
 
     # ------------------------------------------------------------------
     # step 4: assign weight (likelihood multiply, or NE contribution)
@@ -918,19 +947,19 @@ class CDPFTracker:
 
     def _phase_assign_weight(self, state: IterationState) -> None:
         if self.neighborhood_estimation:
-            self._assign_weights_ne(state.iteration, skip=state.created)
+            self._assign_weights_ne(state.iteration, n_created=len(state.created))
         else:
-            for r, log_lik in state.log_liks.items():
-                particle = self.holders[r]
-                particle.weight = particle.weight * float(np.exp(log_lik))
+            rows, log_liks = state.log_liks
+            self.holders.weights[rows] *= np.exp(log_liks)
         self.stats.record_population(len(self.holders), len(state.created))
 
     # ------------------------------------------------------------------
     # steps 3 + 4, CDPF-NE flavor: estimated neighbor contributions
     # ------------------------------------------------------------------
 
-    def _assign_weights_ne(self, k: int, skip: set[int] = frozenset()) -> None:
-        """Multiply every holder's weight by its estimated contribution c_0.
+    def _assign_weights_ne(self, k: int, n_created: int = 0) -> None:
+        """Multiply every holder's weight by its estimated contribution c_0,
+        except the last ``n_created`` rows (this iteration's creators).
 
         Holder ``r``'s estimation area is its available one-hop neighbors
         plus itself, restricted to the disk of radius R_s around the
@@ -946,7 +975,9 @@ class CDPFTracker:
         dt = self.scenario.dynamics.dt
         r_s = self.scenario.sensing_radius
         predicted_now = self._estimate + self._velocity_estimate * dt
-        holders = np.array([r for r in sorted(self.holders) if r not in skip], dtype=np.intp)
+        weights = self.holders.weights
+        by_id = np.argsort(self.holders.ids[: weights.size - n_created])
+        holders = self.holders.ids[by_id]
         if not holders.size:
             return
         # Own distances in the np.linalg.norm (FMA) form, area distances in
@@ -972,12 +1003,11 @@ class CDPFTracker:
             in_area &= members[at] == holders
         else:
             in_area[:] = False
-        for r in holders[~in_area].tolist():
-            self.holders[r].weight = 0.0
+        weights[by_id[~in_area]] = 0.0
         if not in_area.any():
             return
-        rows, at = holders[in_area], at[in_area]
-        n_rows, n_members = rows.size, members.size
+        at = at[in_area]
+        n_rows, n_members = at.size, members.size
         # (holders, members) one-hop mask: the neighbor tables' d2 <= r*r
         radius = self.scenario.radio.comm_radius
         mask = np.sum((m_pos[None, :, :] - m_pos[at][:, None, :]) ** 2, axis=2) <= (
@@ -995,6 +1025,4 @@ class CDPFTracker:
         offsets = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(keep.sum(axis=1), out=offsets[1:])
         contributions = batch_contributions(values[keep], offsets)
-        for r, c in zip(rows.tolist(), contributions[offsets[1:] - 1].tolist()):
-            particle = self.holders[r]
-            particle.weight = particle.weight * c
+        weights[by_id[in_area]] *= contributions[offsets[1:] - 1]

@@ -221,7 +221,7 @@ class MultiTargetCDPF:
             if p is None and track.tracker.holders:
                 # no estimate yet (first iteration after birth): dead-reckon
                 # the holder centroid with the prior velocity
-                holder_pos = positions[sorted(track.tracker.holders)]
+                holder_pos = positions[np.sort(track.tracker.holders.ids)]
                 p = holder_pos.mean(axis=0) + np.asarray(
                     self.scenario.prior_velocity, dtype=np.float64
                 ) * dt

@@ -1,8 +1,9 @@
 """Particle maintenance and propagation (paper §III).
 
 Particles live *on nodes*: a particle's position is its host node's position,
-so a particle is fully described by (host id, velocity, weight).  This module
-implements the three mechanics of §III-B as pure, locally-computable
+so a particle is fully described by (host id, velocity, weight), and a
+tracker's particles are one :class:`HolderSet` of those three arrays.  This
+module implements the three mechanics of §III-B as pure, locally-computable
 functions, shared by CDPF, CDPF-NE and SDPF:
 
 * **recording decision** — which neighbors of a broadcasting holder record
@@ -27,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.contributions import group_weighted_means
 from ..kernels.propagation import batch_propagate
 from .contributions import linear_probability  # noqa: F401  (re-exported for tests)
 
 __all__ = [
-    "HeldParticle",
+    "HolderSet",
     "PropagationConfig",
     "select_recorders",
     "division_shares",
@@ -41,27 +43,67 @@ __all__ = [
 ]
 
 
-@dataclass
-class HeldParticle:
-    """The particle a holder node maintains (position == the node's position).
+class HolderSet:
+    """The particles a tracker's holder nodes maintain, as one struct of
+    arrays: row ``i`` is the particle node ``ids[i]`` hosts, with weight
+    ``weights[i]`` and velocity ``velocities[i]`` (its position is the
+    node's position).
 
-    ``weight`` is *unnormalized*: normalization constants travel by
-    overhearing and are applied in the correction step.
+    Weights are *unnormalized*: normalization constants travel by
+    overhearing and are applied in the correction step.  Each id appears
+    once.  Rows keep the order the phases build them in — ascending after
+    a correction round, creators appended after — and order-dependent
+    reductions (the creators' mean weight, the top holder) read that
+    order; phases that need id order sort.  Iterating yields the ids.
+
+    Construction checks the rows as arrays — finite velocities, finite
+    non-negative weights — once per set a phase builds.  Phases may scale
+    ``weights`` in place.
     """
 
-    velocity: np.ndarray  # (2,)
-    weight: float
+    __slots__ = ("ids", "weights", "velocities")
 
-    def __post_init__(self) -> None:
-        self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(2)
-        if not np.isfinite(self.velocity).all():
+    def __init__(self, ids=(), weights=(), velocities=()) -> None:
+        self.ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        self.weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        self.velocities = np.asarray(velocities, dtype=np.float64).reshape(-1, 2)
+        if not self.ids.size == self.weights.size == self.velocities.shape[0]:
+            raise ValueError("holder ids, weights and velocities differ in length")
+        if not np.isfinite(self.velocities).all():
             raise ValueError("velocity must be finite")
-        if not (np.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0.0).all()):
+            bad = self.weights[~(np.isfinite(self.weights) & (self.weights >= 0.0))][0]
+            raise ValueError(f"weight must be finite and non-negative, got {bad}")
 
-    def state(self, position: np.ndarray) -> np.ndarray:
-        """The full (x, y, x', y') state given the host position."""
-        return np.concatenate([np.asarray(position, dtype=np.float64), self.velocity])
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __contains__(self, node_id) -> bool:
+        return bool((self.ids == node_id).any())
+
+    def take(self, rows) -> "HolderSet":
+        """The holders at ``rows`` (an index or mask), in that order; rows of
+        a checked set need no second check."""
+        out = HolderSet.__new__(HolderSet)
+        out.ids, out.weights, out.velocities = (
+            self.ids[rows], self.weights[rows], self.velocities[rows]
+        )
+        return out
+
+    def append(self, ids, weights, velocities) -> "HolderSet":
+        """This set with new holders' rows added after its own."""
+        return HolderSet(
+            np.concatenate((self.ids, np.asarray(ids, dtype=np.intp).reshape(-1))),
+            np.concatenate((self.weights, np.asarray(weights, dtype=np.float64).reshape(-1))),
+            np.concatenate((self.velocities, np.asarray(velocities, dtype=np.float64).reshape(-1, 2))),
+        )
+
+    def states(self, positions: np.ndarray) -> np.ndarray:
+        """The ``(n, 4)`` full states (position ++ velocity), given node positions."""
+        return np.concatenate((positions[self.ids], self.velocities), axis=1)
 
 
 @dataclass(frozen=True)
@@ -272,8 +314,9 @@ def implied_velocity(
 
 def combine_shares(
     shares: list[tuple[float, np.ndarray]],
-) -> HeldParticle:
-    """Merge shares ``(weight, velocity)`` from several senders into one particle.
+) -> tuple[float, np.ndarray]:
+    """Merge shares ``(weight, velocity)`` from several senders into one
+    particle's ``(weight, velocity)``.
 
     §III-A: particles on the same node are combined; the combined weight is
     the sum and the velocity is the weight-averaged velocity (falling back to
@@ -290,44 +333,36 @@ def combine_shares(
         velocity = (weights / total) @ velocities
     else:
         velocity = velocities.mean(axis=0)
-    return HeldParticle(velocity=velocity, weight=total)
+    return total, velocity
 
 
 def combine_shares_grouped(
     recorders: np.ndarray,
     weights: np.ndarray,
     velocities: np.ndarray,
-) -> dict[int, HeldParticle]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`combine_shares` for a whole round of recorded shares at once.
 
     Share ``i`` — weight ``weights[i]``, velocity ``velocities[i]`` — was
-    recorded by node ``recorders[i]``.  Returns ``{recorder: combined
-    particle}`` in ascending recorder order, bit-identical to calling
-    :func:`combine_shares` on each recorder's shares in input order: one
-    stable sort groups the shares without reordering any recorder's own,
-    and each group is combined with the same sum / weighted-mean
-    expressions over contiguous slices of the permuted arrays.
+    recorded by node ``recorders[i]``.  Returns ``(ids, weights,
+    velocities)``: the distinct recorders ascending, each with its combined
+    weight and velocity, bit-identical to calling :func:`combine_shares` on
+    each recorder's shares in input order.  One stable sort groups the
+    shares without reordering any recorder's own, and
+    :func:`~repro.kernels.contributions.group_weighted_means` combines the
+    groups of each length in one pass, with the same sum and weighted-mean
+    reduction trees as each group's own.
     """
     rids = np.asarray(recorders, dtype=np.intp)
-    if rids.size == 0:
-        return {}
     w = np.asarray(weights, dtype=np.float64)
     if (w < 0).any():
         raise ValueError("share weights must be non-negative")
+    if rids.size == 0:
+        return rids, np.zeros(0), np.zeros((0, 2))
     order = np.argsort(rids, kind="stable")
     rids = rids[order]
-    w = w[order]
+    first = np.flatnonzero(np.concatenate(([True], rids[1:] != rids[:-1])))
+    offsets = np.append(first, rids.size)
     v = np.asarray(velocities, dtype=np.float64).reshape(-1, 2)[order]
-    bounds = np.flatnonzero(
-        np.concatenate([[True], rids[1:] != rids[:-1], [True]])
-    ).tolist()
-    combined: dict[int, HeldParticle] = {}
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        w_g = w[a:b]
-        total = float(w_g.sum())
-        if total > 0.0:
-            velocity = (w_g / total) @ v[a:b]
-        else:
-            velocity = v[a:b].mean(axis=0)
-        combined[int(rids[a])] = HeldParticle(velocity=velocity, weight=total)
-    return combined
+    totals, means = group_weighted_means(w[order], v, offsets)
+    return rids[first], totals, means

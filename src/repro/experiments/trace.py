@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.propagation import HolderSet
 from ..models.trajectory import Trajectory
 from ..runtime import EventBus, IterationEvent, PhaseEvent
 from ..scenario import Scenario
@@ -66,11 +67,12 @@ class TraceRecorder:
         if not isinstance(event, IterationEvent):
             return
         holders = getattr(self.tracker, "holders", None)
-        holder_ids = (
-            np.array(sorted(holders), dtype=np.intp)
-            if isinstance(holders, dict)
-            else np.zeros(0, dtype=np.intp)
-        )
+        if isinstance(holders, HolderSet):
+            holder_ids = np.sort(holders.ids)
+        elif isinstance(holders, dict):  # SDPF: node id -> its particles
+            holder_ids = np.array(sorted(holders), dtype=np.intp)
+        else:
+            holder_ids = np.zeros(0, dtype=np.intp)
         estimate = event.estimate
         self.snapshots.append(
             IterationSnapshot(

@@ -17,7 +17,9 @@ Modules
     All estimation-area members of every holder in one vectorized
     ``1 / (d_i * D)`` evaluation (Definition 2), with per-group pairwise
     sums so single-group results match :func:`repro.core.contributions.
-    estimated_contributions` to the last bit.
+    estimated_contributions` to the last bit; and the segment reductions
+    every batched round shares (``group_sums``, ``group_means``,
+    ``group_weighted_means``), one pass per distinct segment length.
 :mod:`~repro.kernels.propagation`
     Recorder selection + weight division over a whole propagation round,
     as one list of (broadcast row, candidate) pairs.

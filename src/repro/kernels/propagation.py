@@ -16,14 +16,17 @@ Bit-identity contract (pinned by ``tests/kernels/test_propagation_kernel.py``,
 * the top-k cut uses the same ``np.lexsort((ids, -p))`` tie-break, whose
   selected *set* is independent of candidate order because a row's ids are
   unique;
-* each row's share normalizer ``p.sum()`` is taken over a contiguous
-  id-sorted slice, reproducing the pairwise reduction of the scalar
+* each row's share normalizer ``p.sum()`` is a pairwise reduction over
+  its contiguous id-sorted slice (:func:`~repro.kernels.contributions.
+  group_sums`, one pass per distinct row length), reproducing the scalar
   ``division_shares`` call exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .contributions import group_sums
 
 __all__ = ["batch_propagate", "batch_implied_velocities"]
 
@@ -96,7 +99,7 @@ def batch_propagate(
 
     # per-row normalizers over contiguous slices; the division itself is
     # elementwise, so one flat pass reproduces ``w * (p / p.sum())``
-    sums = np.array([probs[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    sums = group_sums(probs, bounds)
     shares = weights[sel_rows] * (probs / np.repeat(sums, np.diff(bounds)))
     return sel, probs, shares
 

@@ -1023,6 +1023,11 @@ class Medium:
     def is_available(self, node_id: int) -> bool:
         return node_id not in self._asleep and node_id not in self._failed
 
+    def available_mask(self, node_ids: np.ndarray) -> np.ndarray:
+        """:meth:`is_available` of each of ``node_ids`` (valid ids), as one
+        bool mask."""
+        return self._available[node_ids]
+
     def is_asleep(self, node_id: int) -> bool:
         """True iff the node is sleeping (it would *raise* on transmit, unlike
         a crashed node whose sends are silently dropped)."""

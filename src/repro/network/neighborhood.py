@@ -100,31 +100,36 @@ class NeighborhoodCache:
             return int(d)
         return int(self.neighbors(node_id).shape[0])
 
-    def warm_degrees(self, node_ids) -> None:
-        """Fill the degree cache without materializing neighbor lists.
+    def warm_degrees(self, node_ids) -> np.ndarray:
+        """The degrees of ``node_ids``, as an intp array in the given order,
+        counted in one batch without materializing neighbor lists.
 
         Degrees drive the paper's node-density terms (likelihood ``lambda``,
         the creation limit) far more often than the lists themselves are
-        read, and a count costs much less than a list.  The counts come from
-        :meth:`GridIndex.count_in_disks` over a fine counting grid (cell
-        size ``radius / 12``), which counts the cells wholly inside a disk
-        without visiting their points; its membership is
-        :meth:`GridIndex.query_disk`'s own ``d2 <= r*r``, so each degree
-        equals the length of the list :meth:`neighbors` would build.
+        read, and a count costs much less than a list.  The ids not yet in
+        the degree cache are counted by :meth:`GridIndex.count_in_disks`
+        over a fine counting grid (cell size ``radius / 12``), which counts
+        the cells wholly inside a disk without visiting their points; its
+        membership is :meth:`GridIndex.query_disk`'s own ``d2 <= r*r``, so
+        each degree equals the length of the list :meth:`neighbors` would
+        build.  Every returned degree stays cached for :meth:`degree`.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size == 0:
-            return
+            return np.zeros(0, dtype=np.intp)
         if ids.min() < 0 or ids.max() >= self.n_nodes:
             raise ValueError(f"node ids out of range [0, {self.n_nodes})")
-        missing = np.unique(ids[self._degree[ids] < 0])
-        if missing.size == 0:
-            return
-        if self._count_index is None:
-            self._count_index = GridIndex(self.positions, self.radius / 12.0)
-        counts = self._count_index.count_in_disks(self.positions[missing], self.radius)
-        # the disk always contains the node itself; degree excludes it
-        self._degree[missing] = counts - 1
+        degrees = self._degree[ids]
+        cold = degrees < 0
+        if cold.any():
+            missing = np.unique(ids[cold])
+            if self._count_index is None:
+                self._count_index = GridIndex(self.positions, self.radius / 12.0)
+            counts = self._count_index.count_in_disks(self.positions[missing], self.radius)
+            # the disk always contains the node itself; degree excludes it
+            self._degree[missing] = counts - 1
+            degrees = self._degree[ids]
+        return degrees
 
     def rebind(self, positions: np.ndarray) -> None:
         """Replace the positions (mobility): drops the index and every list."""

@@ -57,9 +57,10 @@ class NeighborTables:
     def degree(self, node_id: int) -> int:
         return self._neighborhood.degree(node_id)
 
-    def warm_degrees(self, node_ids) -> None:
-        """Batch-fill only the degree cache (no list materialization)."""
-        self._neighborhood.warm_degrees(node_ids)
+    def warm_degrees(self, node_ids) -> np.ndarray:
+        """The nodes' degrees as one array, batch-filling only the degree
+        cache (no list materialization)."""
+        return self._neighborhood.warm_degrees(node_ids)
 
     def neighbor_positions(self, node_id: int) -> np.ndarray:
         """Positions of the node's neighbors — the NE prerequisite in data form."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cdpf import CDPFTracker, bearing_log_kernel
-from repro.core.propagation import PropagationConfig
+from repro.core.propagation import HolderSet, PropagationConfig
 from repro.experiments.runner import generate_step_context, run_tracking
 from repro.runtime import IterationState
 from repro.scenario import StepContext
@@ -93,7 +93,7 @@ class TestTracking:
         state = IterationState(generate_step_context(small_scenario, small_trajectory, 1, rng))
         tr._phase_propagation(state)
         tr._phase_correction(state)
-        total = sum(p.weight for p in tr.holders.values())
+        total = tr.holders.weights.sum()
         assert 0.0 < total <= 1.0 + 1e-9
 
 
@@ -162,7 +162,7 @@ class TestCreation:
         rng = np.random.default_rng(11)
         tr.step(generate_step_context(small_scenario, small_trajectory, 0, rng))
         tr.step(generate_step_context(small_scenario, small_trajectory, 1, rng))
-        tr.holders.clear()  # simulated wipe
+        tr.holders = HolderSet()  # simulated wipe
         tr.step(generate_step_context(small_scenario, small_trajectory, 2, rng))
         assert tr.holders  # re-initialized from detectors
         est = tr.step(generate_step_context(small_scenario, small_trajectory, 3, rng))

@@ -147,9 +147,9 @@ class TestWeightSemantics:
         positions = small_scenario.deployment.positions
         r_s = small_scenario.sensing_radius
         # recompute c0 for one in-area holder and verify the weight product
-        for nid, particle in tr.holders.items():
+        for nid, weight in zip(tr.holders.ids.tolist(), tr.holders.weights.tolist()):
             d_own = float(np.linalg.norm(positions[nid] - pred_now))
-            if d_own > r_s or particle.weight == 0.0:
+            if d_own > r_s or weight == 0.0:
                 continue
             neigh = np.append(tr.neighbors.neighbors(nid), nid)
             d_all = np.linalg.norm(positions[neigh] - pred_now, axis=1)
@@ -173,11 +173,10 @@ class TestWeightSemantics:
         positions = small_scenario.deployment.positions
         pred_now = tr._estimate + tr._velocity_estimate * small_scenario.dynamics.dt
         far = int(np.argmax(np.linalg.norm(positions - pred_now, axis=1)))
-        from repro.core.propagation import HeldParticle
-
-        tr.holders[far] = HeldParticle(velocity=np.zeros(2), weight=0.5)
+        assert far not in tr.holders
+        tr.holders = tr.holders.append([far], [0.5], np.zeros((1, 2)))
         tr._assign_weights_ne(2)
-        assert tr.holders[far].weight == 0.0
+        assert tr.holders.weights[-1] == 0.0
 
 
 class TestNEAreaBoundary:
@@ -187,7 +186,7 @@ class TestNEAreaBoundary:
         10.000000000000002 at R_s = 10.  The holder then sits outside its own
         estimation area and contributes nothing, like any out-of-area
         holder (it used to crash the weight lookup)."""
-        from repro.core.propagation import HeldParticle
+        from repro.core.propagation import HolderSet
         from repro.kernels.geometry import norm2d_many
         from repro.network.deployment import Deployment
         from repro.network.spatial import GridIndex
@@ -218,9 +217,9 @@ class TestNEAreaBoundary:
         assert scenario.sensing_radius == 10.0
         tr._estimate = predicted
         tr._velocity_estimate = np.zeros(2)
-        tr.holders = {node: HeldParticle(velocity=np.zeros(2), weight=1.0)}
+        tr.holders = HolderSet([node], [1.0], np.zeros((1, 2)))
         tr._assign_weights_ne(1)
-        assert tr.holders[node].weight == 0.0
+        assert tr.holders.weights[0] == 0.0
 
 
 class TestConsistencyCheckTransparency:

@@ -164,6 +164,13 @@ def _bits(log_liks: dict) -> list:
     return [(r, float(v).hex()) for r, v in log_liks.items()]
 
 
+def _joint(*args) -> dict:
+    """:func:`joint_log_likelihoods`' ``(ids, log_liks)`` arrays as the
+    reference's ``{id: log_lik}``."""
+    ids, log_liks = joint_log_likelihoods(*args)
+    return dict(zip(ids.tolist(), log_liks.tolist()))
+
+
 def _as_lists(heard, n_receivers):
     rows, senders, values = heard
     return [
@@ -195,7 +202,7 @@ def _delaying():
 @pytest.mark.parametrize("reference", ["node", "origin"])
 def test_round_matches_list_reference(link, direct, reference):
     make = _delaying if link == "delay" else (lambda: None)
-    got, ledger = _run(share_measurements, joint_log_likelihoods, make(), direct=direct,
+    got, ledger = _run(share_measurements, _joint, make(), direct=direct,
                        reference=reference)
     want, want_ledger = _run(_reference_share, _reference_joint, make(), direct=direct,
                              reference=reference)
@@ -245,7 +252,7 @@ def test_signed_zero_columns_keep_the_first_reading():
     senders = np.array([s for pairs in ref_heard for s, _ in pairs], dtype=np.intp)
     values = np.array([v for pairs in ref_heard for _, v in pairs], dtype=np.float64)
     detectors = {0, 2, 3, 7}
-    got = joint_log_likelihoods(
+    got = _joint(
         scenario, scenario.make_neighbor_tables(), receivers, (rows, senders, values),
         detectors, readings,
     )

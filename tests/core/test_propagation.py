@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.propagation import (
-    HeldParticle,
+    HolderSet,
     PropagationConfig,
     combine_shares,
     combine_shares_grouped,
@@ -16,18 +16,29 @@ from repro.core.propagation import (
 )
 
 
-class TestHeldParticle:
-    def test_state_concatenates_position(self):
-        p = HeldParticle(velocity=np.array([1.0, 2.0]), weight=0.5)
-        np.testing.assert_allclose(p.state(np.array([10.0, 20.0])), [10, 20, 1, 2])
+class TestHolderSet:
+    def test_states_concatenate_positions(self):
+        positions = np.array([[0.0, 0.0], [10.0, 20.0], [30.0, 40.0]])
+        h = HolderSet([2, 1], [0.5, 0.25], [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_allclose(h.states(positions), [[30, 40, 1, 2], [10, 20, 3, 4]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HeldParticle(velocity=np.array([np.nan, 0.0]), weight=1.0)
+            HolderSet([0], [1.0], [[np.nan, 0.0]])
         with pytest.raises(ValueError):
-            HeldParticle(velocity=np.zeros(2), weight=-1.0)
+            HolderSet([0], [-1.0], np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            HeldParticle(velocity=np.zeros(2), weight=np.inf)
+            HolderSet([0, 1], [1.0, np.inf], np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            HolderSet([0, 1], [1.0], np.zeros((2, 2)))
+
+    def test_rows_keep_their_order(self):
+        h = HolderSet([5, 2], [0.5, 0.25], [[1.0, 2.0], [3.0, 4.0]])
+        h = h.append([1], [0.125], [[5.0, 6.0]])
+        assert list(h) == [5, 2, 1] and len(h) == 3 and 2 in h and 3 not in h
+        taken = h.take(np.array([2, 0]))
+        assert taken.ids.tolist() == [1, 5] and taken.weights.tolist() == [0.125, 0.5]
+        assert not HolderSet() and HolderSet().velocities.shape == (0, 2)
 
 
 class TestPropagationConfig:
@@ -170,17 +181,19 @@ class TestDivisionShares:
 
 class TestCombineShares:
     def test_weight_sums(self):
-        p = combine_shares([(1.0, np.zeros(2)), (2.0, np.zeros(2))])
-        assert p.weight == pytest.approx(3.0)
+        weight, _ = combine_shares([(1.0, np.zeros(2)), (2.0, np.zeros(2))])
+        assert weight == pytest.approx(3.0)
 
     def test_velocity_weight_averaged(self):
-        p = combine_shares([(1.0, np.array([0.0, 0.0])), (3.0, np.array([4.0, 0.0]))])
-        np.testing.assert_allclose(p.velocity, [3.0, 0.0])
+        _, velocity = combine_shares([(1.0, np.array([0.0, 0.0])), (3.0, np.array([4.0, 0.0]))])
+        np.testing.assert_allclose(velocity, [3.0, 0.0])
 
     def test_all_zero_weights_use_plain_mean(self):
-        p = combine_shares([(0.0, np.array([2.0, 0.0])), (0.0, np.array([4.0, 0.0]))])
-        np.testing.assert_allclose(p.velocity, [3.0, 0.0])
-        assert p.weight == 0.0
+        weight, velocity = combine_shares(
+            [(0.0, np.array([2.0, 0.0])), (0.0, np.array([4.0, 0.0]))]
+        )
+        np.testing.assert_allclose(velocity, [3.0, 0.0])
+        assert weight == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -197,13 +210,15 @@ class TestCombineSharesGrouped:
 
     @staticmethod
     def assert_matches_per_recorder(rids, weights, velocities):
-        grouped = combine_shares_grouped(rids, weights, velocities)
-        assert list(grouped) == sorted(set(rids.tolist()))
-        for r, got in grouped.items():
+        ids, totals, means = combine_shares_grouped(rids, weights, velocities)
+        assert ids.tolist() == sorted(set(rids.tolist()))
+        for r, total, mean in zip(ids.tolist(), totals, means):
             mine = np.flatnonzero(rids == r)
-            ref = combine_shares([(float(weights[i]), velocities[i]) for i in mine])
-            assert got.weight == ref.weight, r
-            assert np.array_equal(got.velocity, ref.velocity), r
+            ref_weight, ref_velocity = combine_shares(
+                [(float(weights[i]), velocities[i]) for i in mine]
+            )
+            assert total == ref_weight, r
+            assert np.array_equal(mean, ref_velocity), r
 
     @pytest.mark.parametrize("mode", ["track", "inherit", "displacement", "blend"])
     def test_round_of_broadcasts_matches(self, mode):
@@ -233,8 +248,8 @@ class TestCombineSharesGrouped:
         weights = np.array([0.0, 0.5, 0.0, 0.25, 0.0, 0.0])
         velocities = np.arange(12, dtype=np.float64).reshape(6, 2) / 3.0
         self.assert_matches_per_recorder(rids, weights, velocities)
-        grouped = combine_shares_grouped(rids, weights, velocities)
-        assert grouped[7].weight == 0.0 and grouped[9].weight == 0.0
+        ids, totals, _ = combine_shares_grouped(rids, weights, velocities)
+        assert totals[ids == 7] == 0.0 and totals[ids == 9] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -256,7 +271,10 @@ class TestCombineSharesGrouped:
         self.assert_matches_per_recorder(rids, weights, velocities)
 
     def test_empty_and_negative(self):
-        assert combine_shares_grouped(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2))) == {}
+        ids, totals, means = combine_shares_grouped(
+            np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 2))
+        )
+        assert ids.size == totals.size == 0 and means.shape == (0, 2)
         with pytest.raises(ValueError):
             combine_shares_grouped(np.array([1]), np.array([-1.0]), np.zeros((1, 2)))
 

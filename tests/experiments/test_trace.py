@@ -57,6 +57,29 @@ class TestTraceRecorder:
             expected = float(np.linalg.norm(result.estimates[k] - result.truth[k]))
             assert e == pytest.approx(expected)
 
+    @pytest.mark.parametrize("family", ["CDPF", "SDPF"])
+    def test_holder_ids_are_recorded(self, small_scenario, small_trajectory, family):
+        """Each snapshot lists the tracker's holder ids after the step, for
+        CDPF's holder set and SDPF's per-node dict alike."""
+        from repro.baselines.sdpf import SDPFTracker
+        from repro.runtime import IterationEvent
+
+        cls = CDPFTracker if family == "CDPF" else SDPFTracker
+        tracker = cls(small_scenario, rng=np.random.default_rng(1))
+        bus = EventBus()
+        recorder = TraceRecorder(tracker, small_trajectory).attach(bus)
+        seen = []
+        bus.subscribe(
+            lambda ev: seen.append(sorted(tracker.holders))
+            if isinstance(ev, IterationEvent) else None
+        )
+        run_tracking(
+            tracker, small_scenario, small_trajectory,
+            rng=np.random.default_rng(7), options=RunOptions(bus=bus),
+        )
+        assert [s.holders.tolist() for s in recorder.snapshots] == seen
+        assert any(seen)
+
     def test_works_with_holderless_tracker(self, small_scenario, small_trajectory):
         from repro.baselines.cpf import CPFTracker
 

@@ -11,6 +11,13 @@ integer-lattice worlds, cell sizes from ``R / 4`` to ``2 R``, radius 0,
 centers on cell edges, on lattice points and far off the field (±1e12 and
 ±1e300), duplicate centers, no centers, and an empty index.
 
+``count_in_disks`` (the degree counts) must equal ``query_disk(c, r).size``
+for every center, on the same worlds and centers with cell sizes from
+``R / 24`` to ``3 R`` — it reads its clipped cells from the grid's
+cell-ordered coordinates — and ``NeighborhoodCache.warm_degrees`` must
+return, for ids drawn with repeats and partly pre-cached, the lengths of
+the lists ``neighbors`` builds.
+
 The medium's offered-receiver overlay gathers its candidates from the
 senders' cell boxes (``GridIndex.box_candidates``, checked against one
 ``_cells_in_box`` walk per center), a superset of their disks; each
@@ -25,6 +32,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.network.medium import Medium
+from repro.network.neighborhood import NeighborhoodCache
 from repro.network.radio import RadioModel
 from repro.network.spatial import GridIndex
 
@@ -140,6 +148,54 @@ def test_empty_index_and_no_centers():
             for g, w in zip(got, want):
                 assert g.dtype == np.intp
                 np.testing.assert_array_equal(g, w)
+
+
+@st.composite
+def _count_queries(draw):
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice"]))
+    positions = _positions(draw, kind)
+    cell = R * draw(st.sampled_from([1 / 24, 1 / 12, 1 / 7, 0.25, 0.5, 1.0, 3.0]))
+    index = GridIndex(positions, cell)
+    centers = _centers(draw, index, positions)
+    radius = draw(st.sampled_from([0.0, R / 3, R, 2.5 * R]))
+    return index, centers, radius
+
+
+@given(_count_queries())
+def test_counts_match_query_disk(query):
+    index, centers, radius = query
+    got = index.count_in_disks(centers, radius)
+    want = [index.query_disk(c, radius).size for c in centers.reshape(-1, 2)]
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def _degree_queries(draw):
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice"]))
+    positions = _positions(draw, kind)
+    if positions.shape[0] == 0:
+        positions = np.zeros((1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = positions.shape[0]
+    warm = rng.integers(0, n, draw(st.integers(0, 8)))  # counted first
+    listed = rng.integers(0, n, draw(st.integers(0, 4)))  # lists built first
+    ids = rng.integers(0, n, draw(st.integers(0, 30)))  # with repeats
+    return positions, warm, listed, ids
+
+
+@given(_degree_queries())
+def test_warm_degrees_return_neighbor_list_lengths(query):
+    positions, warm, listed, ids = query
+    cache = NeighborhoodCache(positions, R)
+    cache.warm_degrees(warm)
+    for i in listed.tolist():
+        cache.neighbors(i)
+    got = cache.warm_degrees(ids)
+    fresh = NeighborhoodCache(positions, R)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, [fresh.neighbors(i).size for i in ids.tolist()])
+    np.testing.assert_array_equal(got, [cache.degree(i) for i in ids.tolist()])
 
 
 def _box_candidates_reference(index: GridIndex, centers: np.ndarray, radius: float) -> np.ndarray:

@@ -1,10 +1,22 @@
-"""batch_contributions / group_sums: grouped CSR evaluation must be
-bit-identical to evaluating each estimation area on its own."""
+"""batch_contributions and the segment reductions: grouped CSR evaluation
+must be bit-identical to evaluating each estimation area (segment) on its
+own."""
 
 import numpy as np
+import pytest
 
 from repro.core.contributions import estimated_contributions
-from repro.kernels.contributions import batch_contributions, group_sums
+from repro.kernels.contributions import (
+    batch_contributions,
+    group_means,
+    group_sums,
+    group_weighted_means,
+    segment_buckets,
+)
+
+#: segment lengths around numpy's pairwise-summation block edges (a
+#: pairwise sum adds 8 accumulators and splits at 128 elements)
+_EDGES = [*range(1, 10), 127, 128, 129, 130, 255, 256, 257]
 
 
 def _random_groups(rng, n_groups, max_size=40):
@@ -82,3 +94,83 @@ class TestBatchContributions:
         flat = np.array([3.0, 7.0, 11.0])
         offsets = np.array([0, 1, 2, 3])
         assert np.array_equal(batch_contributions(flat, offsets), np.ones(3))
+
+
+def _segments(rng, lengths):
+    """Flat values of wildly varying magnitude cut into ``lengths``, plus
+    their CSR offsets and the per-segment slices."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    values = rng.random(offsets[-1]) * 10.0 ** rng.integers(-6, 7, offsets[-1])
+    values[rng.random(values.size) < 0.2] *= -1.0
+    return values, offsets, [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
+
+
+def _layouts():
+    """(name, lengths): one bucket, a few buckets, every edge length, each
+    segment length repeated 1, 3 or 17 times and shuffled."""
+    rng = np.random.default_rng(11)
+    out = []
+    for repeat in (1, 3, 17):
+        for name, lengths in (("one", [129]), ("few", [1, 8, 9, 256]), ("all", _EDGES)):
+            ls = np.repeat(lengths, repeat)
+            out.append((f"{name}-x{repeat}", rng.permutation(ls)))
+    return out
+
+
+_LAYOUTS = _layouts()
+
+
+class TestSegmentReductions:
+    """group_sums / group_means / group_weighted_means against each
+    segment's own ``.sum()``, ``.mean()`` and weighted ``@``."""
+
+    @pytest.mark.parametrize("lengths", [ls for _, ls in _LAYOUTS], ids=[n for n, _ in _LAYOUTS])
+    def test_sums_and_means_equal_per_slice(self, lengths):
+        values, offsets, slices = _segments(np.random.default_rng(len(lengths)), lengths)
+        assert _bits(group_sums(values, offsets)) == _bits([values[s].sum() for s in slices])
+        assert _bits(group_means(values, offsets)) == _bits([values[s].mean() for s in slices])
+
+    @pytest.mark.parametrize("lengths", [ls for _, ls in _LAYOUTS], ids=[n for n, _ in _LAYOUTS])
+    def test_weighted_means_equal_per_slice(self, lengths):
+        rng = np.random.default_rng(100 + len(lengths))
+        weights, offsets, slices = _segments(rng, lengths)
+        weights = np.abs(weights)
+        # every third segment carries zero weight: the plain mean
+        for s in slices[::3]:
+            weights[s] = 0.0
+        rows = rng.normal(0.0, 50.0, size=(weights.size, 2))
+        totals, means = group_weighted_means(weights, rows, offsets)
+        want_totals, want_means = [], []
+        for s in slices:
+            total = float(weights[s].sum())
+            want_totals.append(total)
+            if total > 0.0:
+                want_means.append((weights[s] / total) @ rows[s])
+            else:
+                want_means.append(rows[s].mean(axis=0))
+        assert _bits(totals) == _bits(want_totals)
+        assert _bits(means) == _bits(want_means)
+
+    def test_reduceat_would_not_do(self):
+        """The reason for the buckets: ``np.add.reduceat`` accumulates
+        sequentially, and on these segments it differs from ``.sum()``."""
+        values, offsets, slices = _segments(np.random.default_rng(5), _EDGES)
+        want = _bits([values[s].sum() for s in slices])
+        assert _bits(group_sums(values, offsets)) == want
+        assert _bits(np.add.reduceat(values, offsets[:-1])) != want
+
+    def test_buckets_cover_every_segment_once(self):
+        lengths = np.array([3, 0, 3, 1, 0, 7])
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        buckets = segment_buckets(offsets)
+        assert sorted(np.concatenate([seg for seg, _ in buckets]).tolist()) == list(range(6))
+        for seg, index in buckets:
+            assert index.shape == (seg.size, lengths[seg[0]])
+            for g, row in zip(seg.tolist(), index):
+                assert row.tolist() == list(range(offsets[g], offsets[g + 1]))
+        assert group_sums(np.arange(14.0), offsets)[[1, 4]].tolist() == [0.0, 0.0]
+        assert segment_buckets(np.array([0])) == []

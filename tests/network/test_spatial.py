@@ -230,3 +230,37 @@ class TestSegmentDistances:
         d1 = np.sqrt(np.sum((pts - p1) ** 2, axis=1))
         assert (d <= np.minimum(d0, d1) + 1e-9).all()
         assert (d >= 0).all()
+
+
+class TestRadixCellSort:
+    """Grids of at most 2**16 cells sort their cell ids as uint16 (a radix
+    sort); a stable sort's permutation is unique, so ``_order`` must equal
+    the stable sort of the ids as intp."""
+
+    @staticmethod
+    def _intp_order(positions, cell):
+        origin = positions.min(axis=0)
+        ny = int((positions[:, 1].max() - origin[1]) // cell) + 1
+        cx = ((positions[:, 0] - origin[0]) // cell).astype(np.intp)
+        cy = ((positions[:, 1] - origin[1]) // cell).astype(np.intp)
+        return np.argsort(cx * ny + cy, kind="stable")
+
+    @pytest.mark.parametrize(
+        "shape", [(256, 256), (65537, 1), (1, 65536), (3, 5)], ids=["65536", "65537", "column", "small"]
+    )
+    def test_order_equals_the_intp_stable_sort(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        nx, ny = shape
+        # corners pin the grid at exactly nx x ny unit cells; many points
+        # share a cell, so the stable tie order matters
+        corners = np.array([[0.0, 0.0], [nx - 0.5, ny - 0.5]])
+        pts = rng.uniform(0.0, 1.0, size=(3000, 2)) * [nx - 0.5, ny - 0.5]
+        positions = np.vstack([corners, pts, np.floor(pts[:500])])
+        idx = GridIndex(positions, 1.0)
+        assert idx._shape == shape
+        np.testing.assert_array_equal(idx._order, self._intp_order(positions, 1.0))
+
+    def test_empty_and_one_point(self):
+        assert GridIndex(np.zeros((0, 2)), 1.0)._order.size == 0
+        idx = GridIndex(np.array([[3.0, 4.0]]), 1.0)
+        assert idx._order.tolist() == [0] and idx._order.dtype == np.intp
