@@ -93,16 +93,19 @@ class CPFTracker:
         self.hop_counts: list[int] = []  # per-message hop counts (for Table I checks)
         self._reliable = None  # lazy ARQ layer, built only for a lossy medium
         self.stats = TrackerStats()
+        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
-        # All of CPF's traffic is the convergecast phase — exactly Table I's
-        # single sum_i D_m H_i term; sensing and the sink-side SIR update are
-        # radio-silent.
-        self.phases = (
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """All of CPF's traffic is the convergecast phase — exactly Table I's
+        single sum_i D_m H_i term; sensing and the sink-side SIR update are
+        radio-silent.  Built on each read, so the tracker holds no bound
+        method of itself."""
+        return (
             Phase("sense", self._phase_sense),
             Phase("convergecast", self._phase_convergecast),
             Phase("sir_update", self._phase_sir_update),
         )
-        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
     # ------------------------------------------------------------------
 

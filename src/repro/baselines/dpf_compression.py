@@ -110,18 +110,21 @@ class DPFTracker:
         self._estimate: np.ndarray | None = None
         self._estimate_iter: int | None = None
         self.stats = TrackerStats()
+        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
-        # The leader-chain iteration: traffic splits into the hand-off
-        # (posterior compression) and collection (N P H) phases; sensing,
-        # election, and the leader's SIR update are radio-silent.
-        self.phases = (
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The leader-chain iteration: traffic splits into the hand-off
+        (posterior compression) and collection (N P H) phases; sensing,
+        election, and the leader's SIR update are radio-silent.  Built on
+        each read, so the tracker holds no bound method of itself."""
+        return (
             Phase("sense", self._phase_sense),
             Phase("leader_election", self._phase_leader_election),
             Phase("handoff", self._phase_handoff),
             Phase("collect", self._phase_collect),
             Phase("sir_update", self._phase_sir_update),
         )
-        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
     # ------------------------------------------------------------------
 

@@ -104,12 +104,16 @@ class SDPFTracker:
         self._last_predictions: np.ndarray | None = None
         self.transceiver_id = -1  # pseudo-node; not part of the deployment
         self.stats = TrackerStats()
+        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
-        # The classic SIR order of Fig. 2(a): measurement sharing and the
-        # local likelihood multiply are separate phases (Table I charges the
-        # sharing traffic under N_n D_m), and the transceiver handshake is
-        # the aggregation phase whose 2-message overhead CDPF eliminates.
-        self.phases = (
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The classic SIR order of Fig. 2(a): measurement sharing and the
+        local likelihood multiply are separate phases (Table I charges the
+        sharing traffic under N_n D_m), and the transceiver handshake is the
+        aggregation phase whose 2-message overhead CDPF eliminates.  Built
+        on each read, so the tracker holds no bound method of itself."""
+        return (
             Phase("propagation", self._phase_propagation),
             Phase("creation", self._phase_creation),
             Phase("share", self._phase_share),
@@ -118,7 +122,6 @@ class SDPFTracker:
             Phase("resample", self._phase_resample),
             Phase("estimation", self._phase_estimation),
         )
-        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
     # ------------------------------------------------------------------
 
@@ -139,13 +142,17 @@ class SDPFTracker:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Mutable tracker state only; the medium snapshots at the run layer."""
+        """Mutable tracker state only; the medium snapshots at the run layer.
+
+        Holders are listed in the dict's order, which creation's base weight
+        (a mean over the holders) reads; a checkpoint that lists them by id,
+        as older ones do, restores them in that order."""
         from ..runtime.checkpoint import snapshot_rng
 
         return {
             "holders": [
                 [int(nid), p.velocities.copy(), p.weights.copy()]
-                for nid, p in sorted(self.holders.items())
+                for nid, p in self.holders.items()
             ],
             "estimate": None if self._estimate is None else self._estimate.copy(),
             "estimate_iter": self._estimate_iter,

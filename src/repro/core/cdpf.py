@@ -159,15 +159,11 @@ def joint_log_likelihoods(
     unchanged).  Returns ``(ids, log_liks)``: the receivers that have a
     reading, in ``receivers`` order, and their log-likelihoods.
 
-    The round is one ``(holders, measurements)`` :func:`batch_likelihood`
-    matrix whose columns are the distinct ``(sender, value)`` pairs in
-    order of first appearance (a delayed channel can deliver stale copies
-    whose value differs from this iteration's reading, so columns key on
-    the pair; values compare as floats, so ``-0.0`` and ``0.0`` share the
-    first one's column).  One lexicographic sort finds the columns, one
-    fancy index gathers every row's kernels, and
-    :func:`~repro.kernels.contributions.group_means` takes each row's
-    ``.mean()`` (one pass per distinct row length).
+    Every (receiver, sender, value) pair is one entry of an elementwise
+    :func:`batch_likelihood` call — a delayed channel can deliver stale
+    copies whose value differs from this iteration's reading, and each is
+    scored as heard — and :func:`~repro.kernels.contributions.group_means`
+    takes each row's ``.mean()`` (one pass per distinct row length).
     """
     rows, senders, values = heard
     receivers = np.asarray(receivers, dtype=np.intp)
@@ -188,29 +184,18 @@ def joint_log_likelihoods(
     np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
     row_start = np.flatnonzero(new_row)
     holders = receivers[rows[row_start]]
-    # distinct (sender, value) columns: within a run of equal pairs the
-    # stable sort keeps the first appearance first
-    by_pair = np.lexsort((values, senders))
-    ps, pv = senders[by_pair], values[by_pair]
-    run_start = np.ones(by_pair.size, dtype=bool)
-    run_start[1:] = (ps[1:] != ps[:-1]) | (pv[1:] != pv[:-1])
-    first = by_pair[run_start]
-    is_first = np.zeros(by_pair.size, dtype=bool)
-    is_first[first] = True
-    col_at = np.cumsum(is_first) - 1  # column of each first appearance
-    col = np.empty(by_pair.size, dtype=np.intp)
-    col[by_pair] = col_at[first][np.cumsum(run_start) - 1]
     positions = scenario.deployment.positions
     measurement = scenario.measurement
     if measurement.reference == "node":
-        refs = positions[senders[is_first]]
+        refs = positions[senders]
     else:
-        refs = np.zeros((first.size, 2))
+        refs = np.zeros((senders.size, 2))
     # discretization-aware sigma: local density from each node's degree
     lam = (neighbors.warm_degrees(holders) + 1) / (np.pi * scenario.radio.comm_radius**2)
-    zs = values[is_first]
-    matrix = batch_likelihood(positions[holders], lam, refs, zs, measurement.noise_std)
-    kernels = matrix[np.cumsum(new_row) - 1, col]
+    kernels = batch_likelihood(
+        positions[receivers[rows]], lam[np.cumsum(new_row) - 1], refs, values,
+        measurement.noise_std,
+    )
     # tempered fusion (mean log-kernel): the per-sensor bearings share a
     # common-mode error, so treating them as fully independent would sharpen
     # the joint likelihood far below the node-position quantization scale and
@@ -296,12 +281,11 @@ def record_shares(
     only (the broadcast row, static positions, anticipated availability), so
     every candidate computes the identical result — Theorem 2's argument —
     and the round is evaluated once instead of once per receiver.  The
-    candidates are (row, id) pairs from one grid walk over the rows'
-    predicted areas; ``shared_prediction`` (track mode's consensus area)
-    makes that one ``query_disk`` for every row, over the disk that can hold
-    a recorder — the recording radius, padded so that
-    :func:`batch_propagate`'s own probability test decides.  A pair is
-    dropped when the
+    candidates are (row, id) pairs from one grid walk over the disks that
+    can hold a row's recorder: the recording radius around its predicted
+    position, padded so that :func:`batch_propagate`'s own probability
+    test decides.  ``shared_prediction`` (track mode's consensus area)
+    makes that one ``query_disk`` for every row.  A pair is dropped when the
     candidate is out of the row's sender's comm radius, not anticipated
     available (``anticipate``: a pure ``ids -> bool mask`` hook), or lost
     the sender's copy.  Off the direct path, an anticipated recorder that is
@@ -314,17 +298,17 @@ def record_shares(
     radius = config.predicted_area_radius
     n_rows = weights.shape[0]
     sender_pos = states[:, :2]
+    # a candidate records only while its linear probability exceeds the
+    # threshold, i.e. strictly inside the recording radius
+    reach = radius * (1.0 - max(config.record_threshold, 0.0)) * (1.0 + 1e-9)
     if shared_prediction is not None:
         preds = np.broadcast_to(shared_prediction, (n_rows, 2))
-        # a candidate records only while its linear probability exceeds the
-        # threshold, i.e. strictly inside the recording radius
-        reach = radius * (1.0 - max(config.record_threshold, 0.0)) * (1.0 + 1e-9)
         cand = index.query_disk(shared_prediction, reach)
         rows = np.repeat(np.arange(n_rows), cand.size)
         ids = np.repeat(cand[None, :], n_rows, axis=0).ravel()
     else:
         preds = sender_pos + states[:, 2:] * dt
-        rows, ids = index.query_disk_pairs(preds, radius)
+        rows, ids = index.query_disk_pairs(preds, reach)
     cand_pos = positions[ids]
     dx = cand_pos[:, 0] - sender_pos[rows, 0]
     dy = cand_pos[:, 1] - sender_pos[rows, 1]
@@ -496,20 +480,26 @@ class CDPFTracker:
         self._velocity_estimate: np.ndarray | None = None
         self._last_sender_positions: np.ndarray | None = None
         self._last_predictions: np.ndarray | None = None
+        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
-        # Fig. 2(b)'s reordered iteration as declared phases: CDPF-NE has no
-        # likelihood channel, so its phase list simply omits that phase (the
-        # traffic difference between the variants is one missing phase row).
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """Fig. 2(b)'s reordered iteration as declared phases: CDPF-NE has no
+        likelihood channel, so its phase list simply omits that phase (the
+        traffic difference between the variants is one missing phase row).
+
+        Built on each read: a stored tuple of bound methods would make the
+        tracker a reference cycle, alive with its world until a full
+        garbage collection."""
         phases = [
             Phase("propagation", self._phase_propagation),
             Phase("correction", self._phase_correction),
             Phase("creation", self._phase_creation),
         ]
-        if not neighborhood_estimation:
+        if not self.neighborhood_estimation:
             phases.append(Phase("likelihood", self._phase_likelihood))
         phases.append(Phase("assign_weight", self._phase_assign_weight))
-        self.phases = tuple(phases)
-        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
+        return tuple(phases)
 
     # ------------------------------------------------------------------
     # public interface
@@ -534,10 +524,14 @@ class CDPFTracker:
         """Mutable tracker state only.  The medium is owned by the run layer
         (and shared across trackers under :class:`~repro.core.multitarget.
         MultiTargetCDPF`), so it snapshots separately; static configuration
-        (scenario, config, phase list) is rebuilt from the spec on restore."""
+        (scenario, config, phase list) is rebuilt from the spec on restore.
+
+        Holders are listed in row order, which creation's base weight (a
+        mean over the rows) reads; a checkpoint that lists them by id, as
+        older ones do, restores them in that order."""
         from ..runtime.checkpoint import snapshot_rng
 
-        holders = self.holders.take(np.argsort(self.holders.ids))
+        holders = self.holders
         return {
             "holders": [
                 [nid, velocity.copy(), weight]

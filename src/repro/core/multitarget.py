@@ -124,17 +124,20 @@ class MultiTargetCDPF:
         self._next_id = 0
         self._estimate_iter: int | None = None
         self.stats = TrackerStats()
+        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
-        # The wrapper's own phases; each per-track CDPF iteration inside
-        # "tracks" runs its *own* pipeline on the shared medium, and the
-        # innermost phase scope wins, so the combined ledger still attributes
-        # traffic to CDPF's propagation/correction/... phases.
-        self.phases = (
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The wrapper's own phases; each per-track CDPF iteration inside
+        "tracks" runs its *own* pipeline on the shared medium, and the
+        innermost phase scope wins, so the combined ledger still attributes
+        traffic to CDPF's propagation/correction/... phases.  Built on each
+        read, so the tracker holds no bound method of itself."""
+        return (
             Phase("associate", self._phase_associate),
             Phase("tracks", self._phase_tracks),
             Phase("maintain", self._phase_maintain),
         )
-        self.pipeline = PhasePipeline(self, medium=self.medium, stats=self.stats)
 
     # ------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels.likelihood import batch_bearing_log_likelihood
+from ..kernels.likelihood import Workspace, batch_bearing_log_likelihood
 from ..models.base import TransitionModel
 from ..models.measurement import BearingMeasurement
 from .particles import ParticleSet, normalize_log_weights
@@ -42,12 +42,18 @@ class Observation:
     sensor_position: np.ndarray | None = None
 
 
-def joint_log_likelihood(states: np.ndarray, observations: Sequence[Observation]) -> np.ndarray:
+def joint_log_likelihood(
+    states: np.ndarray,
+    observations: Sequence[Observation],
+    *,
+    workspace: Workspace | None = None,
+) -> np.ndarray:
     """Sum of per-sensor log-likelihoods (conditional independence across sensors).
 
     All-bearing observation batches (the common CPF/DPF case) evaluate as one
     ``(n_obs, n_particles)`` kernel matrix whose rows accumulate in the same
-    sequential order as the scalar loop — bit-identical, one pass.
+    sequential order as the scalar loop — bit-identical, one pass — in
+    ``workspace`` when given.
     """
     states_2d = np.atleast_2d(states)
     n = states_2d.shape[0]
@@ -60,7 +66,9 @@ def joint_log_likelihood(states: np.ndarray, observations: Sequence[Observation]
         )
         zs = np.array([obs.z for obs in observations], dtype=np.float64)
         sigmas = np.array([obs.model.noise_std for obs in observations])
-        matrix = batch_bearing_log_likelihood(states_2d[:, :2], zs, refs, sigmas)
+        matrix = batch_bearing_log_likelihood(
+            states_2d[:, :2], zs, refs, sigmas, workspace=workspace
+        )
         for row in matrix:
             total += row
         return total
@@ -111,6 +119,8 @@ class SISFilter:
         self.particles: ParticleSet | None = None
         self.resample_count = 0
         self.iteration = 0
+        #: the likelihood matrix's scratch, reused by every update (not state)
+        self._workspace = Workspace()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -144,7 +154,7 @@ class SISFilter:
         p = self._require_particles()
         if not observations:
             return  # no information this iteration; weights unchanged
-        log_lik = joint_log_likelihood(p.states, observations)
+        log_lik = joint_log_likelihood(p.states, observations, workspace=self._workspace)
         with np.errstate(divide="ignore"):
             log_w = np.log(p.weights) + log_lik
         weights = normalize_log_weights(log_w)

@@ -24,9 +24,10 @@ Modules
     Recorder selection + weight division over a whole propagation round,
     as one list of (broadcast row, candidate) pairs.
 :mod:`~repro.kernels.likelihood`
-    All detector measurements against all particle holders as one
-    ``(holders, sensors)`` log-kernel matrix, plus the batched
-    bearing log-likelihood used by the centralized SIR update.
+    Node-hosted bearing log-kernels, elementwise over (holder, reading)
+    pairs (a round scores each heard pair once), plus the batched
+    bearing log-likelihood used by the centralized SIR update, which runs
+    in a filter-owned :class:`~repro.kernels.likelihood.Workspace`.
 :mod:`~repro.kernels.delivery`
     Vectorized keyed uniform draws — a bit-exact numpy replica of
     ``SeedSequence -> PCG64 -> random()`` — so the medium fans one send out

@@ -25,6 +25,7 @@ it bit-for-bit).
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -81,7 +82,9 @@ class PhasePipeline:
     ----------
     tracker:
         The owning tracker; ``tracker.phases`` is read at every step so a
-        tracker may legally rebuild its phase tuple between iterations.
+        tracker may legally rebuild its phase tuple between iterations.  The
+        pipeline refers to it weakly: the tracker owns the pipeline, and a
+        strong link back would make every tracker a reference cycle.
     medium:
         The tracker's :class:`~repro.network.medium.Medium`; each phase body
         runs inside ``medium.phase(name)`` so the ledger attributes its
@@ -103,23 +106,29 @@ class PhasePipeline:
         stats: TrackerStats,
         bus: EventBus | None = None,
     ) -> None:
-        self.tracker = tracker
+        self._tracker = weakref.ref(tracker)
         self.medium = medium
         self.stats = stats
         self.bus = bus
+
+    @property
+    def tracker(self) -> "PhasedTracker":
+        """The owning tracker."""
+        return self._tracker()
 
     def run(self, ctx: Any) -> Any:
         """Execute the declared phases for ``ctx``; returns the estimate."""
         state = IterationState(ctx)
         accounting = self.medium.accounting
-        for phase in self.tracker.phases:
+        tracker = self.tracker
+        for phase in tracker.phases:
             if state.done:
                 break
             if self.bus is not None:
                 self.bus.emit(
                     PhaseEvent(
                         kind="start",
-                        tracker=self.tracker.name,
+                        tracker=tracker.name,
                         iteration=state.iteration,
                         phase=phase.name,
                     )
@@ -137,7 +146,7 @@ class PhasePipeline:
                 self.bus.emit(
                     PhaseEvent(
                         kind="end",
-                        tracker=self.tracker.name,
+                        tracker=tracker.name,
                         iteration=state.iteration,
                         phase=phase.name,
                         seconds=seconds,

@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import signal
+import warnings
 
 from .app import TrackingService
+from .errors import ServiceError
 from .manager import ServiceConfig
 
 
@@ -47,9 +49,13 @@ async def _run(args: argparse.Namespace) -> None:
     if args.store:
         service.manager.resume_store_sessions()
         for sid, config_toml, checkpoint in list(service.manager.pending_restores):
-            await service.manager.create_session(
-                config_toml, session_id=sid, resume_from=checkpoint
-            )
+            try:
+                await service.manager.create_session(
+                    config_toml, session_id=sid, resume_from=checkpoint
+                )
+            except ServiceError as exc:
+                # one session that cannot be restored must not cost the rest
+                warnings.warn(f"not restoring session {sid!r}: {exc}", stacklevel=1)
     print(f"repro.service listening on http://{service.host}:{service.port}",
           flush=True)
     stop = asyncio.Event()

@@ -44,6 +44,7 @@ from typing import Any
 
 from ..config import ConfigError, loads_config
 from ..experiments.engine import RECORD_SCHEMA, JsonlStore
+from ..runtime.checkpoint import CheckpointError, RunCheckpoint
 from .errors import (
     BadRequest,
     CapacityError,
@@ -52,6 +53,7 @@ from .errors import (
     StepBudgetExceeded,
     WorkerDied,
 )
+from .session import config_fingerprint
 from .streams import SubscriberQueue
 from .workers import WorkerHandle
 
@@ -59,6 +61,18 @@ __all__ = ["ServiceConfig", "SessionManager", "SessionRecord"]
 
 #: session states a client can observe
 RUNNING, PAUSED, FINISHED, FAILED = "running", "paused", "finished", "failed"
+
+
+def _latest_readable(records: list, fingerprint: str) -> dict | None:
+    """The last of a session's stored checkpoint records that decodes as a
+    checkpoint of its config (``fingerprint``), or None."""
+    for record in reversed(records):
+        try:
+            RunCheckpoint.from_dict(record, expect_fingerprint=fingerprint)
+        except (CheckpointError, KeyError, OverflowError, TypeError, ValueError):
+            continue
+        return record
+    return None
 
 
 @dataclass(frozen=True)
@@ -519,7 +533,8 @@ class SessionManager:
 
     def resume_store_sessions(self) -> list[str]:
         """Session ids recorded in the durable store, with their latest
-        checkpoint JSON — what a cold restart re-creates sessions from.
+        readable checkpoint JSON — what a cold restart re-creates sessions
+        from.
 
         Returns pairs via :attr:`pending_restores`; callers then
         ``create_session(config_toml, session_id=..., resume_from=...)``.
@@ -531,12 +546,18 @@ class SessionManager:
         malformed or too deeply nested JSON), so one stale record cannot
         abort a restart.  An undecodable final line is an interrupted
         append and is skipped in silence.
+
+        A checkpoint record that does not decode as a checkpoint of the
+        session's config (malformed, another ``CHECKPOINT_VERSION``, a
+        foreign fingerprint, a failed digest) is passed over for the one
+        before it, as :meth:`JsonlStore.load_checkpoints` does, and a
+        session left with none is skipped with a warning naming it.
         """
         if self.store is None or not Path(self.store.path).exists():
             return []
         path = self.store.path
         configs: dict[str, str] = {}
-        latest: dict[str, dict] = {}
+        stored: dict[str, list] = {}
         for lineno, rec, error, last in self.store.lines():
             if error is not None:
                 if not last:  # a final one is an interrupted append
@@ -564,13 +585,13 @@ class SessionManager:
                     continue
                 configs[sid] = config_toml
             elif rec.get("kind") == "checkpoint" and isinstance(sid, str) and "checkpoint" in rec:
-                latest[sid] = rec["checkpoint"]
+                stored.setdefault(sid, []).append(rec["checkpoint"])
         self.pending_restores = []
         for sid, config_toml in configs.items():
-            if sid not in latest:
+            if sid not in stored:
                 continue
             try:
-                loads_config(config_toml)
+                fingerprint = config_fingerprint(loads_config(config_toml))
             except ConfigError as exc:
                 warnings.warn(
                     f"{path}: not restoring session {sid!r}: its "
@@ -578,9 +599,15 @@ class SessionManager:
                     stacklevel=2,
                 )
                 continue
-            self.pending_restores.append(
-                (sid, config_toml, json.dumps(latest[sid]))
-            )
+            checkpoint = _latest_readable(stored[sid], fingerprint)
+            if checkpoint is None:
+                warnings.warn(
+                    f"{path}: not restoring session {sid!r}: none of its "
+                    f"{len(stored[sid])} stored checkpoints can be read",
+                    stacklevel=2,
+                )
+                continue
+            self.pending_restores.append((sid, config_toml, json.dumps(checkpoint)))
         return [sid for sid, _, _ in self.pending_restores]
 
     # -- streaming ---------------------------------------------------------

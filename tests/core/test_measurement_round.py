@@ -5,11 +5,15 @@
 lists of ``(sender, value)`` tuples and found its likelihood columns with
 ``dict.fromkeys``, verbatim except that inboxes are read by
 ``_reference_collect``, the per-node log scan ``Medium.collect`` ran before
-it became the one-node call of ``Medium.collect_many``.  Both rounds run on
-identically built media, and every receiver's joint log-likelihood must match
-bit for bit, on the direct handoff and on the message path.
+it became the one-node call of ``Medium.collect_many``, and that the
+``(holders, columns)`` matrix comes from ``_matrix_likelihood``, the matrix
+kernel that round called (``batch_likelihood`` is elementwise now).  Both
+rounds run on identically built media, and every receiver's joint
+log-likelihood must match bit for bit, on the direct handoff and on the
+message path.
 
-The worlds cover a delaying channel whose stale copies make one sender heard
+The worlds cover a dense round of over 1 024 pairs (the bounded angle
+wrap), a delaying channel whose stale copies make one sender heard
 with two values (two likelihood columns), a receiver that is also a sharer,
 detectors among the receivers (one that shares nothing), receivers that hear
 nothing (one of them a detector, whose row is its own reading alone), and a
@@ -20,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro.core.cdpf import joint_log_likelihoods, share_measurements
-from repro.kernels.likelihood import batch_likelihood
+from repro.kernels.geometry import norm2d_many
+from repro.kernels.likelihood import _BOUNDED_WRAP_MIN, wrap_angle_many
 from repro.models.measurement import BearingMeasurement
 from repro.network.deployment import Deployment
 from repro.network.links import DelayingLink, IIDLossLink
@@ -116,6 +121,33 @@ def _reference_share(medium, sharers, receivers, measurements, iteration, *, dir
     return heard
 
 
+def _matrix_likelihood(
+    holder_positions: np.ndarray,
+    lam: np.ndarray,
+    sensor_positions: np.ndarray,
+    zs: np.ndarray,
+    noise_std: float,
+) -> np.ndarray:
+    hp = np.asarray(holder_positions, dtype=np.float64)
+    sp = np.asarray(sensor_positions, dtype=np.float64)
+    zs = np.asarray(zs, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    dx = hp[:, 0, None] - sp[None, :, 0]
+    dy = hp[:, 1, None] - sp[None, :, 1]
+    # two squared distances on purpose: the scalar chain measures d_sr with
+    # np.linalg.norm (FMA-contracted dot) but guards the flat factor with the
+    # kernel's own plain mul-add r2 — replicate both bit patterns
+    r2 = dx * dx + dy * dy
+    d = norm2d_many(dx, dy)
+    h = (0.5 / np.sqrt(lam))[:, None]
+    sigma_quant = np.where(d > 0, np.arctan(h / np.maximum(d, h)), 0.0)
+    sigma_eff = np.hypot(noise_std, sigma_quant)
+    predicted = np.arctan2(dy, dx)
+    residual = wrap_angle_many(zs[None, :] - predicted)
+    out = -0.5 * (residual / sigma_eff) ** 2
+    return np.where(r2 < 1e-12, 0.0, out)
+
+
 def _reference_joint(scenario, neighbors, receivers, heard, detectors, measurements):
     positions = scenario.deployment.positions
     measurement = scenario.measurement
@@ -140,7 +172,7 @@ def _reference_joint(scenario, neighbors, receivers, heard, detectors, measureme
     lam_denom = np.pi * scenario.radio.comm_radius**2
     neighbors.warm_degrees(rows)
     lam = np.array([(neighbors.degree(r) + 1) / lam_denom for r in rows])
-    matrix = batch_likelihood(positions[rows], lam, refs, zs, measurement.noise_std)
+    matrix = _matrix_likelihood(positions[rows], lam, refs, zs, measurement.noise_std)
     return {
         r: float(matrix[i, [col_of[pair] for pair in pairs]].mean())
         for i, (r, pairs) in enumerate(zip(rows, pair_lists))
@@ -261,3 +293,37 @@ def test_signed_zero_columns_keep_the_first_reading():
     )
     assert _bits(got) == _bits(want)
     assert list(got) == [0, 2, 3, 5, 7]
+
+
+def test_dense_round_takes_the_bounded_wrap():
+    """A round of over 1 024 heard pairs, so the elementwise kernel's
+    bearing wrap takes its bounded (range-checked) path; every row still
+    matches the matrix reference bit for bit."""
+    rng = np.random.default_rng(23)
+    positions = rng.uniform(0.0, 60.0, size=(160, 2))
+    deployment = Deployment(
+        positions=positions, width=60.0, height=60.0, index=GridIndex(positions, 10.0)
+    )
+    scenario = Scenario(
+        deployment=deployment,
+        radio=RadioModel(comm_radius=30.0),
+        measurement=BearingMeasurement(noise_std=0.05, reference="node"),
+    )
+    sharers = sorted(rng.choice(160, size=50, replace=False).tolist())
+    receivers = sorted(rng.choice(160, size=90, replace=False).tolist())
+    detectors = set(sharers) | set(rng.choice(160, size=10).tolist())
+    readings = {d: float(rng.uniform(-np.pi, np.pi)) for d in sorted(detectors)}
+    heard = share_measurements(
+        scenario.make_medium(), sharers, receivers, readings, 0, direct=True
+    )
+    assert heard[0].size >= _BOUNDED_WRAP_MIN
+    got = _joint(
+        scenario, scenario.make_neighbor_tables(), receivers, heard, detectors, readings
+    )
+    ref_heard = _reference_share(
+        scenario.make_medium(), sharers, receivers, readings, 0, direct=True
+    )
+    want = _reference_joint(
+        scenario, scenario.make_neighbor_tables(), receivers, ref_heard, detectors, readings
+    )
+    assert _bits(got) == _bits(want)

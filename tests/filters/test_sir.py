@@ -1,5 +1,8 @@
 """SIS/SIR filters: agreement with the Kalman filter, tracking, degeneracy."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,3 +172,56 @@ class TestResamplingBehavior:
         f.update([Observation(LinearPositionMeasurement(0.001), 0.0, None)])
         f.force_resample()
         assert np.unique(f.particles.states[:, 0]).size < 100
+
+
+class TestLikelihoodWorkspace:
+    """The bearing matrix runs in buffers the filter owns and reuses."""
+
+    SHAPES = [(3, 50), (40, 300), (2, 20), (40, 300), (41, 300), (7, 500), (5, 10)]
+
+    @staticmethod
+    def _bearings(rng, n_obs):
+        model = BearingMeasurement(noise_std=0.05, reference="node")
+        return [
+            Observation(model, float(z), pos)
+            for z, pos in zip(rng.uniform(-np.pi, np.pi, n_obs), rng.uniform(0, 100, (n_obs, 2)))
+        ]
+
+    def test_reused_buffers_match_fresh_allocation_bitwise(self):
+        rng = np.random.default_rng(11)
+        f = SISFilter(ConstantVelocityModel(), 10, rng=rng, ess_threshold_ratio=None)
+        blocks = []
+        for n_obs, n_particles in self.SHAPES:
+            cloud = ParticleSet(rng.uniform(0, 100, (n_particles, 4)), rng.dirichlet(np.ones(n_particles)))
+            observations = self._bearings(rng, n_obs)
+            fresh = SISFilter(ConstantVelocityModel(), 10, rng=rng, ess_threshold_ratio=None)
+            for filt in (f, fresh):
+                filt.initialize_from(cloud)
+                filt.update(observations)
+            assert f.particles.weights.tobytes() == fresh.particles.weights.tobytes()
+            want = joint_log_likelihood(cloud.states, observations)
+            assert joint_log_likelihood(
+                cloud.states, observations, workspace=f._workspace
+            ).tobytes() == want.tobytes()
+            blocks.append(f._workspace._block)
+        # the block grows with the largest shape so far and is reused below it
+        sizes = [n * p for n, p in self.SHAPES]
+        for k in range(1, len(sizes)):
+            grew = sizes[k] > max(sizes[:k])
+            assert (blocks[k] is blocks[k - 1]) != grew, self.SHAPES[k]
+
+    def test_a_dropped_filter_frees_its_buffers(self):
+        rng = np.random.default_rng(12)
+        f = SIRFilter(ConstantVelocityModel(), 200, rng=rng)
+        f.initialize(np.full(4, 50.0), np.eye(4))
+        f.step(self._bearings(rng, 30))
+        block = weakref.ref(f._workspace._block)
+        assert block() is not None and block().size >= 2 * 30 * 200
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del f
+            assert block() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -6,9 +6,12 @@ row's predicted area and its sender's comm radius that are anticipated
 available and did not lose the sender's copy, then the scalar recorder
 selection and division (``_scalar_reference``) and one ``implied_velocity``
 per recorder.  Geometries are drawn on a coarse lattice so that probability
-ties (equal distances, co-located nodes) are common; the draws also cover
-``max_recorders``, lost copies, unavailable recorders, several rows per
-sender and track mode's shared predicted area.
+ties (equal distances, co-located nodes) are common, plus nodes placed just
+inside a row's recording radius ``R·(1 − threshold)`` (relative margins
+1e-12 to 5e-4), where a query short of that radius loses recorders; the
+draws also cover record thresholds up to 0.9, ``max_recorders``, lost
+copies, unavailable recorders, several rows per sender and track mode's
+shared predicted area.
 """
 
 from types import SimpleNamespace
@@ -28,6 +31,14 @@ _MODES = ("track", "blend", "displacement", "inherit")
 
 @st.composite
 def _rounds(draw):
+    config = PropagationConfig(
+        predicted_area_radius=draw(st.sampled_from([1.5, 2.0, 3.0, 4.5])),
+        record_threshold=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9])),
+        max_recorders=draw(st.none() | st.integers(1, 4)),
+        velocity_mode=draw(st.sampled_from(_MODES)),
+        velocity_alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+    )
+    dt = draw(st.sampled_from([1.0, 2.0]))
     n = draw(st.integers(2, 40))
     # half-metre lattice: equal distances (probability ties) are common
     positions = np.array(
@@ -47,6 +58,22 @@ def _rounds(draw):
         draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5]) | st.floats(0.01, 3.0),
                       min_size=rows, max_size=rows))
     )
+    states = np.column_stack([np.repeat(positions[senders], counts, axis=0), velocities])
+    shared = None
+    if draw(st.booleans()):
+        shared = np.array(draw(st.tuples(st.integers(0, 16), st.integers(0, 16))), dtype=float) / 2
+    # nodes just inside a row's recording radius
+    reach = config.predicted_area_radius * (1.0 - config.record_threshold)
+    edge = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, rows - 1))
+        pred = shared if shared is not None else states[j, :2] + states[j, 2:] * dt
+        theta = draw(st.floats(0.0, 2.0 * np.pi))
+        d = reach * (1.0 - draw(st.sampled_from([1e-12, 1e-6, 1e-4, 5e-4])))
+        edge.append(pred + d * np.array([np.cos(theta), np.sin(theta)]))
+    if edge:
+        positions = np.vstack([positions, edge])
+        n = positions.shape[0]
     direct = draw(st.booleans())
     lost = None
     down: set[int] = set()
@@ -56,16 +83,6 @@ def _rounds(draw):
             for _ in senders
         ]
         down = draw(st.sets(st.integers(0, n - 1), max_size=3))
-    config = PropagationConfig(
-        predicted_area_radius=draw(st.sampled_from([1.5, 2.0, 3.0, 4.5])),
-        record_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
-        max_recorders=draw(st.none() | st.integers(1, 4)),
-        velocity_mode=draw(st.sampled_from(_MODES)),
-        velocity_alpha=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-    )
-    shared = None
-    if draw(st.booleans()):
-        shared = np.array(draw(st.tuples(st.integers(0, 16), st.integers(0, 16))), dtype=float) / 2
     anticipated = None
     if draw(st.booleans()):
         anticipated = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -74,7 +91,7 @@ def _rounds(draw):
         track_velocity = np.array(draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4))), dtype=float)
     return SimpleNamespace(
         positions=positions,
-        states=np.column_stack([np.repeat(positions[senders], counts, axis=0), velocities]),
+        states=states,
         weights=weights,
         counts=counts,
         lost=lost,
@@ -84,7 +101,7 @@ def _rounds(draw):
         anticipated=anticipated,
         track_velocity=track_velocity,
         comm_radius=draw(st.sampled_from([2.0, 3.5, 5.0, 12.0])),
-        dt=draw(st.sampled_from([1.0, 2.0])),
+        dt=dt,
         cell=draw(st.sampled_from([0.5, 1.0, 3.0])),
     )
 

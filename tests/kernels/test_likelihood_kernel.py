@@ -103,7 +103,7 @@ class TestBatchLikelihood:
         zs = rng.uniform(-np.pi, np.pi, size=m)
         lam = rng.uniform(0.01, 0.5, size=n)
         noise_std = 0.05
-        got = batch_likelihood(holders, lam, sensors, zs, noise_std)
+        got = batch_likelihood(holders[:, None], lam[:, None], sensors, zs, noise_std)
         assert got.shape == (n, m)
         for i in range(n):
             for j in range(m):
@@ -112,19 +112,36 @@ class TestBatchLikelihood:
                 )
                 assert got[i, j] == expected, (i, j)
 
+    @pytest.mark.parametrize("n_pairs", [40, 5000], ids=["mod-wrap", "bounded-wrap"])
+    def test_pairs_match_the_broadcast_matrix_bitwise(self, n_pairs):
+        """Elementwise: a pair scores the same whatever else the call holds,
+        on either side of the bounded wrap's size switch."""
+        rng = np.random.default_rng(9)
+        n, m = 60, 90
+        holders = rng.uniform(0.0, 150.0, size=(n, 2))
+        sensors = np.vstack([rng.uniform(0.0, 150.0, size=(m - 1, 2)), holders[:1]])
+        zs = rng.uniform(-np.pi, np.pi, size=m)
+        lam = rng.uniform(0.01, 0.5, size=n)
+        matrix = batch_likelihood(holders[:, None], lam[:, None], sensors, zs, 0.05)
+        i = rng.integers(0, n, size=n_pairs)
+        j = rng.integers(0, m, size=n_pairs)
+        i[0], j[0] = 0, m - 1  # a holder hearing itself
+        got = batch_likelihood(holders[i], lam[i], sensors[j], zs[j], 0.05)
+        assert got.tobytes() == matrix[i, j].tobytes()
+
     def test_coincident_holder_and_sensor_is_flat(self):
         """The undefined-bearing guard: log-kernel 0.0 at the sensor itself."""
         p = np.array([[10.0, 20.0]])
         out = batch_likelihood(
             p, np.array([0.1]), p, np.array([0.3]), noise_std=0.05
         )
-        assert out[0, 0] == 0.0
+        assert out.shape == (1,) and out[0] == 0.0
 
     def test_kernels_never_exceed_one(self):
         rng = np.random.default_rng(3)
         out = batch_likelihood(
-            rng.uniform(0, 100, (20, 2)),
-            rng.uniform(0.05, 0.3, 20),
+            rng.uniform(0, 100, (20, 1, 2)),
+            rng.uniform(0.05, 0.3, (20, 1)),
             rng.uniform(0, 100, (6, 2)),
             rng.uniform(-np.pi, np.pi, 6),
             noise_std=0.05,

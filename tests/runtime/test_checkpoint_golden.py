@@ -199,3 +199,60 @@ class TestMultiTarget:
         assert resumed == reference
         assert mt2.medium.accounting.total_bytes == ref_bytes
         assert _scrub(mt2.stats.snapshot()) == ref_stats
+
+
+class TestHolderRowOrder:
+    """A checkpoint keeps the holders' row order: creation's base weight is a
+    mean over the rows, and after a degraded iteration (prior-weight
+    fallback under heavy loss) the rows are not in id order.  Each case is
+    a resume that went wrong when snapshots listed holders by id."""
+
+    def _build(self, name, seed):
+        world = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        scenario = make_paper_scenario(density_per_100m2=5.0, rng=world)
+        scenario = dataclasses.replace(scenario, link_model=IIDLossLink(p_loss=0.85, seed=4))
+        trajectory = make_trajectory(n_iterations=10, rng=world)
+        tracker = make_tracker(
+            name, scenario,
+            rng=np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))),
+        )
+        sensing = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+        return tracker, scenario, trajectory, sensing
+
+    @pytest.mark.parametrize(
+        "name,seed,cut", [("CDPF-NE", 2, 2), ("SDPF", 7, 7)],
+        ids=["CDPF-NE-seed2-cut2", "SDPF-seed7-cut7"],
+    )
+    def test_resume_after_a_degraded_iteration(self, name, seed, cut):
+        checkpoints = []
+        tracker, scenario, trajectory, rng = self._build(name, seed)
+        reference = run_tracking(
+            tracker, scenario, trajectory, rng=rng,
+            options=RunOptions(checkpoint=CheckpointPolicy(every=1, sink=checkpoints.append)),
+        )
+        (middle,) = [cp for cp in checkpoints if cp.iteration == cut]
+        tracker, scenario, trajectory, rng = self._build(name, seed)
+        resumed = run_tracking(
+            tracker, scenario, trajectory, rng=rng,
+            options=RunOptions(checkpoint=CheckpointPolicy(
+                resume_from=RunCheckpoint.from_json(middle.to_json())
+            )),
+        )
+        assert_same_result(resumed, reference)
+
+    @pytest.mark.parametrize("name,seed,cut", [("CDPF-NE", 2, 2), ("SDPF", 7, 7)])
+    def test_id_ordered_checkpoints_still_load_in_id_order(self, name, seed, cut):
+        checkpoints = []
+        tracker, scenario, trajectory, rng = self._build(name, seed)
+        run_tracking(
+            tracker, scenario, trajectory, rng=rng,
+            options=RunOptions(checkpoint=CheckpointPolicy(every=1, sink=checkpoints.append)),
+        )
+        (middle,) = [cp for cp in checkpoints if cp.iteration == cut]
+        state = RunCheckpoint.from_json(middle.to_json()).payload["tracker"]
+        live = [int(row[0]) for row in state["holders"]]
+        assert live != sorted(live)  # the case an id-ordered snapshot got wrong
+        state["holders"].sort(key=lambda row: int(row[0]))
+        tracker, *_ = self._build(name, seed)
+        tracker.restore(state)
+        assert list(tracker.holders) == sorted(live)

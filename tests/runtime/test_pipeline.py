@@ -7,8 +7,14 @@ pipeline/ledger/bus machinery rather than to any tracker's algorithm.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+from repro import make_paper_scenario, make_trajectory, run_tracking
+from repro.factory import make_tracker, tracker_names
 
 from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage
@@ -240,3 +246,24 @@ def test_iteration_event_reaches_trace_recorder():
     assert len(recorder.snapshots) == 1
     snap = recorder.snapshots[0]
     assert snap.iteration == 1 and np.array_equal(snap.estimate, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", tracker_names())
+def test_finished_trackers_are_freed_without_a_collection(name):
+    """A tracker is no reference cycle: its phase tuple holds no bound method
+    of its own and its pipeline points back weakly, so dropping a finished
+    tracker frees it, its medium and its scenario's grid indexes at once."""
+    rng = np.random.default_rng(3)
+    scenario = make_paper_scenario(density_per_100m2=5.0, rng=rng)
+    trajectory = make_trajectory(n_iterations=4, rng=rng)
+    tracker = make_tracker(name, scenario, rng=np.random.default_rng(1))
+    run_tracking(tracker, scenario, trajectory, rng=np.random.default_rng(2))
+    refs = [weakref.ref(o) for o in (tracker, tracker.medium, scenario, scenario.deployment.index)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del tracker, scenario, trajectory
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -20,6 +20,7 @@ from repro.service import (
     SessionStateError,
     StepBudgetExceeded,
 )
+from repro.service.session import SessionCore
 
 from .conftest import small_config
 
@@ -376,7 +377,8 @@ class TestDurableStore:
         starts no worker."""
         store = tmp_path / "service.jsonl"
         session = {"kind": "service-session", "session": "s", "config_toml": config_toml}
-        checkpoint = {"kind": "checkpoint", "session": "s", "checkpoint": {"iteration": 1}}
+        checkpoint = {"kind": "checkpoint", "session": "s",
+                      "checkpoint": _checkpoint(config_toml, iteration=1)}
         with store.open("wb") as f:
             f.write(json.dumps(session).encode() + b"\n")
             f.write(probe + b"\n")
@@ -390,4 +392,51 @@ class TestDurableStore:
             + ("(bytes that are not UTF-8)" if b"\xff" in probe else
                "(JSON nested too deeply to parse)")
         ]
-        assert json.loads(manager.pending_restores[0][2]) == {"iteration": 1}
+        assert json.loads(manager.pending_restores[0][2]) == checkpoint["checkpoint"]
+
+    def test_cold_restart_takes_the_latest_readable_checkpoint(self, config_toml, tmp_path):
+        """Checkpoint records that cannot be restored (a zeroed digest,
+        another ``CHECKPOINT_VERSION``, another config's fingerprint, not a
+        checkpoint at all) are passed over for the one before them; a
+        session with none left is skipped with a warning naming it, and the
+        other sessions are still restored."""
+        store = tmp_path / "service.jsonl"
+        good = [_checkpoint(config_toml, iteration=k) for k in (1, 2)]
+        last = _checkpoint(config_toml, iteration=3)
+        zeroed = {**last, "digest": "0" * 64}
+        foreign = {**last, "fingerprint": "f" * 64}
+        newer = {**last, "version": 99}
+        records = [
+            {"kind": "service-session", "session": "a", "config_toml": config_toml},
+            {"kind": "service-session", "session": "b", "config_toml": config_toml},
+            *({"kind": "checkpoint", "session": "a", "checkpoint": c}
+              for c in (*good, zeroed, foreign, newer, [1], "x")),
+            {"kind": "checkpoint", "session": "b", "checkpoint": zeroed},
+            {"kind": "checkpoint", "session": "b", "checkpoint": newer},
+        ]
+        store.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manager = SessionManager(ServiceConfig(n_workers=1, store_path=store))
+        with pytest.warns(UserWarning) as caught:
+            assert manager.resume_store_sessions() == ["a"]
+        assert [str(w.message) for w in caught] == [
+            f"{store}: not restoring session 'b': none of its 2 stored "
+            "checkpoints can be read"
+        ]
+        (sid, toml, checkpoint), = manager.pending_restores
+        assert json.loads(checkpoint) == good[-1]
+
+        async def body(live):
+            await live.create_session(toml, session_id=sid, resume_from=checkpoint)
+            return live.sessions[sid].next_iteration
+
+        # the restored session resumes from the readable checkpoint
+        assert run(with_manager(ServiceConfig(n_workers=1), body)) == 2
+
+
+def _checkpoint(config_toml, *, iteration):
+    """The stored form of the checkpoint a session run from ``config_toml``
+    takes after ``iteration`` steps."""
+    core = SessionCore(config_toml)
+    for _ in range(iteration):
+        core.step()
+    return json.loads(core.checkpoint())
