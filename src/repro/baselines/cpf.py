@@ -252,17 +252,13 @@ class CPFTracker:
             reach = self._hops_in_range([path for _nid, _z, path in routed])
             routed = [entry for entry, ok in zip(routed, reach.tolist()) if ok]
         if self.medium.delivers_all:
-            for _nid, z, _path in routed:
-                if not np.isfinite(z):  # what MeasurementMessage rejects
-                    raise ValueError(f"measurement must be finite, got {z}")
             hops = sum(len(path) - 1 for _nid, _z, path in routed)
+            n_bytes = MeasurementMessage.round_bytes(
+                self.medium.sizes, hops, [z for _nid, z, _path in routed]
+            )
             if hops:
-                sizes = self.medium.sizes
                 self.medium.accounting.record(
-                    iteration,
-                    MeasurementMessage.category,
-                    (sizes.header + sizes.measurement) * hops,
-                    hops,
+                    iteration, MeasurementMessage.category, n_bytes, hops
                 )
             return {nid: True for nid, _z, _path in routed}
         batch = self.medium.transmission_batch(iteration)

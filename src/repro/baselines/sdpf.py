@@ -428,17 +428,14 @@ class SDPFTracker:
         # (b) every holder reports its weights (N_s * D_w bytes, one msg each);
         #     the transceiver is simulated by the harness, so the reports are
         #     charged out of band rather than delivered to a field inbox, as
-        #     one aggregated ledger row after WeightReportMessage's check
+        #     one aggregated ledger row that WeightReportMessage checks and sizes
         reported = [(nid, self.holders[nid].weights) for nid in sorted(self.holders)]
         if reported:
             weights = np.concatenate([w for _, w in reported])
-            if (weights < 0).any():
-                raise ValueError("weights must be non-negative")
-            sizes = self.medium.sizes
             self.medium.charge_out_of_band(
                 k,
                 WeightReportMessage.category,
-                sizes.header * len(reported) + sizes.weight * weights.size,
+                WeightReportMessage.round_bytes(self.medium.sizes, len(reported), weights),
                 len(reported),
             )
         total = float(sum(w.sum() for _, w in reported))

@@ -112,12 +112,12 @@ def share_measurements(
     """
     sharer_ids = np.asarray(sharers, dtype=np.intp)
     if direct:
+        values = np.array([float(measurements[s]) for s in sharers], dtype=np.float64)
         if sharers:
-            sizes = medium.sizes
             medium.accounting.record(
                 iteration,
                 MeasurementMessage.category,
-                (sizes.header + sizes.measurement) * len(sharers),
+                MeasurementMessage.round_bytes(medium.sizes, len(sharers), values),
                 len(sharers),
             )
         receiver_ids = np.asarray(receivers, dtype=np.intp)
@@ -129,7 +129,6 @@ def share_measurements(
         in_range = dx * dx + dy * dy <= radius * radius
         in_range &= receiver_ids[:, None] != sharer_ids[None, :]
         rows, col = np.nonzero(in_range)  # row-major: each receiver's sharers ascending
-        values = np.array([float(measurements[s]) for s in sharers], dtype=np.float64)
         heard = rows, sharer_ids[col], values[col]
     else:
         batch = medium.transmission_batch(iteration)
@@ -243,10 +242,11 @@ def broadcast_particles(
     """
     if direct:
         if senders:
-            sizes = medium.sizes
-            n_bytes = sizes.header * len(senders) + (sizes.particle + sizes.weight) * len(weights)
             medium.accounting.record(
-                iteration, ParticleMessage.category, n_bytes, len(senders)
+                iteration,
+                ParticleMessage.category,
+                ParticleMessage.round_bytes(medium.sizes, len(senders), weights),
+                len(senders),
             )
         return None
     batch = medium.transmission_batch(iteration)

@@ -18,7 +18,9 @@ Design constraints, all load-bearing for the test tier:
   multiple messages on the same link within one iteration (they would
   otherwise share one fate).  :mod:`repro.kernels.delivery` replays that
   chain without building the objects: ``link_uniform`` for one copy,
-  ``link_uniform_many`` for a batch.
+  ``link_uniform_many`` for a batch.  A model is a pure function of
+  ``(seed, link, iteration, nonce)``: it keeps nothing between calls, so
+  its snapshot names only its type.
 * **Zero-loss transparency** — a model configured for zero loss must make the
   medium byte-for-byte identical to no model at all; the differential tests
   in ``tests/core/test_cdpf_lossy.py`` pin this.
@@ -85,77 +87,28 @@ def _check_seed(seed: int) -> None:
 class LinkTable:
     """Int values keyed by packed directed links, ``sender << 32 | receiver``.
 
-    Absent links read as 0.  Batched reads and writes search two sorted
-    int64 arrays, one ``searchsorted`` per call: a few MB for a few hundred
-    thousand links, where a dict of that size misses the cache on nearly
-    every probe and its cost stops tracking CPU speed.  Scalar writes go to
-    a small dict that the next batched call merges in, so the one-copy path
-    stays O(1).
+    Absent links read as 0.  Reads and writes are batched: each call
+    searches two sorted int64 arrays with one ``searchsorted``, where a dict
+    of a few thousand links costs a Python probe per key.  The medium keeps
+    one iteration's link-nonce counters in one.
     """
 
-    def __init__(self, items=()) -> None:
+    def __init__(self) -> None:
         self._keys = np.zeros(0, dtype=np.int64)
         self._values = np.zeros(0, dtype=np.int64)
-        self._pending = dict(items)
-
-    def __len__(self) -> int:
-        self._merge()
-        return self._keys.size
-
-    def __eq__(self, other):
-        if not isinstance(other, LinkTable):
-            return NotImplemented
-        return self.items() == other.items()
-
-    def clear(self) -> None:
-        self.__init__()
 
     def items(self) -> list[tuple[int, int]]:
         """``(key, value)`` pairs in key order."""
-        self._merge()
         return list(zip(self._keys.tolist(), self._values.tolist()))
 
-    def get(self, key: int) -> int:
-        value = self._pending.get(key)
-        if value is not None:
-            return value
-        if self._keys.size:
-            i = int(self._keys.searchsorted(key))
-            if i < self._keys.size and int(self._keys[i]) == key:
-                return int(self._values[i])
-        return 0
-
-    def set(self, key: int, value: int) -> None:
-        self._pending[key] = value
-
     def get_many(self, keys: np.ndarray) -> np.ndarray:
-        self._merge()
         pos, hit = self._find(keys)
         out = np.zeros(keys.shape[0], dtype=np.int64)
         out[hit] = self._values[pos[hit]]
         return out
 
-    def set_many(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def set_many(self, keys: np.ndarray, values) -> None:
         """Write ``values`` at ``keys``; a repeated key keeps its last value."""
-        self._merge()
-        self._write(keys, values)
-
-    def _find(self, keys: np.ndarray):
-        pos = self._keys.searchsorted(keys)
-        hit = pos < self._keys.size
-        hit[hit] = self._keys[pos[hit]] == keys[hit]
-        return pos, hit
-
-    def _merge(self) -> None:
-        if self._pending:
-            pending, self._pending = self._pending, {}
-            n = len(pending)
-            self._write(
-                np.fromiter(pending.keys(), np.int64, n),
-                np.fromiter(pending.values(), np.int64, n),
-            )
-
-    def _write(self, keys: np.ndarray, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.int64)
         if not (keys[1:] > keys[:-1]).all():  # else already sorted and distinct
             keys, last = np.unique(keys[::-1], return_index=True)
@@ -166,6 +119,12 @@ class LinkTable:
         if miss.any():
             self._keys = np.insert(self._keys, pos[miss], keys[miss])
             self._values = np.insert(self._values, pos[miss], values[miss])
+
+    def _find(self, keys: np.ndarray):
+        pos = self._keys.searchsorted(keys)
+        hit = pos < self._keys.size
+        hit[hit] = self._keys[pos[hit]] == keys[hit]
+        return pos, hit
 
 
 #: LinkOutcome -> the int8 code of the batched classify path.
@@ -205,8 +164,8 @@ class LinkModel:
     passes a ``nonce`` that increments across messages on the same link within
     one iteration.  A copy's fate depends on nothing else, so a caller may
     classify a link's copies ahead of sending them (an ARQ round draws them
-    in batches).  Per-link state, such as a Gilbert-Elliott chain, is the
-    model's own: its classify calls catch it up, and no caller advances it.
+    in batches).  A model keeps no per-link state: a Gilbert-Elliott chain's
+    state is recomputed from its keyed draws by every call that needs it.
     """
 
     def classify(
@@ -248,14 +207,12 @@ class LinkModel:
         """Marginal delivery probability at the given distance (for docs/tests)."""
         return 1.0
 
-    def reset(self) -> None:
-        """Discard any per-link state (Gilbert-Elliott chains etc.)."""
-
     # -- checkpoint protocol -------------------------------------------------
     # Every draw is keyed on (seed, link, iteration, nonce), so the models
-    # are stateless up to memoization; the base snapshot is empty and
-    # subclasses with per-link chains override it.  Static parameters are
-    # never carried: restore happens into an identically configured model.
+    # are stateless: a snapshot names the type, which restore checks, and
+    # restore ignores any other key (older Gilbert-Elliott snapshots carry a
+    # ``chains`` memo).  Static parameters are never carried: restore
+    # happens into an identically configured model.
 
     def snapshot(self) -> dict:
         return {"type": type(self).__name__}
@@ -390,27 +347,20 @@ class GilbertElliottLink(LinkModel):
     burst length is ``1 / p_bad_to_good`` iterations; stationary loss is
     ``pi_B * loss_bad + pi_G * loss_good``.
 
-    The chain is advanced lazily and deterministically: the state at iteration
-    ``k`` is a pure function of the seed, the link, and ``k``, so replaying a
-    run reproduces every burst.  Step ``k`` draws ``u_k`` (tag 3) and moves
-    good -> bad iff ``u_k < p_good_to_bad`` and bad -> good iff ``u_k <
+    The state at iteration ``k`` is a pure function of the seed, the link,
+    and ``k``, so replaying a run reproduces every burst.  Every chain starts
+    good before step 0; step ``k`` draws ``u_k`` (tag 3) and moves good ->
+    bad iff ``u_k < p_good_to_bad`` and bad -> good iff ``u_k <
     p_bad_to_good``.  With ``lo``/``hi`` the smaller/larger of the two, a
     draw ``u < lo`` flips the state, ``u >= hi`` keeps it, and ``lo <= u <
     hi`` sets it to ``p_good_to_bad > p_bad_to_good`` whatever it was (a
     coupling step).  So the state at ``k`` is the state the last coupling
-    step set, XOR the parity of the flips after it, and a catch-up walks
-    back from ``k``, drawing ``u_k, u_{k-1}, ...``, until a coupling draw or
-    the memo's step (whose state then stands in for the coupling): at most
-    ``k - at`` draws, the forward replay's count, and ``1 / (hi - lo)``
-    expected (2.86 at the defaults); with equal probabilities nothing
-    couples and the walk draws every step.
-
-    The memo of where each chain stands is one :class:`LinkTable` of packed
-    ints, key ``sender << 32 | receiver`` and value ``(at + 1) << 1 | bad``
-    (so a missing link reads as 0: good, before iteration 0); a batched
-    round reads it with one ``get_many`` and writes it back with one
-    ``set_many``, and a call of a few copies uses the one-key ``get`` and
-    ``set``.
+    step set (good if none did), XOR the parity of the flips after it, and
+    every call walks back from ``k``, drawing ``u_k, u_{k-1}, ...``, until a
+    coupling draw or through step 0: at most ``k + 1`` draws, the forward
+    replay's count, and ``1 / (hi - lo)`` expected (2.86 at the defaults);
+    with equal probabilities nothing couples and the walk draws every step.
+    Nothing is remembered between calls.
     """
 
     p_good_to_bad: float = 0.05
@@ -418,8 +368,6 @@ class GilbertElliottLink(LinkModel):
     loss_good: float = 0.0
     loss_bad: float = 0.9
     seed: int = 0
-    #: sender << 32 | receiver -> (iteration_of_state + 1) << 1 | state_is_bad
-    _state: LinkTable = field(default_factory=LinkTable, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"):
@@ -428,9 +376,6 @@ class GilbertElliottLink(LinkModel):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         _check_seed(self.seed)
 
-    def reset(self) -> None:
-        self._state.clear()
-
     def _coupling(self) -> tuple[float, float, bool]:
         """``(lo, hi, coupled)``: a step's draw ``u < lo`` flips the state,
         ``u >= hi`` keeps it, and ``lo <= u < hi`` sets it to ``coupled``
@@ -438,31 +383,8 @@ class GilbertElliottLink(LinkModel):
         g2b, b2g = self.p_good_to_bad, self.p_bad_to_good
         return min(g2b, b2g), max(g2b, b2g), g2b > b2g
 
-    def _state_at(self, sender: int, receiver: int, iteration: int) -> bool:
-        """True iff the directed link is in the bad state at ``iteration``:
-        the one-link walk of :meth:`advance`."""
-        key = int(sender) << 32 | int(receiver)
-        packed = self._state.get(key)
-        at, bad = (packed >> 1) - 1, bool(packed & 1)
-        if at > iteration:
-            # replay from the chain's origin: the per-step draws are keyed,
-            # so recomputation gives the identical path
-            bad, at = False, -1
-        lo, hi, coupled = self._coupling()
-        flip = False
-        for k in range(iteration, at, -1):
-            u = link_uniform(self.seed, 3, sender, receiver, k, 0)
-            if u < lo:
-                flip = not flip
-            elif u < hi:
-                bad = coupled
-                break
-        bad = bad != flip
-        self._state.set(key, (iteration + 1) << 1 | bad)
-        return bad
-
     def classify(self, sender, receiver, distance, iteration, nonce=0):
-        bad = self._state_at(sender, receiver, iteration)
+        (bad,) = self._advance_few([int(sender)], [int(receiver)], iteration)
         p = self.loss_bad if bad else self.loss_good
         if p <= 0.0:
             return LinkOutcome.DELIVER
@@ -472,17 +394,16 @@ class GilbertElliottLink(LinkModel):
         return LinkOutcome.DROP if u < p else LinkOutcome.DELIVER
 
     def advance(self, senders, receivers, iteration: int) -> np.ndarray:
-        """Advance each directed link's chain to ``iteration``; returns
-        whether each is in the bad state there, aligned with ``receivers``.
+        """Whether each directed link's chain is in the bad state at
+        ``iteration``, aligned with ``receivers``.
 
         ``senders`` is a scalar or a per-link array.  Each chain walks back
         from ``iteration`` over its keyed step draws (see the class
-        docstring) until a coupling draw or its memo; the walks move in
-        lockstep, one ``link_uniform_many`` call per step over the links
+        docstring) until a coupling draw or through step 0; the walks move
+        in lockstep, one ``link_uniform_many`` call per step over the links
         still walking.  The draws are keyed on (link, step), so batching
-        them changes nothing about the state the scalar walk finds; a link
-        repeated in one call walks once.  A link whose memo stands past
-        ``iteration`` walks back to the chain's origin.
+        them changes nothing about the state the one-link walk finds; a
+        link repeated in one call walks once.
         """
         receivers = np.asarray(receivers)
         senders = np.broadcast_to(np.asarray(senders), receivers.shape)
@@ -492,64 +413,48 @@ class GilbertElliottLink(LinkModel):
             )
         keys, inverse = _distinct((senders.astype(np.int64) << 32) | receivers.astype(np.int64))
         senders, receivers = keys >> 32, keys & 0xFFFFFFFF
-        packed = self._state.get_many(keys)
-        at = (packed >> 1) - 1
-        bad = (packed & 1).astype(bool)
-        stale = at > iteration  # walk those back to the chain's origin
-        at[stale] = -1
-        bad[stale] = False
         lo, hi, coupled = self._coupling()
+        bad = np.zeros(receivers.shape[0], dtype=bool)
         flip = np.zeros(receivers.shape[0], dtype=bool)
-        walking = np.flatnonzero(at < iteration)
-        k = iteration
-        while walking.size:
+        walking = np.arange(receivers.shape[0])
+        for k in range(iteration, -1, -1):
+            if not walking.size:
+                break
             u = link_uniform_many(self.seed, 3, senders[walking], receivers[walking], k, 0)
             flip[walking] ^= u < lo
             set_here = (u >= lo) & (u < hi)
             bad[walking[set_here]] = coupled
-            k -= 1
-            walking = walking[~set_here & (at[walking] < k)]
+            walking = walking[~set_here]
         bad ^= flip
-        self._state.set_many(keys, bad + ((iteration + 1) << 1))
         return bad if inverse is None else bad[inverse]
 
     def _advance_few(self, senders: list, receivers: list, iteration: int) -> list[bool]:
         """:meth:`advance` for a handful of links: the same lockstep walk,
-        with the memo read and written through the table's one-key path
-        and the walk's bookkeeping in Python, where array operations on a
-        few elements cost more than the draws."""
+        with its bookkeeping in Python, where array operations on a few
+        elements cost more than the draws."""
         lo, hi, coupled = self._coupling()
-        chains: dict[int, list] = {}  # key -> [sender, receiver, at, bad, flip]
+        chains: dict[int, list] = {}  # key -> [sender, receiver, bad, flip]
         for s, r in zip(senders, receivers):
-            key = s << 32 | r
-            if key not in chains:
-                packed = self._state.get(key)
-                at, bad = (packed >> 1) - 1, bool(packed & 1)
-                if at > iteration:
-                    at, bad = -1, False
-                chains[key] = [s, r, at, bad, False]
-        walking = [chain for chain in chains.values() if chain[2] < iteration]
-        k = iteration
-        while walking:
+            chains.setdefault(s << 32 | r, [s, r, False, False])
+        walking = list(chains.values())
+        for k in range(iteration, -1, -1):
+            if not walking:
+                break
             u = link_uniform_many(
                 self.seed, 3, np.array([c[0] for c in walking]),
                 np.array([c[1] for c in walking]), k, 0,
             )
-            k -= 1
             still = []
             for chain, uk in zip(walking, u.tolist()):
                 if uk < lo:
-                    chain[4] = not chain[4]
+                    chain[3] = not chain[3]
                 elif uk < hi:
-                    chain[3] = coupled
+                    chain[2] = coupled
                     continue
-                if chain[2] < k:
-                    still.append(chain)
+                still.append(chain)
             walking = still
-        for key, chain in chains.items():
-            chain[3] = chain[3] != chain[4]
-            self._state.set(key, (iteration + 1) << 1 | chain[3])
-        return [chains[s << 32 | r][3] for s, r in zip(senders, receivers)]
+        bad = {key: chain[2] != chain[3] for key, chain in chains.items()}
+        return [bad[s << 32 | r] for s, r in zip(senders, receivers)]
 
     def classify_many(self, sender, receivers, distances, iteration, nonces):
         receivers = np.asarray(receivers)
@@ -598,24 +503,6 @@ class GilbertElliottLink(LinkModel):
         pi_bad = self.p_good_to_bad / denom if denom > 0 else 0.0
         return 1.0 - (pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good)
 
-    def snapshot(self) -> dict:
-        # the chain positions are a replayable memo (state at k is a pure
-        # function of seed/link/k), but carrying them keeps the lazy advance
-        # O(1) after a restore instead of replaying every chain from origin
-        state = super().snapshot()
-        state["chains"] = [
-            [int(key >> 32), int(key & 0xFFFFFFFF), bool(packed & 1), int(packed >> 1) - 1]
-            for key, packed in self._state.items()
-        ]
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._state = LinkTable(
-            (int(s) << 32 | int(r), (int(at) + 1) << 1 | bool(bad))
-            for s, r, bad, at in state["chains"]
-        )
-
 
 @dataclass
 class DelayingLink(LinkModel):
@@ -630,9 +517,6 @@ class DelayingLink(LinkModel):
         if not 0.0 <= self.p_delay <= 1.0:
             raise ValueError(f"p_delay must be in [0, 1], got {self.p_delay}")
         _check_seed(self.seed)
-
-    def reset(self) -> None:
-        self.inner.reset()
 
     def snapshot(self) -> dict:
         state = super().snapshot()

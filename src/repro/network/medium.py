@@ -7,8 +7,8 @@ Semantics follow the paper's round-based simulation:
   (§I, [14]) that CDPF exploits: any node in a predicted area hears all
   particle broadcasts, so the total weight arrives as a side product.
 * ``unicast`` models one hop of a routed transmission; multi-hop forwarding
-  (CPF's convergecast) charges one message per hop, exactly as in the
-  ``D_m * H_i`` term of Table I.
+  (``unicast_path``, CPF's convergecast) charges one message per hop,
+  exactly as in the ``D_m * H_i`` term of Table I.
 * Every transmission is logged into a :class:`CommAccounting` ledger, broken
   down by iteration and by message category, so each figure's cost series is
   read straight from the ledger.
@@ -23,13 +23,14 @@ distance mask, on the index of a shared
 results cached until availability or positions change), loss/delay outcomes
 come from one :func:`~repro.kernels.delivery.batch_deliver` kernel call over
 every open copy in the round, and the ledger takes one append per message.
-The per-message ``broadcast`` / ``unicast`` / ``unicast_path`` entry points
-are thin wrappers over a one-element batch, so the two call shapes are the
-same code path and stay bit-identical by construction.  Stop-and-wait ARQ,
-whose next copy depends on the last one's outcome, runs on a
-:class:`UnicastRound` instead: each link's copy fates drawn ahead in
-batches, each copy resolved by integer bookkeeping, the round committed
-to the ledger, nonce counters and inboxes at its end.
+The per-message ``broadcast`` and ``unicast_path`` entry points are thin
+wrappers over a one-element batch, so the two call shapes are the same code
+path and stay bit-identical by construction.  Stop-and-wait ARQ, whose next
+copy depends on the last one's outcome, runs on a :class:`UnicastRound`
+instead: each link's copy fates drawn ahead in batches, each copy resolved
+by integer bookkeeping, the round committed to the ledger, nonce counters
+and inboxes at its end.  ``unicast`` resolves one copy on its own by the
+same rules (the per-copy reference the round is tested against).
 
 Inboxes are likewise round-structured: a delivery appends one ``(receivers,
 message)`` entry to a shared log instead of one list append per receiver, and
@@ -516,19 +517,19 @@ def _failed_send(
 class TransmissionBatch:
     """One communication round: enqueue transmissions, flush them together.
 
-    A phase enqueues every send it wants to make — broadcasts, unicasts,
-    multi-hop paths, out-of-band charges — and a single :meth:`flush`
-    resolves them **in enqueue order** (ordering is what keeps the per-link
+    A phase enqueues every send it wants to make — broadcasts, multi-hop
+    paths, out-of-band charges — and a single :meth:`flush` resolves them
+    **in enqueue order** (ordering is what keeps the per-link
     nonces, and therefore every loss draw, identical to sending the same
     messages one by one).  Consecutive broadcasts are resolved as one
     vectorized round: receiver sets from the medium's offered-receiver
     overlay (one ``box_candidates`` gather and one distance mask for the
     senders it misses), one ``batch_deliver``
     kernel call over every open copy, one availability mask, and batched
-    ledger appends.  Unicast and path entries are resolved one at a time
-    (single sends and DPF's multi-hop paths); stop-and-wait ARQ, whose next
-    copy depends on the previous outcome, runs on a :class:`UnicastRound`
-    instead.
+    ledger appends.  Path entries (CPF's lossless convergecast, DPF's
+    leader hand-offs) are resolved one at a time; stop-and-wait ARQ, whose
+    next copy depends on the previous outcome, runs on a
+    :class:`UnicastRound` instead.
 
     ``flush`` returns one :class:`Delivery` per enqueued transmission, in
     enqueue order (out-of-band charges produce no delivery).  A batch is
@@ -542,27 +543,14 @@ class TransmissionBatch:
         self._charges: list[tuple[str, int, int]] = []
         self._flushed = False
 
-    def broadcast(self, sender: int, message: Message, *, count_cost: bool = True) -> int:
+    def broadcast(self, sender: int, message: Message) -> int:
         """Enqueue a one-hop broadcast; returns the entry's index in the flush."""
-        self._entries.append(("broadcast", int(sender), message, count_cost))
+        self._entries.append(("broadcast", int(sender), message))
         return len(self._entries) - 1
 
-    def unicast(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        *,
-        count_cost: bool = True,
-        deliver_to_inbox: bool = True,
-    ) -> int:
-        self._entries.append(
-            ("unicast", int(sender), int(receiver), message, count_cost, deliver_to_inbox)
-        )
-        return len(self._entries) - 1
-
-    def unicast_path(self, path: list[int], message: Message, *, count_cost: bool = True) -> int:
-        self._entries.append(("path", list(path), message, count_cost))
+    def unicast_path(self, path: list[int], message: Message) -> int:
+        """Enqueue a multi-hop path; returns the entry's index in the flush."""
+        self._entries.append(("path", list(path), message))
         return len(self._entries) - 1
 
     def charge_out_of_band(self, category: str, n_bytes: int, n_messages: int) -> None:
@@ -592,18 +580,9 @@ class TransmissionBatch:
                     [e[1:] for e in entries[i:j]], iteration
                 )
                 i = j
-            elif entries[i][0] == "unicast":
-                _, sender, receiver, message, count_cost, to_inbox = entries[i]
-                deliveries[i] = medium._unicast_inner(
-                    sender, receiver, message, iteration,
-                    count_cost=count_cost, deliver_to_inbox=to_inbox,
-                )
-                i += 1
             else:
-                _, path, message, count_cost = entries[i]
-                deliveries[i] = medium._unicast_path_inner(
-                    path, message, iteration, count_cost=count_cost
-                )
+                _, path, message = entries[i]
+                deliveries[i] = medium._unicast_path_inner(path, message, iteration)
                 i += 1
         if self._charges:
             medium.accounting.record_rows(
@@ -621,7 +600,7 @@ COPY_LOST = 3  # charged, but the receiver sleeps or has crashed
 COPY_REFUSED = 4  # neither sent nor charged: the sender sleeps or the hop is out of range
 COPY_SENDER_DEAD = 5  # the sender has crashed: logged as dropped, nothing on the air
 
-# a round's link states, in the reverse of the order ``_unicast_inner``
+# a round's link states, in the reverse of the order ``Medium.unicast``
 # tests them: a copy is charged iff its link's state is at most
 # _RECEIVER_DOWN, and only _FATES links consume nonces
 (
@@ -641,9 +620,10 @@ class UnicastRound:
     """A round of single-hop unicast copies over pre-drawn link fates.
 
     A copy's fate is a pure function of the seed, the directed link, the
-    iteration and the copy's nonce (GE chain state included), and a link's
-    copies in one iteration take consecutive nonces from the link's counter
-    in send order.  So each link's fates form a fixed stream, whichever
+    iteration and the copy's nonce (a Gilbert-Elliott chain's state
+    included: no link model keeps state between calls), and a link's copies
+    in one iteration take consecutive nonces from the link's counter in
+    send order.  So each link's fates form a fixed stream, whichever
     message ends up using them, and stop-and-wait ARQ — whose next copy
     depends on the last one's outcome — can run as integer bookkeeping:
 
@@ -653,7 +633,9 @@ class UnicastRound:
       link that needs them, all in one ``batch_deliver`` call (nonces from
       each link's counter, distances from ``norm2d_many``, override on the
       base model's nonce, as a broadcast round does).  Drawing consumes no
-      nonce; a stream that runs out is extended from where it stopped.
+      nonce and changes no model, so fates drawn for links no copy uses
+      (ack links, unused routes) cost only their draws; a stream that runs
+      out is extended from where it stopped.
     * :meth:`send` resolves one copy from its link's state and a cursor into
       the link's stream, making :meth:`Medium.unicast`'s checks in its
       order, and returns an ``OUTCOME_*`` or ``COPY_*`` code.
@@ -792,7 +774,7 @@ class UnicastRound:
         """One copy ``sender -> receiver``, as :meth:`Medium.unicast` with
         ``deliver_to_inbox=to_inbox`` resolves it; returns its code."""
         if not self._started:
-            # what the first copy's TransmissionBatch.flush would deliver;
+            # what the first copy's Medium.unicast would deliver;
             # copies parked this round are due next iteration
             self._started = True
             self.medium.flush_delayed(self.iteration)
@@ -1093,9 +1075,9 @@ class Medium:
         if self.link_model is None and self._link_override is None:
             return LinkOutcome.DELIVER
         nonces = self._nonce_store(iteration)
-        key = int(sender) << 32 | int(receiver)
-        nonce = nonces.get(key)
-        nonces.set(key, nonce + 1)
+        key = np.array([int(sender) << 32 | int(receiver)], dtype=np.int64)
+        nonce = int(nonces.get_many(key)[0])
+        nonces.set_many(key, [nonce + 1])
         distance = float(np.linalg.norm(self.positions[sender] - self.positions[receiver]))
         outcome = LinkOutcome.DELIVER
         if self.link_model is not None:
@@ -1202,38 +1184,36 @@ class Medium:
     def _flush_broadcasts(self, entries, iteration: int) -> list[Delivery]:
         """Resolve a run of enqueued broadcasts as one vectorized round.
 
-        ``entries`` is a list of ``(sender, message, count_cost)`` in enqueue
-        order.  Loss draws are keyed per (link, nonce) and nonces follow
-        enqueue order, so the outcomes are bit-identical to sending the same
+        ``entries`` is a list of ``(sender, message)`` in enqueue order.
+        Loss draws are keyed per (link, nonce) and nonces follow enqueue
+        order, so the outcomes are bit-identical to sending the same
         broadcasts one at a time.
         """
         acc = self.accounting
         results: list[Delivery] = [None] * len(entries)  # type: ignore[list-item]
-        live: list[tuple[int, int, Message, bool, int]] = []
-        for idx, (sender, message, count_cost) in enumerate(entries):
+        live: list[tuple[int, int, Message, int]] = []
+        for idx, (sender, message) in enumerate(entries):
             n_bytes = message.size_bytes(self.sizes)
             if not self._check_sender(sender):
                 results[idx] = _failed_send(acc, iteration, message, n_bytes)
                 continue
-            live.append((idx, sender, message, count_cost, n_bytes))
+            live.append((idx, sender, message, n_bytes))
         if not live:
             return results
-        self._offered_misses([s for _i, s, _msg, _cc, _b in live])
+        self._offered_misses([s for _i, s, _msg, _b in live])
 
         charge_cats: list[str] = []
         charge_bytes: list[int] = []
 
         if not self.is_unreliable:
-            for idx, sender, message, count_cost, n_bytes in live:
+            for idx, sender, message, n_bytes in live:
                 offered = self._offered[sender]
                 if offered.size:
                     self._inbox_log.append((offered, message))
-                if count_cost:
-                    charge_cats.append(message.category)
-                    charge_bytes.append(n_bytes)
+                charge_cats.append(message.category)
+                charge_bytes.append(n_bytes)
                 results[idx] = Delivery(receivers=offered, n_bytes=n_bytes, n_messages=1)
-            if charge_cats:
-                acc.record_rows(iteration, charge_cats, charge_bytes, 1)
+            acc.record_rows(iteration, charge_cats, charge_bytes, 1)
             return results
 
         # lossy round: partition crossings drop BEFORE any nonce is consumed,
@@ -1241,12 +1221,12 @@ class Medium:
         # through ONE batch_deliver call across all broadcasts in the run
         part = self._partition
         has_model = not (self.link_model is None and self._link_override is None)
-        per_entry: list[tuple[int, int, Message, bool, int, np.ndarray, np.ndarray]] = []
+        per_entry: list[tuple[int, int, Message, int, np.ndarray, np.ndarray]] = []
         open_recv: list[np.ndarray] = []
         open_send: list[np.ndarray] = []
         open_slices: list[tuple[int, np.ndarray, int, int]] = []
         total_open = 0
-        for idx, sender, message, count_cost, n_bytes in live:
+        for idx, sender, message, n_bytes in live:
             offered = self._offered[sender]
             codes = np.full(offered.size, OUTCOME_DELIVER, dtype=np.int8)
             if part is not None and offered.size:
@@ -1261,7 +1241,7 @@ class Medium:
                 open_send.append(np.full(recv.size, sender, dtype=np.int64))
                 open_slices.append((len(per_entry), open_idx, total_open, recv.size))
                 total_open += recv.size
-            per_entry.append((idx, sender, message, count_cost, n_bytes, offered, codes))
+            per_entry.append((idx, sender, message, n_bytes, offered, codes))
         if total_open:
             recvs = np.concatenate(open_recv)
             sends = np.concatenate(open_send)
@@ -1279,12 +1259,12 @@ class Medium:
                 nonces,
             )
             for pos, open_idx, start, size in open_slices:
-                per_entry[pos][6][open_idx] = all_codes[start : start + size]
+                per_entry[pos][5][open_idx] = all_codes[start : start + size]
 
         dropped_cats: list[str] = []
         dropped_bytes: list[int] = []
         dropped_msgs: list[int] = []
-        for idx, sender, message, count_cost, n_bytes, offered, codes in per_entry:
+        for idx, sender, message, n_bytes, offered, codes in per_entry:
             delivered = offered[codes == OUTCOME_DELIVER].astype(np.intp, copy=False)
             delayed = offered[codes == OUTCOME_DELAY].astype(np.intp, copy=False)
             dropped = offered[codes == OUTCOME_DROP].astype(np.intp, copy=False)
@@ -1292,9 +1272,8 @@ class Medium:
                 self._inbox_log.append((delivered, message))
             for r in delayed.tolist():
                 self._delayed.append((iteration + 1, r, message))
-            if count_cost:
-                charge_cats.append(message.category)
-                charge_bytes.append(n_bytes)
+            charge_cats.append(message.category)
+            charge_bytes.append(n_bytes)
             if dropped.size:
                 dropped_cats.append(message.category)
                 dropped_bytes.append(n_bytes * dropped.size)
@@ -1306,20 +1285,12 @@ class Medium:
                 dropped=dropped,
                 delayed=delayed,
             )
-        if charge_cats:
-            acc.record_rows(iteration, charge_cats, charge_bytes, 1)
+        acc.record_rows(iteration, charge_cats, charge_bytes, 1)
         if dropped_cats:
             acc.record_dropped_rows(iteration, dropped_cats, dropped_bytes, dropped_msgs)
         return results
 
-    def broadcast(
-        self,
-        sender: int,
-        message: Message,
-        iteration: int,
-        *,
-        count_cost: bool = True,
-    ) -> Delivery:
+    def broadcast(self, sender: int, message: Message, iteration: int) -> Delivery:
         """One-hop broadcast with overhearing.
 
         Every *available* node within the communication radius of the sender
@@ -1333,7 +1304,7 @@ class Medium:
         This is a thin wrapper over a one-element :class:`TransmissionBatch`.
         """
         batch = TransmissionBatch(self, iteration)
-        batch.broadcast(sender, message, count_cost=count_cost)
+        batch.broadcast(sender, message)
         return batch.flush()[0]
 
     def unicast(
@@ -1343,7 +1314,6 @@ class Medium:
         message: Message,
         iteration: int,
         *,
-        count_cost: bool = True,
         deliver_to_inbox: bool = True,
     ) -> Delivery:
         """Single-hop unicast.  The receiver must be in radio range and awake.
@@ -1352,24 +1322,15 @@ class Medium:
         transmission without filing the message (relay hops of a reliability
         layer, where intermediate nodes forward rather than consume).
 
-        This is a thin wrapper over a one-element :class:`TransmissionBatch`.
+        One copy, resolved on its own: due delayed copies are delivered
+        first, as a flush does, then the checks run in this order — sender
+        id, crashed sender (a silent drop), sleeping sender, receiver id,
+        radio range — before the copy is charged; a receiver that is down
+        loses it, and otherwise its link's fate decides.
+        :class:`UnicastRound` resolves copies by the same rules.
         """
-        batch = TransmissionBatch(self, iteration)
-        batch.unicast(
-            sender, receiver, message, count_cost=count_cost, deliver_to_inbox=deliver_to_inbox
-        )
-        return batch.flush()[0]
-
-    def _unicast_inner(
-        self,
-        sender: int,
-        receiver: int,
-        message: Message,
-        iteration: int,
-        *,
-        count_cost: bool,
-        deliver_to_inbox: bool,
-    ) -> Delivery:
+        sender, receiver, iteration = int(sender), int(receiver), int(iteration)
+        self.flush_delayed(iteration)
         n_bytes = message.size_bytes(self.sizes)
         if not self._check_sender(sender):
             return _failed_send(self.accounting, iteration, message, n_bytes)
@@ -1380,8 +1341,7 @@ class Medium:
                 f"unicast {sender}->{receiver} exceeds comm radius "
                 f"{self.radio.comm_radius}"
             )
-        if count_cost:
-            self.accounting.record(iteration, message.category, n_bytes, 1)
+        self.accounting.record(iteration, message.category, n_bytes, 1)
         if not self.is_available(receiver):
             return Delivery(receivers=_EMPTY_IDS, n_bytes=n_bytes, n_messages=1)
         outcome = (
@@ -1412,14 +1372,7 @@ class Medium:
             receivers=np.array([receiver], dtype=np.intp), n_bytes=n_bytes, n_messages=1
         )
 
-    def unicast_path(
-        self,
-        path: list[int],
-        message: Message,
-        iteration: int,
-        *,
-        count_cost: bool = True,
-    ) -> Delivery:
+    def unicast_path(self, path: list[int], message: Message, iteration: int) -> Delivery:
         """Multi-hop forwarding along ``path`` (a list of node ids).
 
         Charges one transmission per hop (``len(path) - 1`` messages), the
@@ -1437,17 +1390,10 @@ class Medium:
         This is a thin wrapper over a one-element :class:`TransmissionBatch`.
         """
         batch = TransmissionBatch(self, iteration)
-        batch.unicast_path(path, message, count_cost=count_cost)
+        batch.unicast_path(path, message)
         return batch.flush()[0]
 
-    def _unicast_path_inner(
-        self,
-        path: list[int],
-        message: Message,
-        iteration: int,
-        *,
-        count_cost: bool,
-    ) -> Delivery:
+    def _unicast_path_inner(self, path: list[int], message: Message, iteration: int) -> Delivery:
         if len(path) < 2:
             raise ValueError("a path needs at least a sender and a receiver")
         n_bytes_each = message.size_bytes(self.sizes)
@@ -1488,20 +1434,19 @@ class Medium:
                 if outcome is LinkOutcome.DELAY and b == dest:
                     # final hop delayed: the packet arrives next iteration
                     self._delayed.append((iteration + 1, dest, message))
-                    if count_cost:
-                        self.accounting.record(
-                            iteration,
-                            message.category,
-                            n_bytes_each * hops_attempted,
-                            hops_attempted,
-                        )
+                    self.accounting.record(
+                        iteration,
+                        message.category,
+                        n_bytes_each * hops_attempted,
+                        hops_attempted,
+                    )
                     return Delivery(
                         receivers=_EMPTY_IDS,
                         n_bytes=n_bytes_each * hops_attempted,
                         n_messages=hops_attempted,
                         delayed=np.array([dest], dtype=np.intp),
                     )
-        if count_cost and hops_attempted:
+        if hops_attempted:
             self.accounting.record(
                 iteration, message.category, n_bytes_each * hops_attempted, hops_attempted
             )
@@ -1625,7 +1570,8 @@ class Medium:
         Carried: positions (mobility drift accumulates), the failed set
         (crash faults fire once and never replay), the sleeping set, the
         partition mask, the round-structured inbox log + cursors, parked
-        delayed copies, the link model's chain state, and the full cost
+        delayed copies, the link model's snapshot (its type: every draw is
+        keyed, so a model has no state to carry), and the full cost
         ledger.
 
         Deliberately NOT carried, because it is derived or recomputed:

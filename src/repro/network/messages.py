@@ -9,7 +9,10 @@ four integers and a measurement or a weight is one integer each:
 
 Every message class computes its own wire size from a :class:`DataSizes`
 instance, so Table I's analytic formulas and the simulator's measured
-accounting share a single source of truth.  ``header`` defaults to 0 to match
+accounting share a single source of truth.  A round that hands its data
+over without building messages (a tracker's direct handoff when every copy
+would arrive) is sized and value-checked by its message class's
+``round_bytes``, next to ``payload_bytes``.  ``header`` defaults to 0 to match
 the paper's accounting (which ignores MAC/PHY framing); the energy ablation
 sets it non-zero to show why *message count* dominates *byte count* in
 duty-cycled networks.
@@ -134,8 +137,7 @@ class ParticleMessage(Message):
             raise ValueError(
                 f"states/weights length mismatch: {states.shape[0]} vs {weights.shape[0]}"
             )
-        if (weights < 0).any():
-            raise ValueError("particle weights must be non-negative")
+        self._check(weights)
         object.__setattr__(self, "states", _as_readonly(states))
         object.__setattr__(self, "weights", _as_readonly(weights))
         if self.predicted_position is not None:
@@ -147,9 +149,22 @@ class ParticleMessage(Message):
     def n_particles(self) -> int:
         return self.states.shape[0]
 
+    @staticmethod
+    def _check(weights: np.ndarray) -> None:
+        if (weights < 0).any():
+            raise ValueError("particle weights must be non-negative")
+
     def payload_bytes(self, sizes: DataSizes) -> int:
         extra = sizes.particle if (self.carry_prediction and self.predicted_position is not None) else 0
         return self.n_particles * (sizes.particle + sizes.weight) + extra
+
+    @classmethod
+    def round_bytes(cls, sizes: DataSizes, n_messages: int, weights: np.ndarray) -> int:
+        """Wire bytes of ``n_messages`` messages (no carried prediction)
+        whose particles' weights are ``weights``, after the check each
+        message's construction makes."""
+        cls._check(weights)
+        return sizes.header * n_messages + (sizes.particle + sizes.weight) * len(weights)
 
 
 @dataclass(frozen=True)
@@ -164,13 +179,28 @@ class MeasurementMessage(Message):
     sensor_position: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
-            raise ValueError(f"measurement must be finite, got {self.value}")
+        self._check(self.value)
         if self.sensor_position is not None:
             object.__setattr__(self, "sensor_position", _as_readonly(self.sensor_position))
 
+    @staticmethod
+    def _check(values) -> None:
+        """Reject a non-finite reading (``values``: one or a sequence)."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = values if finite.ndim == 0 else np.asarray(values)[~finite][0]
+            raise ValueError(f"measurement must be finite, got {bad}")
+
     def payload_bytes(self, sizes: DataSizes) -> int:
         return sizes.measurement
+
+    @classmethod
+    def round_bytes(cls, sizes: DataSizes, n_messages: int, values) -> int:
+        """Wire bytes of ``n_messages`` messages carrying the readings
+        ``values`` (a multi-hop packet sends its one reading once per hop),
+        after the check each message's construction makes."""
+        cls._check(values)
+        return (sizes.header + sizes.measurement) * n_messages
 
 
 @dataclass(frozen=True)
@@ -185,12 +215,23 @@ class WeightReportMessage(Message):
 
     def __post_init__(self) -> None:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
+        self._check(weights)
+        object.__setattr__(self, "weights", _as_readonly(weights))
+
+    @staticmethod
+    def _check(weights: np.ndarray) -> None:
         if (weights < 0).any():
             raise ValueError("weights must be non-negative")
-        object.__setattr__(self, "weights", _as_readonly(weights))
 
     def payload_bytes(self, sizes: DataSizes) -> int:
         return self.weights.shape[0] * sizes.weight
+
+    @classmethod
+    def round_bytes(cls, sizes: DataSizes, n_messages: int, weights: np.ndarray) -> int:
+        """Wire bytes of ``n_messages`` reports whose weights are
+        ``weights``, after the check each report's construction makes."""
+        cls._check(weights)
+        return sizes.header * n_messages + sizes.weight * len(weights)
 
 
 @dataclass(frozen=True)

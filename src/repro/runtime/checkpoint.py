@@ -1,8 +1,9 @@
 """Checkpointable run state: the snapshot/restore protocol and its codec.
 
 Every stateful layer of a tracking run — trackers (particle clouds, estimate
-history, per-node RNG streams), the network plane (link-model chains, delayed
-copies, failure/sleep sets, the SoA cost ledgers), and the runner itself
+history, per-node RNG streams), the network plane (delayed copies,
+failure/sleep sets, the SoA cost ledgers; link models draw keyed randomness
+and carry only their type), and the runner itself
 (iteration cursor, filed estimates, sensing RNG) — implements one tiny
 protocol::
 

@@ -313,6 +313,19 @@ class TestShareMeasurements:
             [(0, v[0]), (1, v[1]), (2, v[2])],  # on the boundary of node 0
         ]
 
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "messages"])
+    def test_nonfinite_reading_raises_before_any_charge(self, direct):
+        from repro.core.cdpf import share_measurements
+        from repro.network.medium import Medium
+        from repro.network.radio import RadioModel
+
+        medium = Medium(np.array([[0.0, 0.0], [5.0, 0.0]]), RadioModel(comm_radius=10.0))
+        with pytest.raises(ValueError, match="finite, got nan"):
+            share_measurements(
+                medium, [0, 1], [0, 1], {0: 0.5, 1: float("nan")}, 0, direct=direct
+            )
+        assert medium.accounting.total_messages == 0
+
 
 class TestBroadcastParticles:
     """The propagation round CDPF and SDPF share: the direct handoff must

@@ -6,26 +6,26 @@
   2^64 and 2^128 included), every tag, scalar or per-copy
   seed/sender/iteration/nonce, and empty batches.
 * ``GilbertElliottLink.classify_many`` must equal the scalar ``classify``
-  loop, with duplicate links in one round, iteration gaps (multi-step
-  chain advance), and an earlier iteration asked after a later one (replay
-  from the chain's origin); the packed chain memos must agree too.
+  loop, and its ``advance`` must find the states of the forward replay,
+  with duplicate links in one round, iteration gaps (multi-step walks),
+  and an iteration asked again after later ones.
 * The chain's ``advance`` ahead of scalar ``classify`` calls must change
-  nothing: the same outcomes, and the same memo entry for every link a
-  round classified, bare or under a ``DelayingLink``, with repeated links,
-  links advanced but never used, and an advance to an iteration before a
-  link's memo.
-* The Gilbert-Elliott catch-up walks back from the asked iteration to the
-  last coupling step; it must equal the forward replay, step by step from
-  the memo or the origin (kept here as ``_forward_state_at`` /
-  ``_forward_advance``), in states, outcomes, memo entries and snapshots,
-  for either order of the two transition probabilities, equal ones, 0 and
-  1, draws landing exactly on either probability, and memos missing, one
-  step behind, far behind and past the asked iteration.  It never draws
-  more than the replay, and a fresh link far ahead resolves in a few
-  draws.
+  nothing: the same outcomes and the replay's state for every link a round
+  advanced, bare or under a ``DelayingLink``, with repeated links, links
+  advanced but never used, and rounds that go back in iteration.
+* The Gilbert-Elliott walk goes back from the asked iteration to the last
+  coupling step or through step 0, remembering nothing between calls; it
+  must equal the forward replay, each chain stepped from good at step 0
+  (kept here as ``_forward_advance`` / ``_forward_advance_few``), in states
+  and outcomes, for either order of the two transition probabilities,
+  equal ones, 0 and 1, draws landing exactly on either probability, and
+  rounds that repeat an iteration, move on by a step or two, jump far ahead
+  or go back.  It never draws more than the replay, and a link far ahead
+  resolves in a few draws.
 * A medium with a Gilbert-Elliott link snapshotted at an iteration
   boundary, restored into a fresh medium and continued must match the
-  medium that never stopped, copy for copy.
+  medium that never stopped, copy for copy; the snapshot names only the
+  model's type.
 """
 
 import json
@@ -158,16 +158,19 @@ def test_gilbert_elliott_batched_equals_scalar(params, rounds):
             _CODE[scalar.classify(_at(sender, i), r, 1.0, iteration, nonces[i])]
             for i, r in enumerate(receivers)
         ]
+        senders = sender if np.ndim(sender) == 0 else np.array(sender, dtype=np.int64)
         got = batched.classify_many(
-            sender if np.ndim(sender) == 0 else np.array(sender, dtype=np.int64),
+            senders,
             np.array(receivers, dtype=np.int64),
             np.ones(len(receivers)),
             iteration,
             np.array(nonces, dtype=np.int64),
         )
         assert got.tolist() == expected
-    assert batched._state == scalar._state
-    assert batched.snapshot() == scalar.snapshot()
+        states = batched.advance(senders, np.array(receivers, dtype=np.int64), iteration)
+        assert states.tolist() == [
+            _forward_state(params, _at(sender, i), r, iteration) for i, r in enumerate(receivers)
+        ]
 
 
 @st.composite
@@ -175,7 +178,7 @@ def _advance_rounds(draw):
     """Rounds over three nodes: each advances a list of links (repeats and
     links no copy uses included), then classifies copies one at a time.
     The iterations come in any order and the last round asks the first
-    one's again, so some advances go back past a link's memo."""
+    one's again, so some rounds go back in iteration."""
     links = st.tuples(st.integers(0, 2), st.integers(0, 2))
     copies = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
 
@@ -187,7 +190,7 @@ def _advance_rounds(draw):
 
 
 @given(params=_ge_params(), delaying=st.booleans(), rounds=_advance_rounds())
-@example(  # link 0 -> 1 is bad at 5 and good at 2: going back must replay
+@example(  # link 0 -> 1 is bad at 5 and good at 2: going back must not keep 5's state
     params=dict(p_good_to_bad=0.5, p_bad_to_good=0.5, loss_good=0.0, loss_bad=0.9, seed=2),
     delaying=False,
     rounds=[(5, [(0, 1)], [(0, 1, 0)]), (2, [(0, 1), (0, 1)], [(0, 1, 1)])],
@@ -202,61 +205,54 @@ def test_advance_then_scalar_classify_equals_scalar_classify(params, delaying, r
     for iteration, links, copies in rounds:
         senders = np.array([a for a, _b in links], dtype=np.int64)
         receivers = np.array([b for _a, b in links], dtype=np.int64)
-        advanced_chain.advance(senders, receivers, iteration)
+        states = advanced_chain.advance(senders, receivers, iteration)
         got = [advanced.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
         expected = [scalar.classify(a, b, 1.0, iteration, nc) for a, b, nc in copies]
         assert got == expected
-        # the advanced side may hold more links, or links it advanced but
-        # did not use at another position; every link used must agree
-        for a, b, _nc in copies:
-            key = a << 32 | b
-            assert advanced_chain._state.get(key) == scalar_chain._state.get(key)
+        assert states.tolist() == [
+            _forward_state(params, a, b, iteration) for a, b in links
+        ]
+        assert [scalar_chain.advance(a, [b], iteration)[0] for a, b, _nc in copies] == [
+            _forward_state(params, a, b, iteration) for a, b, _nc in copies
+        ]
 
 
-def _forward_state_at(self, sender: int, receiver: int, iteration: int) -> bool:
-    """True iff the directed link is in the bad state at ``iteration``."""
-    key = int(sender) << 32 | int(receiver)
-    packed = self._state.get(key)
-    at, bad = (packed >> 1) - 1, bool(packed & 1)
-    if at > iteration:
-        # replay from the chain's origin: the per-step draws are keyed,
-        # so recomputation gives the identical path
-        bad, at = False, -1
-    for k in range(at + 1, iteration + 1):
-        u = link_uniform(self.seed, 3, sender, receiver, k, 0)
-        bad = (u < self.p_good_to_bad) if not bad else (u >= self.p_bad_to_good)
-    self._state.set(key, (iteration + 1) << 1 | bad)
-    return bad
+def _forward_advance_few(self, senders: list, receivers: list, iteration: int) -> list[bool]:
+    """The forward replay, one link at a time: each chain starts good and
+    takes one keyed draw per step from 0 to ``iteration``."""
+    states = []
+    for sender, receiver in zip(senders, receivers):
+        bad = False
+        for k in range(iteration + 1):
+            u = link_uniform(self.seed, 3, sender, receiver, k, 0)
+            bad = (u < self.p_good_to_bad) if not bad else (u >= self.p_bad_to_good)
+        states.append(bad)
+    return states
 
 
 def _forward_advance(self, senders, receivers, iteration: int) -> np.ndarray:
-    """The batched forward replay: the chains step in lockstep from the
-    oldest memo, one draw per link per step it is behind."""
+    """The batched forward replay: the chains step in lockstep from good at
+    step 0, one draw per link per step."""
     receivers = np.asarray(receivers)
-    n = receivers.shape[0]
     senders = np.broadcast_to(np.asarray(senders), receivers.shape)
-    keys = (senders.astype(np.int64) << 32) | receivers.astype(np.int64)
-    packed = self._state.get_many(keys)
-    at = (packed >> 1) - 1
-    bad = (packed & 1).astype(bool)
-    stale = at > iteration  # replay those from the chain's origin
-    at[stale] = -1
-    bad[stale] = False
-    for k in range(int(at.min()) + 1 if n else iteration + 1, iteration + 1):
-        step = at < k
-        u = link_uniform_many(self.seed, 3, senders[step], receivers[step], k, 0)
-        b = bad[step]
-        bad[step] = np.where(b, u >= self.p_bad_to_good, u < self.p_good_to_bad)
-    self._state.set_many(keys, bad + ((iteration + 1) << 1))
+    bad = np.zeros(receivers.shape[0], dtype=bool)
+    for k in range(iteration + 1):
+        u = link_uniform_many(self.seed, 3, senders, receivers, k, 0)
+        bad = np.where(bad, u >= self.p_bad_to_good, u < self.p_good_to_bad)
     return bad
 
 
 def _forward(params) -> GilbertElliottLink:
-    """A Gilbert-Elliott link whose catch-up is the forward replay."""
+    """A Gilbert-Elliott link whose walks are the forward replay."""
     chain = GilbertElliottLink(**params)
-    chain._state_at = types.MethodType(_forward_state_at, chain)
+    chain._advance_few = types.MethodType(_forward_advance_few, chain)
     chain.advance = types.MethodType(_forward_advance, chain)
     return chain
+
+
+def _forward_state(params, sender: int, receiver: int, iteration: int) -> bool:
+    """The forward replay's state of one link at ``iteration``."""
+    return _forward_advance_few(GilbertElliottLink(**params), [sender], [receiver], iteration)[0]
 
 
 @contextmanager
@@ -305,8 +301,7 @@ def _walk_params(draw):
 def _catch_up_rounds(draw):
     """Rounds over three nodes, each a list of links to advance (repeats
     included) and of copies to classify.  Each round's iteration moves on
-    from the last by 0, 1 or 2 steps, jumps far ahead, or goes back, so a
-    link's memo is missing, one step behind, far behind or past it."""
+    from the last by 0, 1 or 2 steps, jumps far ahead, or goes back."""
     link = st.tuples(st.integers(0, 2), st.integers(0, 2))
     copy = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
     move = st.one_of(st.sampled_from([0, 1, 2]), st.integers(20, 200), st.integers(-10, -1))
@@ -325,7 +320,7 @@ def _drawn(k: int) -> float:
 
 # link 0 -> 1 under seed 2: probabilities equal to its step-3 and step-6
 # draws (0.125 and 0.466), so draws land exactly on lo and on hi; the rounds
-# ask it fresh at 6 and 3, then past, one step behind and far behind a memo
+# ask it at 6, back at 3, at 6 again, one step on and far ahead
 _BOUNDARY_ROUNDS = [
     (6, [(0, 1)], [(0, 1, 0)]),
     (3, [(0, 1), (0, 1)], [(0, 1, 0), (0, 1, 1)]),
@@ -373,10 +368,9 @@ def test_walk_equals_forward_replay(params, delaying, rounds):
             assert scalar.classify(a, b, 1.0, iteration, nc) == scalar_ref.classify(
                 a, b, 1.0, iteration, nc
             )
-    assert chain._state == chain_ref._state
-    assert scalar_chain._state == scalar_chain_ref._state
-    assert batched.snapshot() == batched_ref.snapshot()
-    assert scalar.snapshot() == scalar_ref.snapshot()
+            assert scalar_chain._advance_few([a], [b], iteration) == (
+                scalar_chain_ref._advance_few([a], [b], iteration)
+            )
 
 
 @given(params=_walk_params(), rounds=_catch_up_rounds())
@@ -394,24 +388,26 @@ def test_walk_never_draws_more_than_forward_replay(params, rounds):
             assert walked <= count[0] - before - walked
             for a, b, _nc in copies:
                 before = count[0]
-                scalar._state_at(a, b, iteration)
+                scalar._advance_few([a], [b], iteration)
                 walked = count[0] - before
-                scalar_forward._state_at(a, b, iteration)
+                scalar_forward._advance_few([a], [b], iteration)
                 assert walked <= count[0] - before - walked
 
 
 def test_fresh_link_far_ahead_resolves_in_few_draws():
-    # the forward replay draws every step from the origin: 2 001 per link
+    # the forward replay draws every step from step 0: 2 001 per link
     for seed in range(4):
         for sender, receiver in [(0, 1), (7, 3), (12, 40)]:
             with _counted_draws() as count:
-                walked = GilbertElliottLink(seed=seed)._state_at(sender, receiver, 2000)
+                (walked,) = GilbertElliottLink(seed=seed)._advance_few(
+                    [sender], [receiver], 2000
+                )
                 n_scalar = count[0]
                 batched = GilbertElliottLink(seed=seed).advance(
                     np.array([sender]), np.array([receiver]), 2000
                 )
                 n_batched = count[0] - n_scalar
-                replayed = _forward({"seed": seed})._state_at(sender, receiver, 2000)
+                (replayed,) = _forward({"seed": seed})._advance_few([sender], [receiver], 2000)
                 n_forward = count[0] - n_scalar - n_batched
             assert n_forward == 2001
             assert n_scalar < 64 and n_batched == n_scalar
@@ -469,7 +465,7 @@ def test_snapshot_restore_continue_matches_uninterrupted(params, schedule_cut):
     resumed.restore(snapshot)
     tail = _play(resumed, schedule[cut:])
     assert head + tail == reference
-    assert resumed.link_model.snapshot() == straight.link_model.snapshot()
+    assert snapshot["link_model"] == {"type": "GilbertElliottLink"}
     assert resumed.accounting.dropped_by_key == straight.accounting.dropped_by_key
 
 

@@ -186,15 +186,24 @@ class TestClassifyMany:
         )
 
     def test_gilbert_elliott_chain_and_state(self):
-        """Burst chains advance identically, and the cached states match."""
+        """Burst chains give the same outcomes on both paths over rounds
+        whose iterations leap, repeat and go back, and the batched catch-up
+        finds the state each link's own walk finds."""
+        iterations = (0, 1, 3, 7, 7, 3, 0)  # gaps force multi-step walks
         scalar_model, batch_model = self._compare(
             lambda: GilbertElliottLink(
                 p_good_to_bad=0.3, p_bad_to_good=0.3, loss_good=0.05,
                 loss_bad=0.9, seed=31,
             ),
-            iterations=(0, 1, 3, 7),  # gaps force multi-step lazy advance
+            iterations=iterations,
         )
-        assert scalar_model._state == batch_model._state
+        receivers = np.arange(300)
+        for iteration in iterations:
+            batched = batch_model.advance(17, receivers, iteration)
+            one_link = [
+                bool(scalar_model.advance(17, [r], iteration)[0]) for r in receivers.tolist()
+            ]
+            assert batched.tolist() == one_link, f"iteration {iteration}"
 
     def test_gilbert_elliott_replay_from_origin(self):
         """Asking about an earlier iteration replays the keyed chain."""

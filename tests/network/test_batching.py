@@ -126,8 +126,9 @@ class TestBatchEquivalence:
         }
 
     def test_mixed_round_preserves_enqueue_order_nonces(self):
-        """Broadcasts and unicasts interleaved in one batch consume the same
-        per-link nonces (and so draw the same fates) as sequential sends."""
+        """Broadcasts and a one-hop path interleaved in one batch consume the
+        same per-link nonces (and so draw the same fates) as sequential
+        sends."""
         pos = _positions(n=20)
         for batched in (False, True):
             medium = Medium(pos, RADIO, link_model=IIDLossLink(p_loss=0.5, seed=11))
@@ -139,18 +140,18 @@ class TestBatchEquivalence:
             if batched:
                 batch = medium.transmission_batch(0)
                 batch.broadcast(0, m1)
-                batch.unicast(0, target, m2)
+                batch.unicast_path([0, target], m2)
                 batch.broadcast(0, m3)
                 deliveries = batch.flush()
             else:
                 deliveries = [
                     medium.broadcast(0, m1, 0),
-                    medium.unicast(0, target, m2, 0),
+                    medium.unicast_path([0, target], m2, 0),
                     medium.broadcast(0, m3, 0),
                 ]
             # 3 copies crossed the 0->target link, in enqueue order
             assert medium._nonce_iteration == 0
-            assert medium._nonces.get(0 << 32 | target) == 3
+            assert medium._nonces.get_many(np.array([0 << 32 | target])).tolist() == [3]
             if batched:
                 got_batched = [_delivery_tuple(d) for d in deliveries]
             else:

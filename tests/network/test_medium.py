@@ -45,11 +45,6 @@ class TestBroadcast:
         assert m.accounting.total_messages == 1
         assert m.accounting.total_bytes == 4
 
-    def test_count_cost_false_skips_ledger(self):
-        m = line_medium()
-        m.broadcast(0, msg(), 0, count_cost=False)
-        assert m.accounting.total_messages == 0
-
     def test_invalid_sender(self):
         m = line_medium()
         with pytest.raises(ValueError):

@@ -127,6 +127,44 @@ class TestWeightMessages:
         )
 
 
+class TestRoundBytes:
+    """A round handed over without messages costs what its messages would,
+    and is refused for what their construction refuses."""
+
+    SIZES = DataSizes(particle=16, measurement=4, weight=4, header=3)
+
+    def test_particle_round(self):
+        rows = [np.array([0.5]), np.array([0.25, 0.25, 1.0]), np.zeros(2)]
+        messages = [
+            ParticleMessage(sender=i, iteration=0, states=np.zeros((w.size, 4)), weights=w)
+            for i, w in enumerate(rows)
+        ]
+        got = ParticleMessage.round_bytes(self.SIZES, len(rows), np.concatenate(rows))
+        assert got == sum(m.size_bytes(self.SIZES) for m in messages) == 3 * 3 + 6 * 20
+        with pytest.raises(ValueError, match="non-negative"):
+            ParticleMessage.round_bytes(self.SIZES, 1, np.array([1.0, -0.5]))
+
+    def test_measurement_round(self):
+        values = [0.5, -1.25, 3.0]
+        messages = [MeasurementMessage(sender=i, iteration=0, value=v) for i, v in enumerate(values)]
+        got = MeasurementMessage.round_bytes(self.SIZES, len(values), values)
+        assert got == sum(m.size_bytes(self.SIZES) for m in messages) == 3 * 7
+        # a multi-hop packet sends its one reading once per hop
+        assert MeasurementMessage.round_bytes(self.SIZES, 5, values[:2]) == 5 * 7
+        assert MeasurementMessage.round_bytes(self.SIZES, 0, []) == 0
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"finite, got {bad}"):
+                MeasurementMessage.round_bytes(self.SIZES, 3, [1.0, bad, float("-inf")])
+
+    def test_weight_report_round(self):
+        rows = [np.ones(4), np.array([0.0, 2.0])]
+        messages = [WeightReportMessage(sender=i, iteration=0, weights=w) for i, w in enumerate(rows)]
+        got = WeightReportMessage.round_bytes(self.SIZES, len(rows), np.concatenate(rows))
+        assert got == sum(m.size_bytes(self.SIZES) for m in messages) == 2 * 3 + 6 * 4
+        with pytest.raises(ValueError, match="non-negative"):
+            WeightReportMessage.round_bytes(self.SIZES, 1, np.array([-1.0]))
+
+
 class TestQuantizedMeasurement:
     def test_size_rounds_bits_to_bytes(self):
         assert QuantizedMeasurementMessage(sender=0, iteration=0, code=3, bits=8).size_bytes(SIZES) == 1

@@ -15,6 +15,8 @@ from equality everywhere.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,3 +258,65 @@ class TestHolderRowOrder:
         tracker, *_ = self._build(name, seed)
         tracker.restore(state)
         assert list(tracker.holders) == sorted(live)
+
+
+class TestGilbertElliottChains:
+    """``GilbertElliottLink`` used to memoize every chain it classified and
+    carried the memo in its snapshot as ``chains``.  The link model now
+    recomputes each chain state from its keyed draws, so a checkpoint
+    written with the memo still resumes bit-identically (restore ignores
+    ``chains``), and a checkpoint written now is the same minus that list.
+
+    ``checkpoint_ge_chains.json`` was written by :meth:`_build`'s world with
+    ``CheckpointPolicy(every=2)`` before the memo was removed: the
+    checkpoint after iteration 1, whose GE snapshot lists 972 chains.
+    """
+
+    FIXTURE = Path(__file__).with_name("checkpoint_ge_chains.json")
+    N = 6
+
+    def _build(self):
+        world = np.random.default_rng(np.random.SeedSequence(2025, spawn_key=(0,)))
+        scenario = make_paper_scenario(
+            density_per_100m2=4.0, rng=world, width=90.0, height=60.0
+        )
+        scenario = dataclasses.replace(scenario, link_model=GilbertElliottLink(
+            p_good_to_bad=0.3, p_bad_to_good=0.4, loss_bad=0.8, seed=12
+        ))
+        trajectory = make_trajectory(n_iterations=self.N, rng=world, start=(0.0, 30.0))
+        tracker = make_tracker(
+            "CDPF", scenario,
+            rng=np.random.default_rng(np.random.SeedSequence(2025, spawn_key=(1,))),
+        )
+        sensing = np.random.default_rng(np.random.SeedSequence(2025, spawn_key=(2,)))
+        return tracker, scenario, trajectory, sensing
+
+    def test_checkpoint_with_chains_resumes_bit_identically(self):
+        old = RunCheckpoint.load(self.FIXTURE)
+        assert old.iteration == 1
+        assert len(old.payload["medium"]["link_model"]["chains"]) == 972
+        tracker, scenario, trajectory, rng = self._build()
+        reference = run_tracking(tracker, scenario, trajectory, rng=rng)
+        tracker, scenario, trajectory, rng = self._build()
+        resumed = run_tracking(
+            tracker, scenario, trajectory, rng=rng,
+            options=RunOptions(checkpoint=CheckpointPolicy(resume_from=old)),
+        )
+        assert_same_result(resumed, reference)
+        assert resumed.dropped_messages > 0  # the GE links did drop copies
+
+    def test_checkpoint_now_holds_no_chains(self):
+        saved = []
+        tracker, scenario, trajectory, rng = self._build()
+        run_tracking(
+            tracker, scenario, trajectory, rng=rng,
+            options=RunOptions(checkpoint=CheckpointPolicy(every=2, sink=saved.append)),
+        )
+        now = saved[0].to_dict()
+        assert now["payload"]["medium"]["link_model"] == {"type": "GilbertElliottLink"}
+        old = json.loads(self.FIXTURE.read_text(encoding="utf-8"))
+        del old["payload"]["medium"]["link_model"]["chains"]
+        for payload in (now["payload"], old["payload"]):
+            del payload["tracker"]["stats"]["phase_seconds"]  # wall-clock
+        assert now["payload"] == old["payload"]
+        assert now["iteration"] == old["iteration"]
