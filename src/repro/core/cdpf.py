@@ -332,9 +332,7 @@ def record_shares(
         config.velocity_mode, config.velocity_alpha, track_velocity=track_velocity,
     )
     if lost is not None:
-        up = np.fromiter(
-            (medium.is_available(r) for r in rids.tolist()), dtype=bool, count=rids.size
-        )
+        up = medium.available_mask(rids)
         rids, shares, velocities = rids[up], shares[up], velocities[up]
     return rids, shares, velocities
 
@@ -834,7 +832,14 @@ class CDPFTracker:
         Each candidate's hearing and slack tests are one row of a
         (candidates, senders) matrix op; the rate limit's draws are one
         ``uniform(size=n)`` batch consumed in sorted-candidate order, the
-        same stream as one scalar draw per gated candidate.
+        same stream as one scalar draw per gated candidate.  The gate
+        ``draw < min(1, limit / max(1, (degree + 1)·(R_s/R_c)²))`` is
+        non-increasing in the degree in IEEE arithmetic (each operation
+        rounds monotonically), so it admits at the upper degree bound only
+        if it admits at the exact degree, and refuses at the lower bound
+        only if it refuses there: the degree is counted exactly (and
+        cached) only for the candidates whose bounds disagree, and
+        ``admits(upper)`` is every candidate's exact decision.
         """
         positions = self.scenario.deployment.positions
         holders = self.holders
@@ -875,10 +880,19 @@ class CDPFTracker:
         gated = heard_any & create if holders else np.zeros(cand.size, dtype=bool)
         if gated.any():
             area_ratio = (self.scenario.sensing_radius / self.scenario.radio.comm_radius) ** 2
-            degrees = self.neighbors.warm_degrees(cand[gated])
-            n_codetectors = np.maximum(1.0, (degrees + 1) * area_ratio)
-            draws = self.rng.uniform(size=degrees.size)
-            create[gated] = draws < np.minimum(1.0, self.config.creation_limit / n_codetectors)
+            limit = self.config.creation_limit
+            draws = self.rng.uniform(size=int(np.count_nonzero(gated)))
+
+            def admits(degrees: np.ndarray) -> np.ndarray:
+                n_codetectors = np.maximum(1.0, (degrees + 1) * area_ratio)
+                return draws < np.minimum(1.0, limit / n_codetectors)
+
+            # the gate is non-increasing in the degree, so a candidate its
+            # degree bounds agree on needs no exact count
+            _lower, upper = self.neighbors.degree_bounds(
+                cand[gated], lambda lower, upper: admits(lower) & ~admits(upper)
+            )
+            create[gated] = admits(upper)
         created = cand[create]
         if not created.size:
             return created

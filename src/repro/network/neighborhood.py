@@ -12,7 +12,11 @@ artifacts exactly once:
 * per-node sorted one-hop neighbor lists (excluding the node itself),
   computed on first access and cached read-only;
 * per-node degrees, counted in batches on a fine grid without building
-  the lists (:meth:`NeighborhoodCache.warm_degrees`).
+  the lists (:meth:`NeighborhoodCache.warm_degrees`), or bounded from the
+  same grid's prefix sums and counted only where the bounds leave a
+  caller's decision open (:meth:`NeighborhoodCache.degree_bounds`: CDPF's
+  creation rate limit, which needs only the side of its draw a threshold
+  falls on).  Only exact degrees enter the cache.
 
 The cache is *geometric only*: availability (sleep/crash), partitions and
 link-loss state live in the medium and are applied on top of the cached
@@ -26,6 +30,8 @@ overlays (the medium's offered-receiver cache) can cheaply detect staleness.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -114,22 +120,59 @@ class NeighborhoodCache:
         each degree equals the length of the list :meth:`neighbors` would
         build.  Every returned degree stays cached for :meth:`degree`.
         """
+        return self.degree_bounds(node_ids)[0]
+
+    def degree_bounds(
+        self,
+        node_ids,
+        undecided: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` bounds on the degrees of ``node_ids``, as intp
+        arrays in the given order, exact wherever the caller needs them.
+
+        Cached degrees are exact.  The others come from one
+        :meth:`GridIndex.count_bounds` pass: ``undecided(lower, upper)``
+        sees both bound arrays over ``node_ids`` (cached entries equal) and
+        returns the mask of ids whose bounds leave its decision open; only
+        those are counted exactly, and only those enter the degree cache.  A
+        degree the bounds settled stays uncached, so a later exact call
+        counts it as if this one had not happened.  Without ``undecided``
+        every id is counted, as :meth:`warm_degrees` does.
+        """
         ids = np.asarray(node_ids, dtype=np.intp)
         if ids.size == 0:
-            return np.zeros(0, dtype=np.intp)
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty
         if ids.min() < 0 or ids.max() >= self.n_nodes:
             raise ValueError(f"node ids out of range [0, {self.n_nodes})")
-        degrees = self._degree[ids]
-        cold = degrees < 0
-        if cold.any():
-            missing = np.unique(ids[cold])
-            if self._count_index is None:
-                self._count_index = GridIndex(self.positions, self.radius / 12.0)
-            counts = self._count_index.count_in_disks(self.positions[missing], self.radius)
-            # the disk always contains the node itself; degree excludes it
-            self._degree[missing] = counts - 1
-            degrees = self._degree[ids]
-        return degrees
+        lower = self._degree[ids]
+        cold = np.flatnonzero(lower < 0)
+        if not cold.size:
+            return lower, lower
+        missing = np.unique(ids[cold])
+        if self._count_index is None:
+            self._count_index = GridIndex(self.positions, self.radius / 12.0)
+        centers = self.positions[missing]
+        # the disk always contains the node itself; degree excludes it
+        if undecided is None:
+            self._degree[missing] = self._count_index.count_in_disks(centers, self.radius) - 1
+            lower = self._degree[ids]
+            return lower, lower
+        slot = np.searchsorted(missing, ids[cold])
+        upper = lower.copy()
+        counted = np.zeros(missing.size, dtype=bool)
+
+        def open_disks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            lower[cold] = lo[slot] - 1
+            upper[cold] = hi[slot] - 1
+            counted[slot[np.asarray(undecided(lower, upper), dtype=bool)[cold]]] = True
+            return counted
+
+        lo, hi = self._count_index.count_bounds(centers, self.radius, open_disks)
+        lower[cold] = lo[slot] - 1
+        upper[cold] = hi[slot] - 1
+        self._degree[missing[counted]] = lo[counted] - 1
+        return lower, upper
 
     def rebind(self, positions: np.ndarray) -> None:
         """Replace the positions (mobility): drops the index and every list."""

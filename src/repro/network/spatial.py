@@ -8,7 +8,9 @@ The WSN simulator needs three query primitives, all in tight loops:
   segment (used by the *instant detection* model, where a node detects the
   target whenever the trajectory intersects its sensing disk).
 * ``count_in_disks(centers, radius)`` — how many nodes each of many disks
-  holds, without listing them (one-hop degrees).
+  holds, without listing them (one-hop degrees); ``count_bounds`` is the
+  same pass, counting exactly only the disks whose lower and upper bounds
+  leave the caller's decision open.
 
 Deployments are static (paper §II-C1: node positions are known a priori), so
 the index is built once per deployment and queried many times.  A uniform
@@ -19,6 +21,8 @@ touches ~360 candidates, all filtered with one vectorized distance check.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -70,14 +74,18 @@ class GridIndex:
             self._order = np.zeros(0, dtype=np.intp)
             return
 
-        self._origin = positions.min(axis=0)
-        extent = positions.max(axis=0) - self._origin
-        nx = int(extent[0] // cell_size) + 1
-        ny = int(extent[1] // cell_size) + 1
+        # per-column reductions: an axis-0 min/max over the (n, 2) rows is a
+        # strided reduction ~15x slower than the two column passes, and the
+        # minima and maxima are the same values
+        x, y = positions[:, 0], positions[:, 1]
+        x0, y0 = x.min(), y.min()
+        self._origin = np.array([x0, y0])
+        nx = int((x.max() - x0) // cell_size) + 1
+        ny = int((y.max() - y0) // cell_size) + 1
         self._shape = (nx, ny)
 
-        cx = ((positions[:, 0] - self._origin[0]) // cell_size).astype(np.intp)
-        cy = ((positions[:, 1] - self._origin[1]) // cell_size).astype(np.intp)
+        cx = ((x - x0) // cell_size).astype(np.intp)
+        cy = ((y - y0) // cell_size).astype(np.intp)
         flat = cx * ny + cy
 
         # A stable sort's permutation is unique, so sorting the cell ids as
@@ -217,19 +225,37 @@ class GridIndex:
         return np.unique(self.query_disk_pairs(centers, radius)[1])
 
     def count_in_disks(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Per center, the number of points :meth:`query_disk` would return.
+        """Per center, the number of points :meth:`query_disk` would return:
+        :meth:`count_bounds` with every disk left open."""
+        return self.count_bounds(centers, radius)[0]
 
-        Exact — the same ``d2 <= r*r`` membership — without testing every
-        candidate: in each grid column crossing a disk, the cells lying
-        wholly inside it are counted from per-column prefix sums, the cells
-        it only clips are tested point by point, and the rest are skipped.
-        The whole-cell tests run against the disk shrunk (inside) or grown
-        (outside) by ``1e-9 * radius`` and the cells grown by the same
-        margin, which dwarfs every rounding error in the cell assignment
-        and the distance expression, so only points the margins cannot
-        settle reach the exact test.  Cost per center is the disk's
-        boundary cells, so a cell size of a small fraction of ``radius``
-        makes this fast.
+    def count_bounds(
+        self,
+        centers: np.ndarray,
+        radius: float,
+        undecided: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per center, ``(lower, upper)`` bounds on the number of points
+        :meth:`query_disk` would return, exact (``lower == upper``) for every
+        disk the caller leaves open.
+
+        In each grid column crossing a disk, the cells lying wholly inside
+        it are counted from per-column prefix sums (the lower bound), the
+        rows it reaches at all give the upper bound from the same sums, and
+        the rest are skipped.  ``undecided(lower, upper)`` is then called
+        once with both bound arrays (not at all when there are no centers or
+        no points, where both bounds are 0) and returns a boolean mask of
+        the disks whose bounds do not settle the caller's question; only
+        those have their clipped cells tested point by point, which makes
+        their two bounds the exact count.  Without ``undecided`` every disk
+        is open.
+        Exact means the same ``d2 <= r*r`` membership: the whole-cell tests
+        run against the disk shrunk (inside) or grown (outside) by
+        ``1e-9 * radius`` and the cells grown by the same margin, which
+        dwarfs every rounding error in the cell assignment and the distance
+        expression, so only points the margins cannot settle reach the
+        exact test.  Cost per open center is the disk's boundary cells, so
+        a cell size of a small fraction of ``radius`` makes this fast.
         """
         if radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius}")
@@ -237,7 +263,7 @@ class GridIndex:
         _require_finite(centers)
         n = centers.shape[0]
         if n == 0 or self.positions.shape[0] == 0:
-            return np.zeros(n, dtype=np.intp)
+            return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
         h = self.cell_size
         nx, ny = self._shape
         ox, oy = self._origin
@@ -268,10 +294,19 @@ class GridIndex:
         jb = np.minimum(np.maximum((y + half_in - eps) // h - 1, ja - 1), ny - 1).astype(np.intp)
         ka = np.minimum(np.maximum((y - half_out - eps) // h, 0), ny - 1).astype(np.intp)
         kb = np.minimum(np.maximum((y + half_out + eps) // h, 0), ny - 1).astype(np.intp)
-        # interior counts from per-column prefix sums over the rows
+        # interior and reached counts from per-column prefix sums over the rows
         prefix = self._column_prefix()
         base = col * (ny + 1)
-        counts = np.add.reduceat(prefix[base + jb + 1] - prefix[base + ja], first)
+        lower = np.add.reduceat(prefix[base + jb + 1] - prefix[base + ja], first)
+        if undecided is None:
+            upper = lower
+        else:
+            upper = np.add.reduceat(prefix[base + kb + 1] - prefix[base + ka], first)
+            is_open = np.asarray(undecided(lower, upper), dtype=bool)
+            if not is_open.any():
+                return lower, upper
+            keep = is_open[owner]
+            owner, col, ja, jb, ka, kb = (a[keep] for a in (owner, col, ja, jb, ka, kb))
         # the clipped cells: rows ka..ja-1 and jb+1..kb, each a contiguous
         # run of cells, hence one contiguous range of the cell-ordered
         # coordinates
@@ -288,10 +323,13 @@ class GridIndex:
         dx = xs[at] - centers[:, 0][ctr]
         dy = ys[at] - centers[:, 1][ctr]
         inside = dx * dx + dy * dy <= radius * radius
-        return counts + np.bincount(ctr[inside], minlength=n)
+        lower = lower + np.bincount(ctr[inside], minlength=n)
+        if undecided is None:
+            return lower, lower
+        return lower, np.where(is_open, lower, upper)
 
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
-        """What :meth:`query_disk_pairs` and :meth:`count_in_disks` read
+        """What :meth:`query_disk_pairs` and :meth:`count_bounds` read
         besides the CSR arrays, built on first use: the origin and the clip
         bounds of a cell box held as ``(x0, y0, x1, y1)``, and the points' x
         and y coordinates in grid-cell order, as contiguous arrays a CSR

@@ -10,6 +10,8 @@ negligible next to per-iteration tracking traffic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .messages import DataSizes
@@ -61,6 +63,15 @@ class NeighborTables:
         """The nodes' degrees as one array, batch-filling only the degree
         cache (no list materialization)."""
         return self._neighborhood.warm_degrees(node_ids)
+
+    def degree_bounds(
+        self,
+        node_ids,
+        undecided: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper degree bounds, exact (and cached) only where
+        ``undecided`` leaves them open (:meth:`NeighborhoodCache.degree_bounds`)."""
+        return self._neighborhood.degree_bounds(node_ids, undecided)
 
     def neighbor_positions(self, node_id: int) -> np.ndarray:
         """Positions of the node's neighbors — the NE prerequisite in data form."""

@@ -16,7 +16,11 @@ for every center, on the same worlds and centers with cell sizes from
 ``R / 24`` to ``3 R`` — it reads its clipped cells from the grid's
 cell-ordered coordinates — and ``NeighborhoodCache.warm_degrees`` must
 return, for ids drawn with repeats and partly pre-cached, the lengths of
-the lists ``neighbors`` builds.
+the lists ``neighbors`` builds.  ``count_bounds`` must bracket that count,
+both in the bounds it hands its ``undecided`` callback and in the ones it
+returns, and count every disk the callback leaves open exactly;
+``NeighborhoodCache.degree_bounds`` must do the same for degrees and cache
+exactly the degrees it counted.
 
 The medium's offered-receiver overlay gathers its candidates from the
 senders' cell boxes (``GridIndex.box_candidates``, checked against one
@@ -171,6 +175,40 @@ def test_counts_match_query_disk(query):
 
 
 @st.composite
+def _bound_queries(draw):
+    index, centers, radius = draw(_count_queries())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return index, centers, radius, rng.random(centers.reshape(-1, 2).shape[0]) < share
+
+
+@given(_bound_queries())
+def test_count_bounds_bracket_and_count_open_disks_exactly(query):
+    index, centers, radius, left_open = query
+    seen = []
+
+    def undecided(lower, upper):
+        seen.append((lower.copy(), upper.copy()))
+        return left_open
+
+    lower, upper = index.count_bounds(centers, radius, undecided)
+    exact = index.count_in_disks(centers, radius)
+    want = np.array([index.query_disk(c, radius).size for c in centers.reshape(-1, 2)],
+                    dtype=np.intp)
+    assert lower.dtype == upper.dtype == np.intp
+    np.testing.assert_array_equal(exact, want)
+    assert (lower <= exact).all() and (exact <= upper).all()
+    np.testing.assert_array_equal(lower[left_open], want[left_open])
+    np.testing.assert_array_equal(upper[left_open], want[left_open])
+    assert len(seen) <= 1
+    for seen_lower, seen_upper in seen:
+        # the callback decides on bounds that already bracket the count
+        assert (seen_lower <= want).all() and (want <= seen_upper).all()
+        np.testing.assert_array_equal(lower[~left_open], seen_lower[~left_open])
+        np.testing.assert_array_equal(upper[~left_open], seen_upper[~left_open])
+
+
+@st.composite
 def _degree_queries(draw):
     kind = draw(st.sampled_from(["uniform", "clustered", "lattice"]))
     positions = _positions(draw, kind)
@@ -196,6 +234,29 @@ def test_warm_degrees_return_neighbor_list_lengths(query):
     assert got.dtype == np.intp
     np.testing.assert_array_equal(got, [fresh.neighbors(i).size for i in ids.tolist()])
     np.testing.assert_array_equal(got, [cache.degree(i) for i in ids.tolist()])
+
+
+@given(_degree_queries(), st.integers(0, 2**16), st.sampled_from([0.0, 0.3, 1.0]))
+def test_degree_bounds_count_and_cache_only_open_ids(query, seed, share):
+    positions, warm, listed, ids = query
+    cache = NeighborhoodCache(positions, R)
+    cache.warm_degrees(warm)
+    for i in listed.tolist():
+        cache.neighbors(i)
+    was_cached = cache._degree >= 0
+    left_open = np.random.default_rng(seed).random(ids.size) < share
+    lower, upper = cache.degree_bounds(ids, lambda lo, hi: left_open)
+    fresh = NeighborhoodCache(positions, R)
+    want = np.array([fresh.neighbors(i).size for i in ids.tolist()], dtype=np.intp)
+    assert lower.dtype == upper.dtype == np.intp
+    assert (lower <= want).all() and (want <= upper).all()
+    exact = left_open | was_cached[ids]
+    np.testing.assert_array_equal(lower[exact], want[exact])
+    np.testing.assert_array_equal(upper[exact], want[exact])
+    counted = was_cached.copy()
+    counted[ids[left_open]] = True
+    np.testing.assert_array_equal(cache._degree >= 0, counted)
+    np.testing.assert_array_equal(cache._degree[ids[exact]], want[exact])
 
 
 def _box_candidates_reference(index: GridIndex, centers: np.ndarray, radius: float) -> np.ndarray:

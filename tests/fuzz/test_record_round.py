@@ -158,7 +158,9 @@ def test_record_shares_equals_per_broadcast_reference(rnd):
         dynamics=SimpleNamespace(dt=rnd.dt),
         radio=SimpleNamespace(comm_radius=rnd.comm_radius),
     )
-    medium = SimpleNamespace(is_available=lambda r: r not in rnd.down)
+    up = np.ones(rnd.positions.shape[0], dtype=bool)
+    up[list(rnd.down)] = False
+    medium = SimpleNamespace(available_mask=lambda ids: up[ids])
     anticipate = None
     if rnd.anticipated is not None:
         anticipate = lambda ids: rnd.anticipated[ids]  # noqa: E731

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from repro import (
+    CheckpointPolicy,
+    RunOptions,
+    make_paper_scenario,
+    make_tracker,
+    make_trajectory,
+    run_tracking,
+)
+from repro.network.faults import FaultPlan, MobilityDrift
 from repro.network.medium import Medium
 from repro.network.messages import MeasurementMessage
 from repro.network.mobility import GroupDriftMobility, RandomDriftMobility
 from repro.network.radio import RadioModel
+from repro.runtime.checkpoint import RunCheckpoint
 
 
 class TestRandomDrift:
@@ -61,3 +71,40 @@ class TestMediumPositionUpdate:
         medium = Medium(np.zeros((2, 2)), RadioModel())
         with pytest.raises(ValueError):
             medium.update_positions(np.zeros((3, 2)))
+
+
+class TestDriftedCheckpoint:
+    """Positions that mobility moved are state: a checkpoint taken after a
+    drift carries them, and a resume into a freshly built world (which
+    starts from the deployment's positions) restores them."""
+
+    PLAN = FaultPlan(
+        events=(MobilityDrift(start=1, end=5, model="random", speed_std=0.5, seed=3),)
+    )
+
+    def _run(self, checkpoint=None):
+        world = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(0,)))
+        scenario = make_paper_scenario(density_per_100m2=5.0, rng=world)
+        trajectory = make_trajectory(n_iterations=6, rng=world)
+        tracker = make_tracker(
+            "CDPF", scenario,
+            rng=np.random.default_rng(np.random.SeedSequence(31, spawn_key=(1,))),
+        )
+        sensing = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(2,)))
+        options = RunOptions(fault_plan=self.PLAN, checkpoint=checkpoint)
+        result = run_tracking(tracker, scenario, trajectory, rng=sensing, options=options)
+        return result, tracker.medium, scenario
+
+    def test_drifted_checkpoint_carries_and_restores_positions(self):
+        reference, moved, scenario = self._run()
+        saved = []
+        self._run(CheckpointPolicy(every=3, sink=saved.append))
+        middle = RunCheckpoint.from_json(saved[0].to_json())
+        carried = middle.payload["medium"]["positions"]
+        assert not np.array_equal(carried, scenario.deployment.positions)
+        resumed, medium, _ = self._run(CheckpointPolicy(resume_from=middle))
+        assert set(resumed.estimates) == set(reference.estimates)
+        for k, estimate in reference.estimates.items():
+            np.testing.assert_array_equal(resumed.estimates[k], estimate)
+        assert resumed.total_bytes == reference.total_bytes
+        np.testing.assert_array_equal(medium.positions, moved.positions)

@@ -50,16 +50,41 @@ class TestNonFiniteCenters:
             lambda idx, c: idx.query_disk(c, 3.0),
             lambda idx, c: idx.query_disk_pairs(np.array([[1.0, 1.0], c]), 3.0),
             lambda idx, c: idx.count_in_disks(np.array([[1.0, 1.0], c]), 3.0),
+            lambda idx, c: idx.count_bounds(np.array([[1.0, 1.0], c]), 3.0, _never_open),
             lambda idx, c: idx.query_disk_many(np.array([c, [1.0, 1.0]]), 3.0),
             lambda idx, c: idx.query_segment([1.0, 1.0], c, 3.0),
         ],
-        ids=["query_disk", "query_disk_pairs", "count_in_disks", "query_disk_many",
-             "query_segment"],
+        ids=["query_disk", "query_disk_pairs", "count_in_disks", "count_bounds",
+             "query_disk_many", "query_segment"],
     )
     def test_rejected(self, query, bad):
         idx = GridIndex(np.random.default_rng(0).uniform(0.0, 10.0, (20, 2)), 2.0)
         with pytest.raises(ValueError, match="not finite"):
             query(idx, np.array(bad))
+
+    def test_count_bounds_on_an_empty_index(self):
+        idx = GridIndex(np.zeros((0, 2)), 2.0)
+        lower, upper = idx.count_bounds(np.array([[1.0, 1.0], [1e12, -3.0]]), 3.0, _never_open)
+        for bound in (lower, upper):
+            assert bound.dtype == np.intp
+            np.testing.assert_array_equal(bound, [0, 0])
+
+    @pytest.mark.parametrize("centers", [np.zeros((0, 2)), np.zeros(0)], ids=["2-d", "1-d"])
+    def test_count_bounds_without_centers(self, centers):
+        idx = GridIndex(np.random.default_rng(0).uniform(0.0, 10.0, (20, 2)), 2.0)
+        lower, upper = idx.count_bounds(centers, 3.0, _never_open)
+        assert lower.shape == upper.shape == (0,)
+        assert lower.dtype == upper.dtype == np.intp
+
+    def test_count_bounds_negative_radius_rejected(self):
+        idx = GridIndex(np.random.default_rng(0).uniform(0.0, 10.0, (20, 2)), 2.0)
+        with pytest.raises(ValueError, match="radius"):
+            idx.count_bounds(np.array([[1.0, 1.0]]), -1.0, _never_open)
+
+
+def _never_open(lower, upper):
+    """A caller whose decision every pair of bounds settles."""
+    return np.zeros(lower.shape, dtype=bool)
 
 
 class TestQueryDisk:

@@ -149,3 +149,27 @@ class TestKnowledgeExchange:
         total_bytes, _ = knowledge_exchange_cost(8000, sizes)
         per_iteration = total_bytes / (24 * 3600 / 5)
         assert per_iteration < 10  # bytes per iteration, network-wide
+
+    def test_degree_bounds_counts_only_open_ids(self, tables):
+        dep, nt = tables
+        cold = NeighborTables(dep.positions, RADIO)
+        ids = np.arange(0, 600, 7)
+        want = np.array([nt.neighbors(i).shape[0] for i in ids.tolist()])
+        left_open = ids % 2 == 0
+        lower, upper = cold.degree_bounds(ids, lambda lo, hi: left_open)
+        assert (lower <= want).all() and (want <= upper).all()
+        np.testing.assert_array_equal(lower[left_open], want[left_open])
+        np.testing.assert_array_equal(upper[left_open], want[left_open])
+        degree = cold._neighborhood._degree
+        assert (degree[ids[left_open]] == want[left_open]).all()
+        assert (degree[ids[~left_open]] == -1).all()
+        assert not cold._neighborhood._neighbors  # no lists materialized
+
+    def test_degree_bounds_rejects_out_of_range_and_passes_empty(self, tables):
+        dep, nt = tables
+        cold = NeighborTables(dep.positions, RADIO)
+        with pytest.raises(ValueError):
+            cold.degree_bounds([0, 600], lambda lo, hi: lo < hi)
+        lower, upper = cold.degree_bounds([], lambda lo, hi: lo < hi)
+        assert lower.shape == upper.shape == (0,)
+        assert (cold._neighborhood._degree < 0).all()
