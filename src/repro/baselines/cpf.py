@@ -241,8 +241,9 @@ class CPFTracker:
         transmitting prefix sleeps.  When the medium delivers every copy the
         round is handed over directly: one aggregated ledger row of
         ``sum(hops) * (header + D_m)``, what the per-hop messages cost.
-        Otherwise the paths ride one :class:`TransmissionBatch` flush, where
-        a crashed relay silently eating the packet is the only loss.
+        Otherwise the packets walk their paths in one
+        :class:`~repro.network.medium.UnicastRound`, where a crashed relay
+        silently eating the packet is the only loss.
         """
         for nid, path in self._route_new(nid for nid, _z in sent).items():
             if path is not None:
@@ -261,15 +262,17 @@ class CPFTracker:
                     iteration, MeasurementMessage.category, n_bytes, hops
                 )
             return {nid: True for nid, _z, _path in routed}
-        batch = self.medium.transmission_batch(iteration)
-        entry_of: dict[int, int] = {}
-        for nid, z, path in routed:
-            if any(self.medium.is_asleep(n) for n in path[:-1]):
-                continue  # a sleeping relay refuses to forward: lost
-            msg = MeasurementMessage(sender=nid, iteration=iteration, value=z)
-            entry_of[nid] = batch.unicast_path(path, msg)
-        flushed = batch.flush()
-        return {nid: not flushed[idx].dropped.size for nid, idx in entry_of.items()}
+        arrived: dict[int, bool] = {}
+        rnd = self.medium.unicast_round(iteration)
+        try:
+            for nid, z, path in routed:
+                if any(self.medium.is_asleep(n) for n in path[:-1]):
+                    continue  # a sleeping relay refuses to forward: lost
+                msg = MeasurementMessage(sender=nid, iteration=iteration, value=z)
+                arrived[nid] = not rnd.walk(path, msg).dropped.size
+        finally:
+            rnd.commit()
+        return arrived
 
     def _hops_in_range(self, paths: list[list[int]]) -> np.ndarray:
         """Per path, whether every hop passes the medium's range test on its

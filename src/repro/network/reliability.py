@@ -35,9 +35,10 @@ fates form a fixed stream whichever packet consumes them.  A round
 (:meth:`ReliableUnicast.send_many`) draws the streams of every data and ack
 link of the routes it knows in one batched call, then runs stop-and-wait as
 integer bookkeeping over them on a :class:`~repro.network.medium.UnicastRound`,
-which charges the round as one ledger row per category: the outcomes,
-nonces and ledger totals of sending every copy through
-:meth:`~repro.network.medium.Medium.unicast` one at a time.
+the medium's one unicast engine, which charges the round as one ledger row
+per category: the outcomes, nonces and ledger totals of resolving every copy
+on its own, one draw and one ledger row per copy, in send order (the
+per-copy loop ``tests/fuzz/test_arq_round.py`` keeps as its reference).
 """
 
 from __future__ import annotations

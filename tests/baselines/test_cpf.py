@@ -118,17 +118,17 @@ class TestConvergecastPaths:
 
     @staticmethod
     def _run(scenario, trajectory, options, monkeypatch, *, direct):
-        from repro.network.medium import Medium, TransmissionBatch
+        from repro.network.medium import Medium, UnicastRound
 
         walked = []
         with monkeypatch.context() as m:
             if not direct:
                 m.setattr(Medium, "delivers_all", property(lambda self: False))
-            unicast_path = TransmissionBatch.unicast_path
+            walk = UnicastRound.walk
             m.setattr(
-                TransmissionBatch,
-                "unicast_path",
-                lambda self, *a, **k: walked.append(1) or unicast_path(self, *a, **k),
+                UnicastRound,
+                "walk",
+                lambda self, *a, **k: walked.append(1) or walk(self, *a, **k),
             )
             tr = CPFTracker(scenario, rng=np.random.default_rng(1))
             res = run_tracking(

@@ -3,13 +3,14 @@
 ``ReliableUnicast.send_many`` draws each round's copy fates ahead, in
 batched calls, and runs stop-and-wait as bookkeeping over them.  The
 reference below is the per-copy implementation it replaced, kept verbatim:
-``send_path`` walks each hop with ``_send_hop``, one ``Medium.unicast`` per
-data or ack copy.  Both run the same round on identical fresh media, and
-must agree on every ``Delivery``, the blacklist, the ledger (totals,
-``by_phase_key``, ``dropped_by_phase_key``), the nonce store, the inbox log
-and the parked copies.  The draw may leave Gilbert-Elliott memo entries the
-per-copy walk never made, so instead of comparing memos a second round at a
-later iteration must agree too.
+``send_path`` walks each hop with ``_send_hop``, one per-copy ``unicast``
+(``tests/network/per_copy.py``, the body ``Medium.unicast`` had before it
+became a one-copy round) per data or ack copy.  Both run the same round on
+identical fresh media, and must agree on every ``Delivery``, the blacklist,
+the ledger (totals, ``by_phase_key``, ``dropped_by_phase_key``), the nonce
+store, the inbox log and the parked copies.  A second round at a later
+iteration must agree too: it starts a fresh nonce store, and the first
+round's parked copies fall due in it.
 
 Drawn: IID, Gilbert-Elliott (the two transition probabilities <, = and >
 each other), distance-fading and ``DelayingLink(GE)`` links, a loss-burst
@@ -39,11 +40,13 @@ from repro.network.reliability import ReliabilityConfig, ReliableUnicast
 from repro.network.routing import RoutingError, greedy_path
 from repro.network.spatial import GridIndex
 
+from ..network import per_copy
+
 _EMPTY = np.array([], dtype=np.intp)
 
 
 class PerCopyARQ(ReliableUnicast):
-    """The per-copy stop-and-wait ARQ, one ``Medium.unicast`` per copy."""
+    """The per-copy stop-and-wait ARQ, one per-copy ``unicast`` per copy."""
 
     def send_many(self, requests, iteration: int, known=()) -> list[Delivery | None]:
         """Send a round of path transmissions; returns one result per request.
@@ -156,8 +159,9 @@ class PerCopyARQ(ReliableUnicast):
                 and message.dedupe_key() not in self._delivered
             )
             try:
-                d = self.medium.unicast(
-                    a, b, message, iteration, deliver_to_inbox=deliver_to_inbox
+                d = per_copy.unicast(
+                    self.medium, a, b, message, iteration,
+                    deliver_to_inbox=deliver_to_inbox,
                 )
             except RuntimeError:
                 # asleep sender / geometry: not recoverable by retrying
@@ -183,8 +187,8 @@ class PerCopyARQ(ReliableUnicast):
                 return ("ok", n_bytes, n_messages)
             ack = AckMessage(sender=b, iteration=iteration)
             try:
-                ad = self.medium.unicast(
-                    b, a, ack, iteration, deliver_to_inbox=False
+                ad = per_copy.unicast(
+                    self.medium, b, a, ack, iteration, deliver_to_inbox=False
                 )
             except RuntimeError:
                 return ("hop_dead", n_bytes, n_messages)

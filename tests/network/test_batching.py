@@ -21,6 +21,8 @@ from repro.network.radio import RadioModel
 from repro.network.spatial import GridIndex
 from repro.scenario import make_paper_scenario
 
+from . import per_copy
+
 RADIO = RadioModel(comm_radius=30.0)
 
 
@@ -126,37 +128,28 @@ class TestBatchEquivalence:
         }
 
     def test_mixed_round_preserves_enqueue_order_nonces(self):
-        """Broadcasts and a one-hop path interleaved in one batch consume the
-        same per-link nonces (and so draw the same fates) as sequential
-        sends."""
+        """A broadcast, a one-hop path and a broadcast sent one after
+        another consume the per-link nonces in send order, and so draw the
+        fates the per-copy path walk draws."""
         pos = _positions(n=20)
-        for batched in (False, True):
+        got = []
+        for unicast_path in (Medium.unicast_path, per_copy.unicast_path):
             medium = Medium(pos, RADIO, link_model=IIDLossLink(p_loss=0.5, seed=11))
             nbrs = NeighborhoodCache(pos, RADIO.comm_radius).neighbors(0)
             target = int(nbrs[0])
             m1 = MeasurementMessage(sender=0, iteration=0, value=1.0)
             m2 = MeasurementMessage(sender=0, iteration=0, value=2.0)
             m3 = MeasurementMessage(sender=0, iteration=0, value=3.0)
-            if batched:
-                batch = medium.transmission_batch(0)
-                batch.broadcast(0, m1)
-                batch.unicast_path([0, target], m2)
-                batch.broadcast(0, m3)
-                deliveries = batch.flush()
-            else:
-                deliveries = [
-                    medium.broadcast(0, m1, 0),
-                    medium.unicast_path([0, target], m2, 0),
-                    medium.broadcast(0, m3, 0),
-                ]
-            # 3 copies crossed the 0->target link, in enqueue order
+            deliveries = [
+                medium.broadcast(0, m1, 0),
+                unicast_path(medium, [0, target], m2, 0),
+                medium.broadcast(0, m3, 0),
+            ]
+            # 3 copies crossed the 0->target link, in send order
             assert medium._nonce_iteration == 0
             assert medium._nonces.get_many(np.array([0 << 32 | target])).tolist() == [3]
-            if batched:
-                got_batched = [_delivery_tuple(d) for d in deliveries]
-            else:
-                got_scalar = [_delivery_tuple(d) for d in deliveries]
-        assert got_scalar == got_batched
+            got.append([_delivery_tuple(d) for d in deliveries])
+        assert got[0] == got[1]
 
     def test_flush_is_single_use(self):
         medium = Medium(_positions(), RADIO)
