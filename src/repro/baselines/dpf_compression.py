@@ -219,10 +219,13 @@ class DPFTracker:
                 sender=nid, iteration=ctx.iteration, code=code, bits=self.bits
             )
             try:
-                self.medium.unicast_path(paths[i], msg, ctx.iteration)
+                delivery = self.medium.unicast_path(paths[i], msg, ctx.iteration)
             except RuntimeError:
                 continue  # a relay unavailable: measurement lost
-            observations.append(obs)
+            if delivery.receivers.size:
+                # a packet dropped on a hop, or parked for the next
+                # iteration, never reaches this iteration's fusion
+                observations.append(obs)
         self.medium.clear_inboxes()
         return observations
 

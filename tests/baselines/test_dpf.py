@@ -97,6 +97,32 @@ class TestDPFTracker:
         # 3-component GMM: 27 params; quantized: 16 particles x 4 = 64 values
         assert results["gmm"] < results["quantized"]
 
+    def test_fuses_only_measurements_the_leader_received(
+        self, small_scenario, small_trajectory, monkeypatch
+    ):
+        """On a lossy medium a measurement packet can be dropped on a hop;
+        the leader fuses its own reading and the packets that reached it."""
+        from repro.experiments.runner import generate_step_context
+        from repro.network.links import IIDLossLink
+        from repro.network.medium import Medium
+
+        scenario = small_scenario.with_(link_model=IIDLossLink(p_loss=0.5, seed=3))
+        tr = DPFTracker(scenario, rng=np.random.default_rng(1), compression="quantized")
+        ctx = generate_step_context(scenario, small_trajectory, 0, np.random.default_rng(3))
+        sent = []
+        unicast_path = Medium.unicast_path
+
+        def spy(self, path, message, iteration):
+            sent.append(unicast_path(self, path, message, iteration))
+            return sent[-1]
+
+        monkeypatch.setattr(Medium, "unicast_path", spy)
+        detectors = np.asarray(ctx.detectors).ravel()
+        observations = tr._collect_measurements(ctx, tr._elect_leader(detectors), detectors)
+        delivered = sum(d.receivers.size for d in sent)
+        assert 0 < delivered < len(sent)  # the channel lost some packets
+        assert len(observations) == 1 + delivered
+
     def test_validation(self, small_scenario):
         with pytest.raises(ValueError):
             DPFTracker(small_scenario, rng=np.random.default_rng(1), compression="zip")
