@@ -82,7 +82,7 @@ class TestDriftedCheckpoint:
         events=(MobilityDrift(start=1, end=5, model="random", speed_std=0.5, seed=3),)
     )
 
-    def _run(self, checkpoint=None):
+    def _run(self, checkpoint=None, plan=PLAN):
         world = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(0,)))
         scenario = make_paper_scenario(density_per_100m2=5.0, rng=world)
         trajectory = make_trajectory(n_iterations=6, rng=world)
@@ -91,7 +91,7 @@ class TestDriftedCheckpoint:
             rng=np.random.default_rng(np.random.SeedSequence(31, spawn_key=(1,))),
         )
         sensing = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(2,)))
-        options = RunOptions(fault_plan=self.PLAN, checkpoint=checkpoint)
+        options = RunOptions(fault_plan=plan, checkpoint=checkpoint)
         result = run_tracking(tracker, scenario, trajectory, rng=sensing, options=options)
         return result, tracker.medium, scenario
 
@@ -103,6 +103,22 @@ class TestDriftedCheckpoint:
         carried = middle.payload["medium"]["positions"]
         assert not np.array_equal(carried, scenario.deployment.positions)
         resumed, medium, _ = self._run(CheckpointPolicy(resume_from=middle))
+        assert set(resumed.estimates) == set(reference.estimates)
+        for k, estimate in reference.estimates.items():
+            np.testing.assert_array_equal(resumed.estimates[k], estimate)
+        assert resumed.total_bytes == reference.total_bytes
+        np.testing.assert_array_equal(medium.positions, moved.positions)
+
+    @pytest.mark.parametrize("plan", [FaultPlan(), PLAN], ids=["static", "before-drift"])
+    def test_unmoved_checkpoint_carries_no_positions(self, plan):
+        """Until a node moves, a checkpoint leaves the positions out and a
+        resume takes the freshly built deployment's."""
+        reference, moved, _ = self._run(plan=plan)
+        saved = []
+        self._run(CheckpointPolicy(every=1, sink=saved.append), plan=plan)
+        first = RunCheckpoint.from_json(saved[0].to_json())
+        assert "positions" not in first.payload["medium"]
+        resumed, medium, _ = self._run(CheckpointPolicy(resume_from=first), plan=plan)
         assert set(resumed.estimates) == set(reference.estimates)
         for k, estimate in reference.estimates.items():
             np.testing.assert_array_equal(resumed.estimates[k], estimate)

@@ -265,7 +265,9 @@ class TestGilbertElliottChains:
     carried the memo in its snapshot as ``chains``.  The link model now
     recomputes each chain state from its keyed draws, so a checkpoint
     written with the memo still resumes bit-identically (restore ignores
-    ``chains``), and a checkpoint written now is the same minus that list.
+    ``chains``), and a checkpoint written now is the same minus that list
+    and minus the medium's ``positions``, which a checkpoint carries only
+    once mobility has moved a node.
 
     ``checkpoint_ge_chains.json`` was written by :meth:`_build`'s world with
     ``CheckpointPolicy(every=2)`` before the memo was removed: the
@@ -314,8 +316,11 @@ class TestGilbertElliottChains:
         )
         now = saved[0].to_dict()
         assert now["payload"]["medium"]["link_model"] == {"type": "GilbertElliottLink"}
+        # no node has moved, so the medium no longer carries its positions
+        assert "positions" not in now["payload"]["medium"]
         old = json.loads(self.FIXTURE.read_text(encoding="utf-8"))
         del old["payload"]["medium"]["link_model"]["chains"]
+        del old["payload"]["medium"]["positions"]
         for payload in (now["payload"], old["payload"]):
             del payload["tracker"]["stats"]["phase_seconds"]  # wall-clock
         assert now["payload"] == old["payload"]
